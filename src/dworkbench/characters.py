@@ -109,12 +109,6 @@ class AddChar:
     def bar(self) -> "AddChar":
         return AddChar(self.field, self.field.neg_code(self.c))
 
-    def compose_trace(self, E: FqField) -> "AddChar":
-        """psi composed with the trace from E down to this prime base field."""
-        if self.field.m != 1 or E.p != self.field.q:
-            raise ValueError("trace composition needs E over the prime base")
-        return AddChar(E, self.c)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AddChar):
             return self.field is other.field and self.c == other.c

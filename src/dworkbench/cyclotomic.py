@@ -15,12 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-import mpmath
+import numpy as np
 
 from .errors import NotAMultiple
 from .groupring import convolve_int
 
 Rat = Union[int, Fraction]
+
+# The int64 fast paths run only when every partial sum is proved below this.
+_INT64_LIMIT = 1 << 63
 
 
 def euler_phi(M: int) -> int:
@@ -70,7 +73,7 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 class CycloCtx:
     """Cached per-modulus data: reduction rows and canonical power vectors."""
 
-    __slots__ = ("M", "phi", "poly", "red", "pow_vecs", "_emb")
+    __slots__ = ("M", "phi", "poly", "red", "pow_vecs", "_emb", "_tabs")
 
     def __init__(self, M: int):
         self.M = M
@@ -98,6 +101,21 @@ class CycloCtx:
                 vecs.append(red[e - phi])
         self.pow_vecs = vecs
         self._emb: dict[int, list[complex]] = {}
+        self._tabs: tuple[np.ndarray, np.ndarray, int] | None = None
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """pow_vecs as an (M, phi) array, its rows for z^phi .. z^(2phi-2) (the
+        reduction of a product), and the largest |entry|; built on first use in
+        the narrowest integer dtype that holds them."""
+        tabs = self._tabs
+        if tabs is None:
+            pmax = max(1, max(max(max(r), -min(r)) for r in self.red))
+            dt = np.min_scalar_type(-pmax - 1)
+            pow_arr = np.array(self.pow_vecs, dtype=dt).reshape(self.M, self.phi)
+            red_arr = pow_arr[np.arange(self.phi, 2 * self.phi - 1) % self.M]
+            tabs = (pow_arr, red_arr, pmax)
+            self._tabs = tabs
+        return tabs
 
     def embedding_basis(self, e: int) -> list[complex]:
         basis = self._emb.get(e)
@@ -114,6 +132,10 @@ def ctx_for(M: int) -> CycloCtx:
     return CycloCtx(M)
 
 
+def _max_abs(vals: Sequence[int]) -> int:
+    return int(max(max(vals), -min(vals))) if len(vals) else 0
+
+
 def _reduce_vec(conv: list[int], ctx: CycloCtx) -> list[int]:
     phi = ctx.phi
     out = list(conv[:phi])
@@ -123,6 +145,33 @@ def _reduce_vec(conv: list[int], ctx: CycloCtx) -> list[int]:
         if c:
             row = ctx.red[i - phi]
             for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return out
+
+
+def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
+    """Numerator vector of a * b reduced modulo Phi_M, exact."""
+    phi = ctx.phi
+    _, red_arr, pmax = ctx.tables()
+    if _max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * pmax) < _INT64_LIMIT:
+        conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        return (conv[:phi] + conv[phi:] @ red_arr).tolist()
+    return _reduce_vec(convolve_int(a, b), ctx)
+
+
+def _combine(ctx: CycloCtx, coeffs: Sequence[int], exps: Sequence[int]) -> list[int]:
+    """Numerator vector of sum_i coeffs[i] * z^exps[i], exact."""
+    pow_arr, _, pmax = ctx.tables()
+    if _max_abs(coeffs) * len(coeffs) * pmax < _INT64_LIMIT:
+        c = np.array(coeffs, dtype=np.int64)
+        nz = np.flatnonzero(c)
+        rows = pow_arr[np.asarray(exps, dtype=np.int64)[nz] % ctx.M]
+        return (c[nz] @ rows).tolist()
+    out = [0] * ctx.phi
+    for c, e in zip(coeffs, exps):
+        if c:
+            for j, r in enumerate(ctx.pow_vecs[e % ctx.M]):
                 if r:
                     out[j] += c * r
     return out
@@ -233,9 +282,7 @@ class CycloElem:
         if self.is_rational():
             fr = self.as_rational()
             return _make(self.M, [v * fr.numerator for v in o._num], o._den * fr.denominator)
-        ctx = ctx_for(self.M)
-        conv = convolve_int(self._num, o._num)
-        return _make(self.M, _reduce_vec(conv, ctx), self._den * o._den)
+        return _make(self.M, _mul_num(self._num, o._num, ctx_for(self.M)), self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -284,13 +331,7 @@ class CycloElem:
         if math.gcd(e, M) != 1:
             raise ValueError("exponent not coprime to modulus")
         ctx = ctx_for(M)
-        out = [0] * ctx.phi
-        for i, c in enumerate(self._num):
-            if c:
-                row = ctx.pow_vecs[(i * e) % M]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
+        out = _combine(ctx, self._num, range(0, ctx.phi * e, e))
         return _make(M, out, self._den)
 
     def conjugate(self) -> "CycloElem":
@@ -303,39 +344,21 @@ class CycloElem:
         if M2 % self.M:
             raise NotAMultiple(f"{M2} is not a multiple of {self.M}")
         k = M2 // self.M
-        ctx2 = ctx_for(M2)
-        out = [0] * ctx2.phi
-        for i, c in enumerate(self._num):
-            if c:
-                row = ctx2.pow_vecs[(i * k) % M2]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
+        out = _combine(ctx_for(M2), self._num, range(0, len(self._num) * k, k))
         return _make(M2, out, self._den)
 
     # -- numerics ----------------------------------------------------------
 
-    def embed(self, e: int = 1, prec: int = 53):
-        """Complex value under z -> exp(2 pi i e / M), gcd(e, M) = 1.
-
-        Returns a Python complex for prec <= 53, else an mpmath mpc with at
-        least prec working bits.
-        """
+    def embed(self, e: int = 1) -> complex:
+        """Complex value under z -> exp(2 pi i e / M), gcd(e, M) = 1."""
         if math.gcd(e, self.M) != 1:
             raise ValueError("embedding exponent not coprime to modulus")
-        if prec <= 53:
-            basis = ctx_for(self.M).embedding_basis(e % self.M)
-            acc = 0 + 0j
-            for c, b in zip(self._num, basis):
-                if c:
-                    acc += c * b
-            return acc / self._den
-        with mpmath.workprec(prec + 16):
-            acc = mpmath.mpc(0)
-            for i, c in enumerate(self._num):
-                if c:
-                    acc += c * mpmath.expjpi(mpmath.mpf(2 * e * i) / self.M)
-            return acc / self._den
+        basis = ctx_for(self.M).embedding_basis(e % self.M)
+        acc = 0 + 0j
+        for c, b in zip(self._num, basis):
+            if c:
+                acc += c * b
+        return acc / self._den
 
     def abs2(self, e: int = 1) -> float:
         v = self.embed(e)
@@ -406,15 +429,8 @@ def root_of_unity(M: int, k: int = 1) -> CycloElem:
 
 def to_cyclo(counts: Iterable[int], M: int, den: int = 1) -> CycloElem:
     """Build sum_e counts[e] * zeta_M^e / den from an exponent-count vector."""
-    ctx = ctx_for(M)
-    out = [0] * ctx.phi
-    for e, c in enumerate(counts):
-        if c:
-            row = ctx.pow_vecs[e % M]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return _make(M, out, den)
+    counts = list(counts)
+    return _make(M, _combine(ctx_for(M), counts, range(len(counts))), den)
 
 
 def common(a: CycloElem, b: CycloElem) -> tuple[CycloElem, CycloElem]:

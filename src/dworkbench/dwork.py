@@ -12,6 +12,7 @@ at N = 3 with brute-force equivariant fixed-point counts.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .weights import WeightVector
 
 _COUNT_BUDGET = 10 ** 10
 _STATE_BUDGET = 6 * 10 ** 6  # q (q-1) N cells
+_INT64_LIMIT = 1 << 63
 
 
 def _entries_of(v: "WeightVector | Sequence[int]", N: int) -> tuple[int, ...]:
@@ -151,6 +153,22 @@ def strata_sets(entries: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_int64(bound: int, what: str) -> None:
+    """Refuse a step whose int64 cells could reach 2^63 in magnitude."""
+    if bound >= _INT64_LIMIT:
+        raise Infeasible(f"{what}: cell bound {bound} exceeds the int64 range")
+
+
+def _normalize(S: np.ndarray) -> np.ndarray:
+    """Subtract from each cell its minimum along the last (weight) axis.
+
+    Counts over zeta_N are read only through sum_e S[..., e] zeta_N^e, and
+    sum_e zeta_N^e = 0, so this keeps every value while bounding the cells.
+    """
+    S -= S.min(axis=-1, keepdims=True)
+    return S
+
+
 def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[int], i0: int | None = None) -> CycloElem:
     """One boundary stratum: units on Z summing to zero, first slot pinned.
 
@@ -177,12 +195,13 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     for i in Z:
         if i == i0:
             continue
+        _check_int64((q - 1) * int(S.max()), "boundary stratum")
         w = (entries[i] - a) % N
         S2 = np.zeros_like(S)
         for x in range(1, q):
             e = (w * int(dl[x])) % N
             S2 += np.roll(S, (x, e), axis=(0, 1))
-        S = S2
+        S = _normalize(S2)
     return -to_cyclo(S[0].tolist(), N)
 
 
@@ -194,7 +213,8 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarr
 
     A tuple contributes at r = (N dlog(s) - sum dlog u_i) mod (q-1) and
     e = sum v_i dlog(u_i) mod N; the fiber at t reads off the single row
-    r_t = N dlog(N t) mod (q-1).
+    r_t = N dlog(N t) mod (q-1).  Each row holds the counts up to a constant
+    along e (see _normalize), which leaves its value over zeta_N unchanged.
     """
     q = field.q
     Qm1 = q - 1
@@ -204,12 +224,14 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarr
     S = np.zeros((q, Qm1, N), dtype=np.int64)
     S[0, 0, 0] = 1
     for i in range(N - 1):
+        _check_int64((q - 1) * int(S.max()), "torus aggregation")
         vi = entries[i] % N
         S2 = np.zeros_like(S)
         for x in range(1, q):
             dlx = int(dl[x])
             S2 += np.roll(S, (x, dlx, (vi * dlx) % N), axis=(0, 1, 2))
-        S = S2
+        S = _normalize(S2)
+    _check_int64(q * int(S.max()), "torus aggregation")
     H = np.zeros((Qm1, N), dtype=np.int64)
     d = np.arange(Qm1)
     for sigma in range(q):
@@ -459,34 +481,74 @@ def _count_chart_zero(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, si
 # -- N = 3 brute-force equivariant fixed points -----------------------------
 
 
-def _curve_points(fiber: DworkFiber, E: FqField) -> list[tuple[int, int, int]]:
-    """All points of the N = 3 fiber over E, one representative each."""
-    qe = E.q
-    powN = np.zeros(qe, dtype=np.int64)
-    powN[1:] = E.EXP[(3 * E.DLOG[1:]) % (qe - 1)]
-    nt_code = E.mul_code(E.el(3).code, fiber.t_code)
-    pts: list[tuple[int, int, int]] = []
-    Y = np.arange(qe, dtype=np.int64)
-    add = E.add_table()
-    for y in range(qe):
-        # chart (1 : y : z)
-        lhs = add[add[1, powN[y]], powN[Y]]
-        if nt_code == 0 or y == 0:
-            rhs = np.zeros(qe, dtype=np.int64)
-        else:
-            coef = E.mul_code(nt_code, y)
-            rhs = E.mul_codes(np.full(qe, coef), Y)
-        for z in np.nonzero(lhs == rhs)[0]:
-            pts.append((1, y, int(z)))
-    # chart (0 : 1 : z): 1 + z^3 = 0
-    for z in np.nonzero(add[1, powN[Y]] == 0)[0]:
-        pts.append((0, 1, int(z)))
-    return pts
+def _one_plus(E: FqField, codes: np.ndarray) -> np.ndarray:
+    """Codes of 1 + x: only the constant digit changes, and it does not carry."""
+    return codes + 1 - E.p * (codes % E.p == E.p - 1)
+
+
+@lru_cache(maxsize=4)
+def _cubic_points(E: FqField) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of every N = 3 fiber over E, tagged with its fiber.
+
+    Returns (P, key): P[i] holds the codes (x, y, z) of one representative.
+    A point (1 : y : z) with yz != 0 lies on the one fiber with
+    3t = (1 + y^3 + z^3) / (yz), and key[i] is the code of 3t when that is
+    an F_p constant (0 when the sum vanishes); a point with xyz = 0 lies on
+    every fiber, key -1.  The sum 1 + y^3 + z^3 does not depend on t: it is
+    formed once, with Zech logarithms Z[n] = dlog(1 + g^n), over the whole
+    (y, z) grid in row blocks.
+    """
+    Qe = E.q - 1
+    EXP, DLOG = E.EXP, E.DLOG
+    sub = Qe // (E.p - 1)  # dlogs of F_p^x inside E^x are the multiples of this
+    zech = DLOG[_one_plus(E, EXP)]  # -1 where 1 + g^n = 0
+    d = np.arange(Qe, dtype=np.int64)
+    cube = (3 * d) % Qe
+    dlu = DLOG[_one_plus(E, EXP[cube])]  # dlog(1 + y^3), -1 where it vanishes
+    ys, zs, keys = [], [], []
+    rows = max(1, (1 << 19) // Qe)
+    for lo in range(0, Qe, rows):
+        dly = d[lo : lo + rows, None]
+        u = dlu[lo : lo + rows, None]
+        zl = zech[(cube - u) % Qe]
+        dlhs = np.where(u < 0, cube, np.where(zl < 0, -1, (u + zl) % Qe))  # -1: sum is 0
+        D = (dlhs - dly - d) % Qe
+        iy, iz = np.nonzero((dlhs < 0) | (D % sub == 0))
+        ys.append(EXP[iy + lo])
+        zs.append(EXP[iz])
+        keys.append(np.where(dlhs[iy, iz] < 0, 0, EXP[D[iy, iz]]))
+    # (1 : 0 : z), (1 : y : 0) and (0 : 1 : z), each with w^3 = -1
+    roots = EXP[d[dlu < 0]]
+    zero = np.zeros_like(roots)
+    one = np.ones_like(roots)
+    ys = np.concatenate(ys)
+    P = np.concatenate([
+        np.stack([np.ones_like(ys), ys, np.concatenate(zs)], axis=1),
+        np.stack([one, zero, roots], axis=1),
+        np.stack([one, roots, zero], axis=1),
+        np.stack([zero, one, roots], axis=1),
+    ])
+    key = np.concatenate(keys + [np.full(3 * len(roots), -1, dtype=np.int64)])
+    P.setflags(write=False)
+    key.setflags(write=False)
+    return P, key
+
+
+def _curve_points(fiber: DworkFiber, E: FqField) -> np.ndarray:
+    """All points of the N = 3 fiber over E, one representative per row."""
+    P, key = _cubic_points(E)
+    c = E.mul_code(E.el(3).code, fiber.t_code)
+    return P[(key == c) | (key < 0)]
 
 
 def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
     """Points of the cubic fiber fixed by the scaled Frobenius, counted
-    projectively over the cubic extension."""
+    projectively over the cubic extension.
+
+    The image of a point c is (zeta_i c_i^q).  It is the same projective
+    point exactly when the ratios zeta_i c_i^q / c_i agree over the nonzero
+    coordinates, that is, when dlog zeta_i + (q - 1) dlog c_i does.
+    """
     if fiber.N != 3:
         raise UnsupportedN("brute-force fixed points implemented for N = 3 only")
     if g.N != 3:
@@ -495,28 +557,9 @@ def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
     E = build_field(base.q, 3)
     q = base.q
     w = base.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
-    zetas = [(w ** e).code for e in g.exps]
+    dz = E.DLOG[[(w ** e).code for e in g.exps]]
     pts = _curve_points(fiber, E)
-    qe = E.q
-    frob = np.zeros(qe, dtype=np.int64)
-    frob[1:] = E.EXP[(E.DLOG[1:] * q) % (qe - 1)]
-    cnt = 0
-    for p in pts:
-        img = [E.mul_code(z, int(frob[c])) for z, c in zip(zetas, p)]
-        lam = None
-        good = True
-        for c, ic in zip(p, img):
-            if c == 0:
-                if ic != 0:
-                    good = False
-                    break
-                continue
-            ratio = E.mul_code(ic, (E.from_code(c) ** -1).code)
-            if lam is None:
-                lam = ratio
-            elif lam != ratio:
-                good = False
-                break
-        if good:
-            cnt += 1
-    return cnt
+    nz = pts != 0
+    ratio = (dz[None, :] + (q - 1) * E.DLOG[pts]) % (E.q - 1)
+    first = ratio[np.arange(len(pts)), nz.argmax(axis=1)]
+    return int(np.count_nonzero(np.all(~nz | (ratio == first[:, None]), axis=1)))

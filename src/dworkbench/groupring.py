@@ -70,16 +70,3 @@ def _convolve_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     neg_f = _unpack(neg, w, n_out)
     return [p - q for p, q in zip(pos_f, neg_f)]
 
-
-def cyclic_fold(seq: Sequence[int], n: int) -> list[int]:
-    """Fold a linear sequence into residue classes of the index mod n."""
-    out = [0] * n
-    for i, v in enumerate(seq):
-        if v:
-            out[i % n] += v
-    return out
-
-
-def convolve_cyclic(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Convolution on Z/n of two length-n integer sequences."""
-    return cyclic_fold(convolve_int(a, b), n)

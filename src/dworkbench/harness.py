@@ -50,18 +50,6 @@ from .weights import WeightVector, build_v, hyper_data, rank_of, is_self_dual
 CONV_SIGN = "-1"  # per-factor sign baked into the convolution trace engine
 
 
-@dataclass
-class FrobContext:
-    """Single source of truth for Frobenius conventions."""
-
-    q: int
-    orientation: str = "direct"  # how the canonical table enters the ratio
-
-    def epsilon(self) -> Fraction:
-        # cyclotomic-character value of the Frobenius in the geometric normalization
-        return Fraction(1, self.q)
-
-
 def parallel_chunks(fn: Callable, items: Sequence, threads: int) -> list:
     """Map preserving order; the reduction is identical for any thread count."""
     if threads <= 1 or len(items) < 2:

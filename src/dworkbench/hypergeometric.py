@@ -33,6 +33,7 @@ from .weights import WeightVector, hyper_data
 
 _NAIVE_BUDGET = 10 ** 9
 _CHAIN_ROW_BOUND = 3000  # full 2D convolution refused beyond this many rows
+_FLOAT_EXACT = 1 << 53  # float64 represents every integer below this exactly
 
 
 class HyperSpec:
@@ -152,8 +153,8 @@ def _rank1_trad_counts(E: FqField, N: int, a: int, b: int, c_code: int) -> np.nd
         tr = (c_code * TR[w]) % p
         cexp = (a * d[lo:hi, None] + diff * dly[None, :]) % N
         e = (tr * N + cexp * p) % L
-        rows = np.broadcast_to(d[lo:hi, None], e.shape)
-        np.add.at(counts, (rows, e), -1)
+        cells = (np.arange(hi - lo)[:, None] * L + e).ravel()
+        counts[lo + 1 : hi + 1] -= np.bincount(cells, minlength=(hi - lo) * L).reshape(hi - lo, L)
     return counts
 
 
@@ -198,17 +199,20 @@ def _conv2_signed(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], R: int
 
 
 def _fold_point(A: np.ndarray, B: np.ndarray, dt: int, R: int, L: int) -> list[int]:
-    """Exponent counts of -(A * B) at the single output row dt."""
-    perm = (dt - np.arange(R)) % R
-    M = A.T.astype(object) @ B[perm].astype(object) if A.dtype == object else A.T @ B[perm]
-    out = [0] * L
-    idx = np.arange(L)
-    for e1 in range(L):
-        row = M[e1]
-        tgt = (e1 + idx) % L
-        for j in range(L):
-            out[tgt[j]] -= int(row[j])
-    return out
+    """Exponent counts of -(A * B) at the single output row dt.
+
+    M[e1, e2] = sum_d A[d, e1] B[dt - d, e2], and out[e] sums the cyclic
+    anti-diagonal M[e1, e - e1].  Every partial sum of both steps is at most
+    R L max|A| max|B| in magnitude: below 2^53 float64 (BLAS) computes them
+    exactly, otherwise Python integers do.
+    """
+    Bt = B[(dt - np.arange(R)) % R]
+    bound = R * L * int(np.abs(A).max()) * int(np.abs(Bt).max())
+    dtype = np.float64 if bound < _FLOAT_EXACT else object
+    M = A.astype(dtype).T @ Bt.astype(dtype)
+    e1 = np.arange(L)
+    out = M[e1[:, None], (e1[None, :] - e1[:, None]) % L].sum(axis=0)
+    return [-int(v) for v in out]
 
 
 # -- trace algorithms -------------------------------------------------------

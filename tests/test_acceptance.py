@@ -179,11 +179,13 @@ def test_11_report_determinism(hyper_cross_t1, n3_t1, katz_t1):
 
 
 def test_12_stretch_larger_label():
-    rep, secs = _timed(katz_check, 4, 9, 19, threads=1, tolerance=1e-6)
+    # q = 37 gives three image points, so constancy and the control are real
+    rep, secs = _timed(katz_check, 4, 9, 37, threads=1, tolerance=1e-6)
     try:
         assert rep.constant and rep.weight_ok
+        assert rep.control_constant is False
         assert rep.lam is not None
-        assert abs(rep.lam.abs2() - float(19 ** 4)) <= 1e-6 * 19 ** 4
+        assert abs(rep.lam.abs2() - float(37 ** 4)) <= 1e-6 * 37 ** 4
         assert secs < 900.0
     except AssertionError as e:
         _line("12 stretch: rank-4 label", False, secs, "(non-gating)")

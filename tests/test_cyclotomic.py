@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dworkbench import cyclotomic
 from dworkbench.cyclotomic import (
     CycloElem,
     common,
@@ -156,3 +157,72 @@ def test_to_cyclo_counts():
 def test_context_basis_size():
     ctx = ctx_for(7)
     assert ctx.phi == 6
+
+
+def _literal(M, coeffs, exps):
+    # sum_i coeffs[i] * z^exps[i] through the canonical power vectors, in Python integers
+    ctx = ctx_for(M)
+    out = [0] * ctx.phi
+    for c, e in zip(coeffs, exps):
+        for j, r in enumerate(ctx.pow_vecs[e % M]):
+            out[j] += c * r
+    return out
+
+
+def _literal_mul(M, a, b):
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _literal(M, conv, range(len(conv)))
+
+
+# small values take the int64 paths, huge ones the Python-integer paths
+coeff = st.one_of(small, st.integers(min_value=-(2 ** 70), max_value=2 ** 70))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((12, 28, 63, 105)), st.data())
+def test_arithmetic_matches_literal_power_vectors(M, data):
+    phi = ctx_for(M).phi
+    a = data.draw(st.lists(coeff, min_size=phi, max_size=phi))
+    b = data.draw(st.lists(coeff, min_size=phi, max_size=phi))
+    x, y = to_cyclo(a, M), to_cyclo(b, M)
+    assert list(x.coeffs) == a
+    assert list((x * y).coeffs) == _literal_mul(M, a, b)
+    assert list(x.coerce(2 * M).coeffs) == _literal(2 * M, a, range(0, 2 * phi, 2))
+    assert list(x.galois(M - 1).coeffs) == _literal(M, a, range(0, (M - 1) * phi, M - 1))
+    counts = data.draw(st.lists(coeff, max_size=2 * M))
+    assert list(to_cyclo(counts, M).coeffs) == _literal(M, counts, range(len(counts)))
+
+
+def test_mul_above_int64_bound_is_exact():
+    M, phi = 28, 12
+    a = [2 ** 40 + i for i in range(phi)]
+    b = [3 * i - 2 ** 40 for i in range(phi)]
+    got = list((to_cyclo(a, M) * to_cyclo(b, M)).coeffs)
+    assert got == _literal_mul(M, a, b)
+    assert max(abs(v) for v in got) >= 2 ** 63  # an int64 product would have wrapped
+
+
+def test_small_products_take_the_int64_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError("Python-integer reduction used for small operands")
+
+    monkeypatch.setattr(cyclotomic, "_reduce_vec", fail)
+    a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8]
+    assert list((to_cyclo(a, 7) * to_cyclo(b, 7)).coeffs) == _literal_mul(7, a, b)
+
+
+def test_poly_and_reduction_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for M in list(range(1, 61)) + [105, 812]:
+        want = sympy.Poly(sympy.cyclotomic_poly(M, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic_poly(M)) == want
+    for M in (28, 63, 105, 812):
+        ctx = ctx_for(M)
+        phi_m = sympy.Poly(sympy.cyclotomic_poly(M, x), x)
+        for e in (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 2, M - 1):
+            rem = sympy.Poly(x ** e, x).rem(phi_m).all_coeffs()[::-1]
+            assert list(ctx.red[e - ctx.phi]) == rem + [0] * (ctx.phi - len(rem))

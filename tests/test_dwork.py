@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworkbench.cyclotomic import CycloElem
 from dworkbench.dwork import (
@@ -243,3 +245,77 @@ def test_trace_json_shape(f29):
     assert "torus" in obj["strata"]
     rebuilt = CycloElem.from_json(obj["value"])
     assert rebuilt == tr.value
+
+
+def _literal_cubic_points(E, ts):
+    """Projective points of x^3 + y^3 + z^3 = 3t xyz over E for each t in ts,
+    by scalar arithmetic over the representatives (1 : y : z) and (0 : 1 : z)."""
+    cube = [E.mul_code(a, E.mul_code(a, a)) for a in range(E.q)]
+    c3t = {t: E.mul_code(E.el(3).code, t) for t in ts}
+    pts = {t: set() for t in ts}
+    for x, y0 in ((1, None), (0, 1)):
+        for y in range(E.q) if y0 is None else (y0,):
+            for z in range(E.q):
+                lhs = E.add_code(E.add_code(cube[x], cube[y]), cube[z])
+                xyz = E.mul_code(x, E.mul_code(y, z))
+                for t in ts:
+                    if lhs == E.mul_code(c3t[t], xyz):
+                        pts[t].add((x, y, z))
+    return pts
+
+
+def _literal_fixed(E, q, zetas, pts):
+    """Points whose image (zeta_i c_i^q) is a scalar multiple of themselves."""
+    cnt = 0
+    for p in pts:
+        img = [E.mul_code(z, (E.from_code(c) ** q).code) for z, c in zip(zetas, p)]
+        ratios = {E.mul_code(i, (E.from_code(c) ** -1).code) for c, i in zip(p, img) if c}
+        cnt += len(ratios) == 1
+    return cnt
+
+
+def test_cubic_points_match_literal_enumeration(f7):
+    from dworkbench.dwork import _curve_points
+
+    E = build_field(7, 3)
+    literal = _literal_cubic_points(E, range(7))
+    w = f7.generator ** 2  # a cube root of unity
+    for t in range(7):
+        fib = DworkFiber(f7, 3, t)
+        got = [tuple(int(c) for c in p) for p in _curve_points(fib, E)]
+        assert len(got) == len(set(got)) and set(got) == literal[t]
+        for exps in ((0, 0, 0), (0, 1, 2), (0, 2, 1), (1, 1, 1)):
+            g = GroupElement(3, exps)
+            zetas = [(w ** e).code for e in g.exps]
+            assert fix_count_bruteforce(fib, g) == _literal_fixed(E, 7, zetas, literal[t])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([11, 31, 41]),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=5, max_size=5),
+    st.integers(min_value=1, max_value=40),
+)
+def test_normalized_strata_match_scans(q, entries, t):
+    # the state engine subtracts per-cell minima along the weight axis
+    fib = DworkFiber(build_field(q), 5, t % q or 1)
+    if not fib.is_smooth():
+        return
+    a = eigentrace_charsum(entries, fib, engine="state")
+    b = eigentrace_charsum(entries, fib, engine="scan")
+    assert a.torus == b.torus and a.strata == b.strata
+
+
+def test_int64_guard_refuses(monkeypatch, f29):
+    # with the limit lowered, the guards fire some steps into each engine
+    from dworkbench import dwork
+
+    v = build_v(2, 7)
+    Z = max(strata_sets(v.entries), key=len)
+    boundary_term(f29, 7, v.entries, Z)
+    dwork._torus_aggregate(f29, 7, v.entries)
+    monkeypatch.setattr(dwork, "_INT64_LIMIT", 1000)
+    with pytest.raises(Infeasible):
+        boundary_term(f29, 7, v.entries, Z)
+    with pytest.raises(Infeasible):
+        dwork._torus_aggregate(f29, 7, v.entries)

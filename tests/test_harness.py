@@ -47,9 +47,22 @@ def test_n3_validation_passes_and_corrupt_fails():
 
 
 def test_n3_bytes_stable_across_workers():
+    import sys
+
+    from dworkbench.dwork import _cubic_points
+
     a = validate_n3(7, threads=1)
     b = validate_n3(7, threads=2)
     assert a.canonical_bytes() == b.canonical_bytes()
+    # workers racing to fill the shared point cache from cold
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            _cubic_points.cache_clear()
+            assert validate_n3(7, threads=4).canonical_bytes() == a.canonical_bytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_signs_bytes_deterministic():

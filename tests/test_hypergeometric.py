@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworkbench.cyclotomic import CycloElem, common
 from dworkbench.errors import BadN, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field
 from dworkbench.hypergeometric import (
     HyperSpec,
+    _fold_point,
     canonical_paths_compare,
     canonical_trace,
     det_trad,
@@ -143,3 +147,60 @@ def test_purity_of_canonical_trace(spec29):
     bound = n * n * q ** (n - 1)
     for _, val in canonical_trace(spec29).items():
         assert val.abs2() <= bound + 1e-6
+
+
+def test_det_newton_rank_three(f7):
+    for chis, rhos, t in (((1, 1, 2), (0, 0, 3), 3), ((1, 2, 4), (0, 3, 5), 5)):
+        spec = HyperSpec(f7, 6, chis, rhos)
+        x, y = common(det_trad(spec, t), det_via_newton(spec, t))
+        assert x == y, (spec, t)
+
+
+def _fold_reference(A, B, dt, R, L):
+    out = [0] * L
+    for d in range(R):
+        for e1 in range(L):
+            for e2 in range(L):
+                out[(e1 + e2) % L] -= int(A[d][e1]) * int(B[(dt - d) % R][e2])
+    return out
+
+
+@st.composite
+def _fold_case(draw, bound):
+    R = draw(st.integers(min_value=1, max_value=6))
+    L = draw(st.integers(min_value=1, max_value=6))
+    cell = st.integers(min_value=-bound, max_value=bound)
+    A = draw(st.lists(st.lists(cell, min_size=L, max_size=L), min_size=R, max_size=R))
+    B = draw(st.lists(st.lists(cell, min_size=L, max_size=L), min_size=R, max_size=R))
+    return A, B, draw(st.integers(min_value=0, max_value=R - 1)), R, L
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fold_case(3))
+def test_fold_point_matches_triple_loop_int64(case):
+    A, B, dt, R, L = case
+    got = _fold_point(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), dt, R, L)
+    assert got == _fold_reference(A, B, dt, R, L)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fold_case(1 << 70))
+def test_fold_point_matches_triple_loop_object(case):
+    A, B, dt, R, L = case
+    got = _fold_point(np.array(A, dtype=object), np.array(B, dtype=object), dt, R, L)
+    assert got == _fold_reference(A, B, dt, R, L)
+
+
+def test_fold_point_exact_above_float_bound():
+    # odd products near 2^60 lose their low bits in float64
+    R, L = 3, 4
+    rng = random.Random(5)
+    A = [[rng.randrange(1 << 29, 1 << 30) | 1 for _ in range(L)] for _ in range(R)]
+    B = [[-(rng.randrange(1 << 29, 1 << 30) | 1) for _ in range(L)] for _ in range(R)]
+    want = _fold_reference(A, B, 1, R, L)
+    As, Bs = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    Bt = Bs[(1 - np.arange(R)) % R]
+    exact = As.astype(object).T @ Bt.astype(object)  # sums of three odd products: odd
+    approx = (As.astype(np.float64).T @ Bt.astype(np.float64)).astype(np.int64)
+    assert (approx != exact).all()
+    assert _fold_point(As, Bs, 1, R, L) == want
