@@ -4,9 +4,21 @@ degree-N family sum X_i^N = N t prod X_i in P^{N-1}.
 The eigentrace is a stratified character sum: a torus stratum constrained by
 s^N = (Nt)^N prod u_i plus boundary strata over vanishing coordinate sets.
 Two evaluation routes are kept: a literal nested scan (the defining sum) and
-a state-convolution engine over (partial sum, dlog sum, weight exponent)
-that aggregates every t at once.  The engine must agree with the scan, and
-at N = 3 with brute-force equivariant fixed-point counts.
+a scaling-orbit engine that aggregates every t at once.  The engine must
+agree with the scan, and at N = 3 with brute-force equivariant fixed-point
+counts.
+
+The engine counts m-tuples of units by (sum sigma, dlog sum d mod q-1,
+weight e mod N), one unit at a time.  F_q^x scales tuples coordinatewise,
+and scaling by g^l is a bijection that maps (sigma, d, e) to
+(g^l sigma, d + m l, e + V l), V being the weight sum so far.  So the two
+slices T0 = S[sigma = 0] and T1 = S[sigma = 1] determine the whole state:
+S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one gather of
+shifted copies of T1, with the shifts given by Zech logarithms
+z_j = dlog(1 + g^j) (see _orbit_step); it costs (q-1)^2 N cell updates
+against q (q-1)^2 N for the full state.  The torus stratum reads its rows
+off both slices, a boundary stratum reads the slice sigma = -1.  Cells are
+int64, normalised after each step and guarded against overflow.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .cyclotomic import CycloElem, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible, UnsupportedN
@@ -24,7 +37,7 @@ from .finitefield import FqField, build_field
 from .weights import WeightVector
 
 _COUNT_BUDGET = 10 ** 10
-_STATE_BUDGET = 6 * 10 ** 6  # q (q-1) N cells
+_STATE_BUDGET = 6 * 10 ** 6  # q (q-1) N cells; a step gathers at most 2 (q-1)^2 N
 _INT64_LIMIT = 1 << 63
 
 
@@ -108,7 +121,8 @@ class EigenTrace:
 
     __slots__ = ("fiber", "entries", "torus", "strata", "hyperplane", "value")
 
-    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict):
+    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict, boundary: CycloElem):
+        """boundary is the sum of the strata values, shared by every fiber."""
         self.fiber = fiber
         self.entries = entries
         self.torus = torus
@@ -118,10 +132,7 @@ class EigenTrace:
             self.hyperplane = CycloElem.rational(N, (q ** (N - 1) - 1) // (q - 1))
         else:
             self.hyperplane = CycloElem.zero(N)
-        total = torus + self.hyperplane
-        for s in strata.values():
-            total = total + s
-        self.value = total
+        self.value = torus + self.hyperplane + boundary
 
     def to_json(self) -> dict:
         strata = {
@@ -169,12 +180,73 @@ def _normalize(S: np.ndarray) -> np.ndarray:
     return S
 
 
+# -- scaling-orbit step kernel ----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _zech(field: FqField) -> np.ndarray:
+    """Zech logarithms z[j] = dlog(1 + g^j) of a prime field, -1 at j = (q-1)/2."""
+    z = field.DLOG[(field.EXP + 1) % field.q]
+    z.setflags(write=False)
+    return z
+
+
+def _state_max(T0: np.ndarray, T1: np.ndarray) -> int:
+    """Largest cell of the whole state: every slice sigma != 0 is a shift of T1."""
+    return max(int(T0.max()), int(T1.max()))
+
+
+def _shift_sums(T: np.ndarray, *shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """For each shift set (a, b): sum_k T[d - a_k, e - b_k], cyclic in both axes.
+
+    All sets are served by one gather of the distinct shifts, weighted by
+    their multiplicity in each set.  The cells are nonnegative, so no
+    partial sum exceeds a result, which the callers' guards keep below 2^63.
+    """
+    D, N = T.shape
+    cnt = np.stack([np.bincount((a % D) * N + b % N, minlength=D * N) for a, b in shifts])
+    key = np.flatnonzero(cnt.any(axis=0))
+    # window (i, j) of the doubled table is T[(d + i) % D, (e + j) % N]
+    ext = np.tile(T, (2, 2))
+    s0, s1 = ext.strides
+    W = as_strided(ext, (D + 1, N + 1, D, N), (s0, s1, s0, s1), writeable=False)
+    G = W[D - key // N, N - key % N].reshape(len(key), D * N)
+    return (cnt[:, key] @ G).reshape(len(shifts), D, N)
+
+
+def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Append one unit of weight w to m-tuples of units of weight sum V.
+
+    The state S[sigma, d, e] counts tuples by sum sigma, dlog sum d and
+    weight e.  Scaling a tuple by g^l is a bijection, so
+    S[g^l sigma, d + m l, e + V l] = S[sigma, d, e] and the slices
+    T0 = S[0] and T1 = S[1] hold all of it.  The new unit g^k moves 1 - g^k
+    = g^{j_k} (k != 0) or 0 (k = 0) to 1, and -g^k = g^{k+h} to 0, where
+    j_k = z[k + h] and h = (q-1)/2:
+
+        T1'[d, e] = T0[d, e] + sum_{k != 0} T1[d - k - m j_k, e - w k - V j_k]
+        T0'[d, e] = sum_k T1[d - k - m (k + h), e - w k - V (k + h)]
+
+    The d axis has length q - 1, or 1 where the dlog sum is not tracked.
+    """
+    Qm1 = len(zech)
+    k = np.arange(Qm1)
+    kh = (k + Qm1 // 2) % Qm1
+    jk = zech[kh]  # -1 at k = 0, which the T1' sum leaves out
+    to1, to0 = _shift_sums(T1, ((k + m * jk)[1:], (w * k + V * jk)[1:]), (k + m * kh, w * k + V * kh))
+    return _normalize(to0), _normalize(T0 + to1)
+
+
 def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[int], i0: int | None = None) -> CycloElem:
     """One boundary stratum: units on Z summing to zero, first slot pinned.
 
     The weight is the residue character with exponents v_i - a, a being the
-    constant value off Z; the pinned index i0 defaults to min(Z) and the
-    value is independent of the choice.
+    constant value off Z; the pinned index i0 defaults to min(Z), and for
+    labels with zero residue sum the value is independent of the choice.
+    With the pinned unit equal to 1,
+    the stratum counts tuples of the other units of Z with sum -1: the
+    orbit steps run over Z minus i0 without a dlog axis, and the slice
+    sigma = -1 = g^h is read as T1[e - V h].
     """
     Z = tuple(sorted(Z))
     if not (2 <= len(Z) <= N - 1):
@@ -189,58 +261,59 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     elif i0 not in Z:
         raise BadParams("pinned index must lie in the stratum")
     q = field.q
-    dl = field.DLOG
-    S = np.zeros((q, N), dtype=np.int64)
-    S[1 % q, 0] = 1  # the pinned unit contributes 1 to the sum, exponent 0
+    zech = _zech(field)
+    T0 = np.zeros((1, N), dtype=np.int64)
+    T0[0, 0] = 1  # the empty tuple: sum 0, exponent 0
+    T1 = np.zeros_like(T0)
+    V = 0
     for i in Z:
         if i == i0:
             continue
-        _check_int64((q - 1) * int(S.max()), "boundary stratum")
+        _check_int64((q - 1) * _state_max(T0, T1), "boundary stratum")
         w = (entries[i] - a) % N
-        S2 = np.zeros_like(S)
-        for x in range(1, q):
-            e = (w * int(dl[x])) % N
-            S2 += np.roll(S, (x, e), axis=(0, 1))
-        S = _normalize(S2)
-    return -to_cyclo(S[0].tolist(), N)
+        T0, T1 = _orbit_step(T0, T1, zech, 0, V, w)
+        V += w
+    h = (q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
+    return -to_cyclo(T1[0, (np.arange(N) - V * h) % N].tolist(), N)
 
 
-# -- torus stratum, state-convolution engine --------------------------------
+# -- torus stratum, scaling-orbit engine ------------------------------------
 
 
 def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarray:
     """H[r, e]: counts of torus tuples by constraint residue and weight.
 
     A tuple contributes at r = (N dlog(s) - sum dlog u_i) mod (q-1) and
-    e = sum v_i dlog(u_i) mod N; the fiber at t reads off the single row
-    r_t = N dlog(N t) mod (q-1).  Each row holds the counts up to a constant
-    along e (see _normalize), which leaves its value over zeta_N unchanged.
+    e = sum v_i dlog(u_i) mod N, with s = 1 + sum u_i; the fiber at t reads
+    off the single row r_t = N dlog(N t) mod (q-1).  Each row holds the
+    counts up to a constant along e (see _normalize), which leaves its value
+    over zeta_N unchanged.
+
+    The orbit steps run the first N - 1 weights with the dlog axis, ending
+    at m = N - 1 units of weight sum V.  The slice sigma = 0 (s = 1) adds
+    T0[d] to row r = -d; the slice sigma = g^j (s = g^{z_j}, z_j the Zech
+    logarithm) adds S[g^j, d, e] = T1[d - m j, e - V j] to row
+    r = N z_j - d; the slice sigma = -1 (s = 0) is skipped.  So
+    H[r] = G[-r] with G = T0 + sum_j T1 shifted by (m j - N z_j, V j).
     """
     q = field.q
     Qm1 = q - 1
     if q * Qm1 * N > _STATE_BUDGET:
         raise Infeasible(f"state space {q * Qm1 * N} exceeds budget")
-    dl = field.DLOG
-    S = np.zeros((q, Qm1, N), dtype=np.int64)
-    S[0, 0, 0] = 1
+    zech = _zech(field)
+    T0 = np.zeros((Qm1, N), dtype=np.int64)
+    T0[0, 0] = 1  # the empty tuple
+    T1 = np.zeros_like(T0)
+    V = 0
     for i in range(N - 1):
-        _check_int64((q - 1) * int(S.max()), "torus aggregation")
-        vi = entries[i] % N
-        S2 = np.zeros_like(S)
-        for x in range(1, q):
-            dlx = int(dl[x])
-            S2 += np.roll(S, (x, dlx, (vi * dlx) % N), axis=(0, 1, 2))
-        S = _normalize(S2)
-    _check_int64(q * int(S.max()), "torus aggregation")
-    H = np.zeros((Qm1, N), dtype=np.int64)
-    d = np.arange(Qm1)
-    for sigma in range(q):
-        s = (sigma + 1) % q
-        if s == 0:
-            continue
-        r = (N * int(dl[s]) - d) % Qm1
-        np.add.at(H, (r, slice(None)), S[sigma])
-    return H
+        _check_int64((q - 1) * _state_max(T0, T1), "torus aggregation")
+        w = entries[i] % N
+        T0, T1 = _orbit_step(T0, T1, zech, i, V, w)
+        V += w
+    _check_int64(q * _state_max(T0, T1), "torus aggregation")
+    j = np.flatnonzero(zech >= 0)
+    G = T0 + _shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]
+    return G[-np.arange(Qm1) % Qm1]
 
 
 def _torus_row(field: FqField, N: int, t_code: int) -> int:
@@ -340,7 +413,7 @@ def eigentrace_charsum(v: "WeightVector | Sequence[int]", fiber: DworkFiber, eng
             strata[Z] = _boundary_scan(field, N, entries, Z)
         else:
             strata[Z] = boundary_term(field, N, entries, Z)
-    return EigenTrace(fiber, entries, torus, strata)
+    return EigenTrace(fiber, entries, torus, strata, sum(strata.values(), CycloElem.zero(N)))
 
 
 def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") -> dict[int, EigenTrace]:
@@ -348,13 +421,14 @@ def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") 
     entries = _entries_of(v, N)
     H = _torus_aggregate(field, N, entries)
     strata = {Z: boundary_term(field, N, entries, Z) for Z in strata_sets(entries)}
+    boundary = sum(strata.values(), CycloElem.zero(N))
     out: dict[int, EigenTrace] = {}
     for t_code in range(1, field.q):
         fiber = DworkFiber(field, N, t_code)
         if not fiber.is_smooth():
             continue
         torus = -to_cyclo(H[_torus_row(field, N, t_code)].tolist(), N)
-        out[t_code] = EigenTrace(fiber, entries, torus, dict(strata))
+        out[t_code] = EigenTrace(fiber, entries, torus, dict(strata), boundary)
     return out
 
 

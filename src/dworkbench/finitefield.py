@@ -326,11 +326,15 @@ class FqField:
         if self._add_table is None:
             if self.q > _DENSE_ADD_BOUND:
                 raise TooLarge(f"dense addition table refused for q = {self.q}")
-            codes = np.arange(self.q)
+            # int32 throughout, in row blocks: no q x q temporaries
+            codes = np.arange(self.q, dtype=np.int32)
+            digits = [(codes // self._pp[i]) % self.p for i in range(self.m)]
             tab = np.zeros((self.q, self.q), dtype=np.int32)
-            for i in range(self.m):
-                di = ((codes[:, None] // self._pp[i]) + (codes[None, :] // self._pp[i])) % self.p
-                tab += (di * self._pp[i]).astype(np.int32)
+            rows = max(1, (1 << 18) // self.q)
+            for lo in range(0, self.q, rows):
+                blk = tab[lo : lo + rows]
+                for i, d in enumerate(digits):
+                    blk += ((d[lo : lo + rows, None] + d[None, :]) % self.p) * self._pp[i]
             self._add_table = tab
         return self._add_table
 

@@ -151,18 +151,25 @@ class KatzReport:
 
 
 def _ratio_table(ev_values: dict, can_table, N: int, q: int, orientation: str) -> tuple[dict, dict]:
-    """ratios[t] = T_v(t) / T_can(t^N) (or its conjugate), skips annotated."""
+    """ratios[t] = T_v(t) / T_can(t^N) (or its conjugate), skips annotated.
+
+    Many t share one image point t^N, so each canonical value is inverted
+    once; None marks a vanishing one.
+    """
     ratios: dict[int, CycloElem] = {}
     skipped: dict[int, str] = {}
+    inverse: dict[int, CycloElem | None] = {}
     for t, tr in ev_values.items():
         tn = pow(t, N, q)
-        can = can_table.value_at(tn)
-        if orientation == "conjugate":
-            can = can.conjugate()
-        if can.is_zero():
+        if tn not in inverse:
+            can = can_table.value_at(tn)
+            if orientation == "conjugate":
+                can = can.conjugate()
+            inverse[tn] = None if can.is_zero() else can.invert()
+        if inverse[tn] is None:
             skipped[t] = "canonical trace vanishes"
             continue
-        ratios[t] = tr.value / can
+        ratios[t] = tr.value * inverse[tn]
     return ratios, skipped
 
 

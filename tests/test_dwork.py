@@ -319,3 +319,53 @@ def test_int64_guard_refuses(monkeypatch, f29):
         boundary_term(f29, 7, v.entries, Z)
     with pytest.raises(Infeasible):
         dwork._torus_aggregate(f29, 7, v.entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(5, 11), (5, 31), (5, 41), (7, 29)]),
+    st.data(),
+    st.booleans(),
+)
+def test_boundary_orbit_kernel_matches_scan_at_every_anchor(Nq, data, balanced):
+    # The pinned index is free for labels with zero residue sum (eigenspace
+    # labels); otherwise only the default anchor min(Z), which the scan pins too.
+    from dworkbench.dwork import _boundary_scan
+
+    N, q = Nq
+    f = build_field(q)
+    entries = data.draw(st.lists(st.integers(0, N - 1), min_size=N, max_size=N))
+    if balanced:
+        entries[-1] = -sum(entries[:-1]) % N
+    entries = tuple(entries)
+    # the scan enumerates (q-1)^(|Z|-1) tuples; keep it small
+    for Z in (Z for Z in strata_sets(entries) if (q - 1) ** (len(Z) - 1) <= 10 ** 6):
+        want = _boundary_scan(f, N, entries, Z)
+        assert boundary_term(f, N, entries, Z) == want, (q, entries, Z)
+        for i0 in Z if balanced else ():
+            assert boundary_term(f, N, entries, Z, i0=i0) == want, (q, entries, Z, i0)
+
+
+@pytest.mark.parametrize("q, count", [(11, None), (31, 3), (41, 2), (61, 1)])
+def test_torus_rows_match_scan_n5(q, count):
+    from dworkbench.cyclotomic import to_cyclo
+    from dworkbench.dwork import _torus_aggregate, _torus_row, _torus_scan
+
+    f = build_field(q)
+    rng = random.Random(q)
+    entries = tuple(rng.randrange(5) for _ in range(5))
+    H = _torus_aggregate(f, 5, entries)
+    smooth = [t for t in range(1, q) if DworkFiber(f, 5, t).is_smooth()]
+    for t in smooth if count is None else rng.sample(smooth, count):
+        got = -to_cyclo(H[_torus_row(f, 5, t)].tolist(), 5)
+        assert got == _torus_scan(f, 5, entries, t), (q, entries, t)
+
+
+def test_katz_bytes_past_the_old_int64_range():
+    # (2, 17, 103) wrapped the int64 cells of the unnormalised engine
+    import hashlib
+
+    from dworkbench.harness import katz_check
+
+    got = hashlib.sha256(katz_check(2, 17, 103).to_result().canonical_bytes()).hexdigest()
+    assert got == "ccef600cc3c5f2ffc5331ce11a88f1849a51d8e61ea5b40b6aa6ea8c4dec309c"

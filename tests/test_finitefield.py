@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +130,33 @@ def test_add_table_consistency(f7):
 
 def test_field_cache_identity():
     assert build_field(29) is build_field(29)
+
+
+@pytest.mark.parametrize("p, m", [(7, 2), (3, 3), (13, 3)])
+def test_add_table_matches_digit_addition(p, m):
+    # F_{13^3} is built in several row blocks; compare it block by block too
+    E = build_field(p, m)
+    tab = E.add_table()
+    assert tab.dtype == np.int32
+    codes = np.arange(E.q)
+    for lo in range(0, E.q, 128):
+        A, B = np.broadcast_arrays(codes[lo : lo + 128, None], codes[None, :])
+        assert np.array_equal(tab[lo : lo + 128], E._add_codes_int(A, B))
+
+
+def test_add_table_peak_memory():
+    # F_{13^3}: the 2197^2 int32 table is 18 MiB; build temporaries stay small.
+    # VmHWM is the new process's own peak (ru_maxrss would carry the parent's
+    # across exec).
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    code = (
+        "from pathlib import Path\n"
+        "from dworkbench.finitefield import build_field\n"
+        "build_field(13, 3).add_table()\n"
+        "line = next(s for s in Path('/proc/self/status').read_text().splitlines() if s.startswith('VmHWM:'))\n"
+        "print(int(line.split()[1]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert int(out.stdout) < 80 * 1024, f"peak {int(out.stdout) // 1024} MiB"
