@@ -18,7 +18,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", help="key=value campaign file; defaults baked in")
     ap.add_argument("--outdir", help="where to write per-check report JSON")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     if args.config:
@@ -28,7 +27,6 @@ def main() -> int:
         cfg.validate()
     if args.outdir:
         cfg.outdir = args.outdir
-    cfg.threads = args.threads
 
     code, results = run_campaign(cfg)
     width = max(len(r.check) for r in results)

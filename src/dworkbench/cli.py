@@ -120,7 +120,7 @@ def _cmd_dwork_trace(args) -> int:
 def _cmd_dwork_count(args) -> int:
     field = build_field(args.q)
     fiber = DworkFiber(field, args.N, args.t)
-    n = count_points(fiber, args.ext, threads=args.threads)
+    n = count_points(fiber, args.ext)
     print(n)
     return 0
 
@@ -140,7 +140,7 @@ def _cmd_signs(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.action == "katz":
-        rep = katz_check(args.n, args.N, args.q, threads=args.threads, tolerance=args.tolerance)
+        rep = katz_check(args.n, args.N, args.q)
         res = rep.to_result()
         if args.json:
             with open(args.json, "w") as fh:
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
               f"{'PASS' if res.ok else 'FAIL'} orientation={rep.orientation}{lam}")
         return 0 if res.ok else 1
     if args.action == "n3":
-        res = validate_n3(args.q, threads=args.threads)
+        res = validate_n3(args.q)
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(res.to_json(), fh, indent=1, sort_keys=True)
@@ -169,8 +169,6 @@ def _cmd_verify(args) -> int:
     # verify all
     with open(args.config) as fh:
         cfg = CampaignConfig.from_text(fh.read())
-    if args.threads is not None:
-        cfg.threads = args.threads
     code, results = run_campaign(cfg)
     for r in results:
         print(f"{r.check:16s} {'PASS' if r.ok else 'FAIL'}  ({r.runtime_ms} ms)")
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--q", type=int, required=True)
     dc.add_argument("--t", type=int, required=True)
     dc.add_argument("--ext", type=int, default=1)
-    dc.add_argument("--threads", type=int, default=1)
     dc.set_defaults(fn=_cmd_dwork_count)
 
     s = sub.add_parser("signs", help="pairing sign laws").add_subparsers(dest="action", required=True)
@@ -240,13 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     vk.add_argument("--N", type=int, required=True)
     vk.add_argument("--q", type=int, required=True)
     vk.add_argument("--json", metavar="OUT")
-    vk.add_argument("--threads", type=int, default=1)
-    vk.add_argument("--tolerance", type=float, default=1e-6)
     vk.set_defaults(fn=_cmd_verify, action="katz")
     vn = v.add_parser("n3")
     vn.add_argument("--q", type=int, required=True)
     vn.add_argument("--json", metavar="OUT")
-    vn.add_argument("--threads", type=int, default=1)
     vn.set_defaults(fn=_cmd_verify, action="n3")
     vt = v.add_parser("det-trad")
     vt.add_argument("--q", type=int, required=True)
@@ -260,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     vh.set_defaults(fn=_cmd_verify, action="det-hcan")
     va = v.add_parser("all")
     va.add_argument("--config", required=True)
-    va.add_argument("--threads", type=int)
     va.set_defaults(fn=_cmd_verify, action="all")
 
     return p

@@ -95,9 +95,6 @@ class GroupElement:
         self.N = N
         self.exps = tuple((x - e[0]) % N for x in e)
 
-    def is_identity(self) -> bool:
-        return not any(self.exps)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GroupElement):
             return self.N == other.N and self.exps == other.exps
@@ -465,7 +462,7 @@ def duality_check(v: "WeightVector | Sequence[int]", fiber: DworkFiber) -> bool:
 # -- point counting ---------------------------------------------------------
 
 
-def count_points(fiber: DworkFiber, m: int = 1, threads: int = 1) -> int:
+def count_points(fiber: DworkFiber, m: int = 1) -> int:
     """#Y_t(F_{q^m}) by standard-chart projective enumeration."""
     N = fiber.N
     q = fiber.field.q
@@ -478,6 +475,7 @@ def count_points(fiber: DworkFiber, m: int = 1, threads: int = 1) -> int:
     powN[1:] = E.EXP[(N * dl[1:]) % (qe - 1)]
     nt_code = E.mul_code(E.el(N).code, fiber.t_code)  # t is a base residue
     total = 0
+    chunk = 1 << 20
     # chart j: coords before j vanish, coord j = 1, later coords free
     for j in range(N):
         nfree = N - 1 - j
@@ -489,7 +487,10 @@ def count_points(fiber: DworkFiber, m: int = 1, threads: int = 1) -> int:
             # the product term vanishes with the first coordinate
             total += _count_fermat_affine(E, powN, nfree)
             continue
-        total += _count_chart_zero(E, powN, nt_code, nfree, size, threads)
+        total += sum(
+            _chart_zero_chunk(E, powN, nt_code, nfree, lo, min(size, lo + chunk))
+            for lo in range(0, size, chunk)
+        )
     return total
 
 
@@ -538,18 +539,6 @@ def _chart_zero_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo
     else:
         rhs = np.where(any_zero, 0, E.EXP[(prod_dl + int(dl[nt_code])) % (qe - 1)])
     return int(np.count_nonzero(acc == rhs))
-
-
-def _count_chart_zero(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, size: int, threads: int) -> int:
-    chunk = 1 << 20
-    ranges = [(lo, min(size, lo + chunk)) for lo in range(0, size, chunk)]
-    if threads <= 1 or len(ranges) < 2:
-        return sum(_chart_zero_chunk(E, powN, nt_code, nfree, lo, hi) for lo, hi in ranges)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda r: _chart_zero_chunk(E, powN, nt_code, nfree, *r), ranges))
-    return sum(parts)
 
 
 # -- N = 3 brute-force equivariant fixed points -----------------------------

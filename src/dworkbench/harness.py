@@ -3,8 +3,8 @@
 The centerpiece compares eigenspace traces of the degree-N family against
 the canonical hypergeometric trace at t^N: their ratio must be a single
 constant of the predicted weight.  Around it sit the layered N=3 oracle,
-determinant adjudications, sign-law checks, and report plumbing with
-deterministic bytes across worker counts.
+determinant adjudications, sign-law checks, and report plumbing whose
+bytes are identical across runs and processes.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .characters import MultChar, gauss_sum, jacobi_sum, AddChar
 from .cyclotomic import CycloElem, common, root_of_unity
@@ -48,14 +47,6 @@ from .pairings import cj_sign, convert_pairing, random_sd_example, sd_sign
 from .weights import WeightVector, build_v, hyper_data, rank_of, is_self_dual
 
 CONV_SIGN = "-1"  # per-factor sign baked into the convolution trace engine
-
-
-def parallel_chunks(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving order; the reduction is identical for any thread count."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass
@@ -186,8 +177,6 @@ def katz_check(
     n: int,
     N: int,
     q: int,
-    threads: int = 1,
-    tolerance: float = 1e-6,
     seed: int = 0,
     with_control: bool = True,
 ) -> KatzReport:
@@ -195,8 +184,9 @@ def katz_check(
 
     Both orientations of the canonical table are tried; the one giving exact
     constancy is reported.  The constant's weight must satisfy
-    |ratio|^2 = q^{N-n-1} at every embedding.  A perturbed label is rerun as
-    a falsifiability control and must break constancy.
+    |ratio|^2 = q^{N-n-1} at every embedding; Q(zeta_M) is abelian, so this
+    is the exact identity lam * conj(lam) = q^{N-n-1}.  A perturbed label is
+    rerun as a falsifiability control and must break constancy.
     """
     t0 = time.monotonic()
     v = build_v(n, N)
@@ -229,13 +219,7 @@ def katz_check(
         ratios, skipped, _ = candidates[orientation]
         constant = True
         lam = next(iter(ratios.values()))
-        target = q ** (N - n - 1)
-
-        def weight_at(e: int) -> bool:
-            return abs(lam.abs2(e) - target) <= tolerance * target
-
-        embeds = [e for e in range(1, N) if math.gcd(e, N) == 1]
-        weight_ok = all(parallel_chunks(weight_at, embeds, threads))
+        weight_ok = lam * lam.conjugate() == q ** (N - n - 1)
         integral = lam.denominator() == 1
 
     rows = []
@@ -252,9 +236,7 @@ def katz_check(
     if with_control and image_points > 1:
         # a single image point makes every ratio table trivially constant,
         # so the control is only meaningful with at least two
-        perturbed = list(v.entries)
-        perturbed[-1] = (perturbed[-1] + 1) % N  # breaks the cancel relation
-        ev_p = eigentrace_all_t(field, N, tuple(perturbed))
+        ev_p = eigentrace_all_t(field, N, _control_label(v.entries, N))
         use = orientation if orientation is not None else "direct"
         ratios_p, _ = _ratio_table(ev_p, can_table, N, q, use)
         control_constant = bool(ratios_p) and _all_equal(ratios_p.values())
@@ -279,12 +261,33 @@ def katz_check(
     )
 
 
+def _control_label(entries: tuple[int, ...], N: int) -> tuple[int, ...]:
+    """The first +1/-1 perturbation of the label not equivalent to it.
+
+    Moving one unit from index b to index a keeps the residue sum zero, so
+    the boundary strata do not depend on the anchor.  Labels whose sorted
+    entries translate to those of v or -v are skipped, since they share
+    v's eigentraces or their conjugates.
+    """
+    same = {tuple(sorted((s * e + c) % N for e in entries)) for s in (1, -1) for c in range(N)}
+    for a in reversed(range(len(entries))):
+        for b in range(len(entries)):
+            if a == b:
+                continue
+            label = list(entries)
+            label[a] = (label[a] + 1) % N
+            label[b] = (label[b] - 1) % N
+            if tuple(sorted(label)) not in same:
+                return tuple(label)
+    raise Infeasible("every unit perturbation is equivalent to the label")
+
+
 # -- layered N = 3 oracle ---------------------------------------------------
 
 _N3_LABELS = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
 
 
-def validate_n3(q: int, threads: int = 1, corrupt: bool = False, seed: int = 0) -> CheckResult:
+def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
     """Charsum versus brute-force equivariant fixed points, all smooth t.
 
     The inversion weights fixed-point counts by conjugated character values;
@@ -297,7 +300,8 @@ def validate_n3(q: int, threads: int = 1, corrupt: bool = False, seed: int = 0) 
     gs = [GroupElement(3, e) for e in _N3_LABELS]
     smooth = [t for t in range(1, q) if DworkFiber(field, 3, t).is_smooth()]
 
-    def one_t(t: int) -> dict:
+    rows = []
+    for t in smooth:
         fiber = DworkFiber(field, 3, t)
         fixes = {g: fix_count_bruteforce(fiber, g) for g in gs}
         npts = count_points(fiber, 1)
@@ -318,9 +322,7 @@ def validate_n3(q: int, threads: int = 1, corrupt: bool = False, seed: int = 0) 
                     row["ok"] = False
             if val != pred:
                 row["ok"] = False
-        return row
-
-    rows = parallel_chunks(one_t, smooth, threads)
+        rows.append(row)
     ok = all(r["ok"] for r in rows)
     return CheckResult(
         check="n3",
@@ -441,23 +443,20 @@ def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: in
     return CheckResult("gauss-suite", {"qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
 
 
-def check_hyper_cross(n: int = 2, N: int = 7, q: int = 29, threads: int = 1, tolerance: float = 1e-6, seed: int = 0) -> CheckResult:
+def check_hyper_cross(n: int = 2, N: int = 7, q: int = 29, tolerance: float = 1e-6, seed: int = 0) -> CheckResult:
     """Convolution, naive, and spectral traces agree on the canonical data."""
     t0 = time.monotonic()
     field = build_field(q)
     spec = HyperSpec.from_label(field, build_v(n, N))
     conv = trad_trace_conv(spec)
     mell = mellin_fast(spec)
-
-    def one_t(t: int) -> dict:
-        naive = trad_trace_naive(spec, t)
+    ts = range(2, q)
+    rows = []
+    for t in ts:
         cv = conv.value_at(t)
-        exact = cv == naive
+        exact = cv == trad_trace_naive(spec, t)
         approx = abs(cv.embed() - complex(mell.value_at(t))) <= tolerance * max(1.0, abs(cv.embed()))
-        return {"t": t, "conv_eq_naive": bool(exact), "mellin_ok": bool(approx)}
-
-    ts = [t for t in range(2, q)]
-    rows = parallel_chunks(one_t, ts, threads)
+        rows.append({"t": t, "conv_eq_naive": bool(exact), "mellin_ok": bool(approx)})
     digest = _digest(json.dumps(conv.value_at(t).to_json(), sort_keys=True).encode() for t in ts)
     ok = all(r["conv_eq_naive"] and r["mellin_ok"] for r in rows)
     return CheckResult(
@@ -583,7 +582,6 @@ class CampaignConfig:
         "det-oracle", "det-hcan", "n3", "katz", "weil-duality", "signs",
     )
     seed: int = 0
-    threads: int = 1
     tolerance: float = 1e-6
     outdir: str | None = None
 
@@ -608,8 +606,6 @@ class CampaignConfig:
                     cfg.checks = tuple(x for x in val.replace(",", " ").split())
                 elif key == "seed":
                     cfg.seed = int(val)
-                elif key == "threads":
-                    cfg.threads = int(val)
                 elif key == "tolerance":
                     cfg.tolerance = float(val)
                 elif key == "outdir":
@@ -652,7 +648,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
         elif name == "gauss-suite":
             results.append(check_gauss_suite(seed=cfg.seed))
         elif name == "hyper-cross":
-            results.append(check_hyper_cross(cfg.n, cfg.N, cfg.qs[0], threads=cfg.threads, tolerance=cfg.tolerance, seed=cfg.seed))
+            results.append(check_hyper_cross(cfg.n, cfg.N, cfg.qs[0], tolerance=cfg.tolerance, seed=cfg.seed))
         elif name == "canonical-paths":
             results.append(check_canonical_paths(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
         elif name == "det-oracle":
@@ -661,10 +657,10 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
             results.append(check_det_hcan(seed=cfg.seed))
         elif name == "n3":
             for q in (7, 13):
-                results.append(validate_n3(q, threads=cfg.threads, seed=cfg.seed))
+                results.append(validate_n3(q, seed=cfg.seed))
         elif name == "katz":
             for q in cfg.qs:
-                rep = katz_check(cfg.n, cfg.N, q, threads=cfg.threads, tolerance=cfg.tolerance, seed=cfg.seed)
+                rep = katz_check(cfg.n, cfg.N, q, seed=cfg.seed)
                 if rep.lam is not None:
                     lam_by_q[q] = rep.lam
                 results.append(rep.to_result())
@@ -676,7 +672,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
             for q in cfg.qs:
                 lam = lam_by_q.get(q)
                 if lam is None:
-                    lam = katz_check(cfg.n, cfg.N, q, threads=cfg.threads, tolerance=cfg.tolerance, seed=cfg.seed, with_control=False).lam
+                    lam = katz_check(cfg.n, cfg.N, q, seed=cfg.seed, with_control=False).lam
                 results.append(psi2_weight_note(cfg.n, cfg.N, q, lam, tolerance=cfg.tolerance))
 
     ok = all(r.ok for r in results)

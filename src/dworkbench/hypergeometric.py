@@ -17,7 +17,6 @@ import numpy as np
 
 from .characters import (
     AddChar,
-    MultChar,
     gauss_sum,
     grossen_value,
     kummer_trace,
@@ -68,14 +67,6 @@ class HyperSpec:
     def psi(self) -> AddChar:
         return AddChar(self.field, self.psi_c)
 
-    def chi_chars(self) -> list[MultChar]:
-        t = teich_char(self.field, self.N)
-        return [t ** a for a in self.s_chi]
-
-    def rho_chars(self) -> list[MultChar]:
-        t = teich_char(self.field, self.N)
-        return [t ** b for b in self.s_rho]
-
     def extension(self, m: int) -> tuple[FqField, int]:
         """The degree-m extension and the dlog shift of norm composition."""
         if m == 1:
@@ -97,14 +88,13 @@ class HyperSpec:
 class TraceTable:
     """Map from field points to trace values, absent on the dropped locus."""
 
-    __slots__ = ("field", "M", "_all", "absent", "is_float")
+    __slots__ = ("field", "M", "_all", "absent")
 
-    def __init__(self, field: FqField, M: int, values: dict, absent: frozenset[int] = frozenset((0, 1)), is_float: bool = False):
+    def __init__(self, field: FqField, M: int, values: dict, absent: frozenset[int] = frozenset((0, 1))):
         self.field = field
         self.M = M
         self._all = values  # includes internal rows the public API hides
         self.absent = absent
-        self.is_float = is_float
 
     def value_at(self, t):
         code = t.code if hasattr(t, "code") else int(t) % self.field.q
@@ -332,7 +322,7 @@ def mellin_fast(spec: HyperSpec) -> TraceTable:
     sign = -1.0 if spec.k % 2 == 0 else 1.0
     values = {int(E.EXP[d]): sign * conv[d] for d in range(R)}
     values[0] = 0j
-    return TraceTable(E, L, values, is_float=True)
+    return TraceTable(E, L, values)
 
 
 def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTable:

@@ -4,7 +4,9 @@ Budgets are wall-clock seconds on a single worker.  The final stretch run
 is reported but does not gate the suite.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -37,20 +39,20 @@ def _timed(fn, *args, **kwargs):
 
 @pytest.fixture(scope="module")
 def hyper_cross_t1():
-    return _timed(check_hyper_cross, n=2, N=7, q=29, threads=1, tolerance=1e-6)
+    return _timed(check_hyper_cross, n=2, N=7, q=29, tolerance=1e-6)
 
 
 @pytest.fixture(scope="module")
 def n3_t1():
-    r7, s7 = _timed(validate_n3, 7, threads=1)
-    r13, s13 = _timed(validate_n3, 13, threads=1)
+    r7, s7 = _timed(validate_n3, 7)
+    r13, s13 = _timed(validate_n3, 13)
     return (r7, r13), s7 + s13
 
 
 @pytest.fixture(scope="module")
 def katz_t1():
-    r29, s29 = _timed(katz_check, 2, 7, 29, threads=1, tolerance=1e-6)
-    r43, s43 = _timed(katz_check, 2, 7, 43, threads=1, tolerance=1e-6)
+    r29, s29 = _timed(katz_check, 2, 7, 29)
+    r43, s43 = _timed(katz_check, 2, 7, 43)
     return (r29, r43), (s29, s43)
 
 
@@ -161,15 +163,18 @@ def test_10_sign_product_laws():
 
 
 def test_11_report_determinism(hyper_cross_t1, n3_t1, katz_t1):
+    # the same reports from two spawned workers: cold caches, own hash seeds
     t0 = time.monotonic()
-    pairs = [
-        (hyper_cross_t1[0], check_hyper_cross(n=2, N=7, q=29, threads=3, tolerance=1e-6)),
-        (n3_t1[0][0], validate_n3(7, threads=3)),
-        (n3_t1[0][1], validate_n3(13, threads=3)),
-        (katz_t1[0][0], katz_check(2, 7, 29, threads=3, tolerance=1e-6).to_result()),
-    ]
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [
+            pool.submit(check_hyper_cross, n=2, N=7, q=29, tolerance=1e-6),
+            pool.submit(validate_n3, 7),
+            pool.submit(validate_n3, 13),
+            pool.submit(katz_check, 2, 7, 29),
+        ]
+        spawned = [f.result() for f in futures]
     ok = True
-    for one, many in pairs:
+    for one, many in zip([hyper_cross_t1[0], *n3_t1[0], katz_t1[0][0]], spawned):
         a = one.canonical_bytes() if hasattr(one, "canonical_bytes") else one.to_result().canonical_bytes()
         b = many.canonical_bytes() if hasattr(many, "canonical_bytes") else many.to_result().canonical_bytes()
         ok = ok and a == b and len(a) > 2
@@ -180,7 +185,7 @@ def test_11_report_determinism(hyper_cross_t1, n3_t1, katz_t1):
 
 def test_12_stretch_larger_label():
     # q = 37 gives three image points, so constancy and the control are real
-    rep, secs = _timed(katz_check, 4, 9, 37, threads=1, tolerance=1e-6)
+    rep, secs = _timed(katz_check, 4, 9, 37)
     try:
         assert rep.constant and rep.weight_ok
         assert rep.control_constant is False

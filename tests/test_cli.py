@@ -135,6 +135,14 @@ def test_verify_all_bad_config(capsys, tmp_path):
     assert "config error" in err
 
 
+def test_verify_all_rejects_threads_key(capsys, tmp_path):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("checks = build-v\nthreads = 2\n")
+    code, _, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2
+    assert "line 2" in err and "threads" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["hyper", "nonsense"])
