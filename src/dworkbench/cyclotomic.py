@@ -17,13 +17,16 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NotAMultiple
-from .groupring import convolve_int
+from .errors import NotAMultiple, TooLarge
 
 Rat = Union[int, Fraction]
 
 # The int64 fast paths run only when every partial sum is proved below this.
 _INT64_LIMIT = 1 << 63
+# A context holds about M * phi(M) reduction and power-vector entries, at
+# about 16 bytes each (M = 3437: 1.0e7 entries, 157 MB traced), so the
+# budget caps a context near 1.6 GB.
+_CTX_BUDGET = 10 ** 8
 
 
 def euler_phi(M: int) -> int:
@@ -76,9 +79,11 @@ class CycloCtx:
     __slots__ = ("M", "phi", "poly", "red", "pow_vecs", "_emb", "_tabs")
 
     def __init__(self, M: int):
+        phi = euler_phi(M)
+        if M * phi > _CTX_BUDGET:
+            raise TooLarge(f"Q(zeta_{M}) needs {M} x {phi} table entries, over {_CTX_BUDGET}")
         self.M = M
         self.poly = cyclotomic_poly(M)
-        phi = len(self.poly) - 1
         self.phi = phi
         top = max(2 * phi - 2, M - 1)
         red: list[tuple[int, ...]] = []
@@ -157,7 +162,8 @@ def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
     if _max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * pmax) < _INT64_LIMIT:
         conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         return (conv[:phi] + conv[phi:] @ red_arr).tolist()
-    return _reduce_vec(convolve_int(a, b), ctx)
+    conv = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
+    return _reduce_vec(conv.tolist(), ctx)
 
 
 def _combine(ctx: CycloCtx, coeffs: Sequence[int], exps: Sequence[int]) -> list[int]:

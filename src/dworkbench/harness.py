@@ -14,7 +14,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,7 +29,7 @@ from .dwork import (
     fix_count_bruteforce,
     weil_check,
 )
-from .errors import AllRatiosUndefined, ConfigError, Infeasible, MissingLambda, WorkbenchError
+from .errors import AllRatiosUndefined, ConfigError, Infeasible, MissingLambda
 from .finitefield import build_field
 from .hypergeometric import (
     HyperSpec,
@@ -44,7 +44,7 @@ from .hypergeometric import (
     verify_det_hcan,
 )
 from .pairings import cj_sign, convert_pairing, random_sd_example, sd_sign
-from .weights import WeightVector, build_v, hyper_data, rank_of, is_self_dual
+from .weights import build_v, hyper_data, rank_of, is_self_dual
 
 CONV_SIGN = "-1"  # per-factor sign baked into the convolution trace engine
 

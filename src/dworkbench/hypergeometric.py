@@ -1,15 +1,24 @@
 """Hypergeometric trace functions and determinant identities.
 
 Three independent routes to the same trace table: a literal character-sum
-enumeration, iterated multiplicative convolution of rank-1 tables, and a
-float transform accelerator.  Trace values are carried as exact
-root-of-unity count vectors over zeta_{pN} (flattened exponent a*N + b*p),
-so cross-algorithm equality checks are integer comparisons.
+enumeration, multiplicative convolution of rank-1 tables, and a float
+transform accelerator.  Trace values are carried as exact root-of-unity
+count vectors over zeta_{pN} (flattened exponent a*N + b*p), so
+cross-algorithm equality checks are integer comparisons.
+
+A rank-1 table is never stored whole.  Its rows over u = g^d are one base
+row, a literal count over the units of the field, shifted by p s[d] (the
+substitution w = y(u-1)), plus the u = 1 row.  One small exact kernel then
+serves every convolution route: a histogram of summed shifts over
+(Z/q-1) x (Z/N) from one-hot tables, cyclic convolution of base rows over
+Z/pN, and the histogram applied to the convolved base as shifts by
+multiples of p.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,18 +30,17 @@ from .characters import (
     grossen_value,
     kummer_trace,
     phi_inverse,
-    phi_value,
     teich_char,
 )
-from .cyclotomic import CycloElem, to_cyclo
+from .cyclotomic import _INT64_LIMIT, CycloElem, ctx_for, to_cyclo
 from .errors import BadN, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
-from .groupring import convolve_int
 from .weights import WeightVector, hyper_data
 
 _NAIVE_BUDGET = 10 ** 9
-_CHAIN_ROW_BOUND = 3000  # full 2D convolution refused beyond this many rows
-_FLOAT_EXACT = 1 << 53  # float64 represents every integer below this exactly
+# cells gathered plus multiply-adds in one _trace_rows call: seconds of numpy work
+_KERNEL_BUDGET = 10 ** 9
+_BLOCK_CELLS = 1 << 20  # cells gathered per block of a histogram fold
 
 
 class HyperSpec:
@@ -113,96 +121,154 @@ class TraceTable:
         return sum(1 for c in self._all if c not in self.absent)
 
 
-# -- rank-1 count tables ----------------------------------------------------
+# -- rank-1 tables: one base row and its shifts -----------------------------
 
 
-def _rank1_trad_counts(E: FqField, N: int, a: int, b: int, c_code: int) -> np.ndarray:
-    """Counts of the rank-1 traditional trace over E^x, row d = dlog u.
+def _rank1_trad(E: FqField, N: int, a: int, b: int, c_code: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-1 traditional trace over E^x as (base, s, row0).
 
-    Row d holds the exponent counts (over zeta_{pN}, flattened) of
-    -chi(u) sum_y psi(y(u-1)) (chi rhobar)(y) at u = g^d; the u = 1 row
-    keeps its natural column value -(q-1) [chi = rho] or 0.
+    Row d = dlog u of the table holds the exponent counts (over zeta_{pN},
+    flattened) of -chi(u) sum_y psi(y(u-1)) (chi rhobar)(y).  Substituting
+    w = y(u-1), row d >= 1 is -roll(base, p s[d]): base counts w in E^x at
+    tr(c w) N + ((a-b) dlog w mod N) p, and s[d] = a d - (a-b) dlog(g^d - 1)
+    mod N.  row0 is the u = 1 row: -(q-1) at column 0 when chi = rho, else
+    zero.  s[0] is unused.
     """
-    q, p = E.q, E.p
-    R, L = q - 1, E.p * N
-    counts = np.zeros((R, L), dtype=np.int64)
+    p, R, L = E.p, E.q - 1, E.p * N
     diff = (a - b) % N
+    w = np.arange(R)
+    tr = (c_code * E.trace_abs_table()[E.EXP[w]]) % p
+    base = np.bincount((tr * N + (diff * w % N) * p) % L, minlength=L)
+    d = np.arange(1, R)
+    um1 = E.add_codes(E.EXP[d], np.full(R - 1, E.neg_code(1), dtype=np.int64))
+    s = np.zeros(R, dtype=np.int64)
+    s[1:] = (a * d - diff * E.DLOG[um1]) % N
+    row0 = np.zeros(L, dtype=np.int64)
     if diff == 0:
-        counts[0, 0] = -(q - 1)
-    EXP, DLOG = E.EXP, E.DLOG
-    TR = E.trace_abs_table()
+        row0[0] = -R
+    return base, s, row0
+
+
+def _rank1_canon_shifts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
+    """s[d] with chi(u) (rho/chi)(1-u) = zeta_N^s[d] at u = g^d, d >= 1."""
+    R = field.q - 1
     d = np.arange(1, R)
-    U = EXP[d]
-    UM1 = E.add_codes(U, np.full(R - 1, E.neg_code(1), dtype=np.int64))
-    dly = np.arange(R)
-    Y = EXP[dly]
-    chunk = max(1, (4 << 20) // R)
-    for lo in range(0, R - 1, chunk):
-        hi = min(R - 1, lo + chunk)
-        w = E.mul_codes(Y[None, :], UM1[lo:hi, None])
-        tr = (c_code * TR[w]) % p
-        cexp = (a * d[lo:hi, None] + diff * dly[None, :]) % N
-        e = (tr * N + cexp * p) % L
-        cells = (np.arange(hi - lo)[:, None] * L + e).ravel()
-        counts[lo + 1 : hi + 1] -= np.bincount(cells, minlength=(hi - lo) * L).reshape(hi - lo, L)
-    return counts
+    om = field.add_codes(np.ones(R - 1, dtype=np.int64), field.neg_codes(field.EXP[d]))  # 1 - u
+    s = np.zeros(R, dtype=np.int64)
+    s[1:] = (a * d + (b - a) % N * field.DLOG[om]) % N
+    return s
 
 
-def _rank1_canon_counts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
-    """Counts over zeta_N of chi(u) (rho/chi)(1-u), zero at u = 1."""
-    q = field.q
-    R = q - 1
-    counts = np.zeros((R, N), dtype=np.int64)
-    EXP, DLOG = field.EXP, field.DLOG
-    d = np.arange(1, R)
-    U = EXP[d]
-    OM = field.add_codes(np.full(R - 1, 1, dtype=np.int64), field.neg_codes(U))  # 1 - u
-    diff = (b - a) % N
-    e = (a * d + diff * DLOG[OM]) % N
-    counts[d, e] = 1
-    return counts
+# -- the kernel: one-hot shift tables over (Z/R) x (Z/N), base rows over Z/L -
 
 
-# -- exact 2D cyclic convolution -------------------------------------------
+def _kernel_cost(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> int:
+    """Cells and multiply-adds of _trace_rows at nrows output rows, where
+    factor i is one one-hot term plus a unit term when terms[i] = 2.  A
+    product of one term per factor with j one-hot terms costs the one-hot
+    table, j - 2 full folds and one fold at the output rows, k - 1 base-row
+    convolutions, and N L per output row to apply the histogram."""
+    k = len(terms)
+    cost = 0
+    for units in itertools.product(*[range(t) for t in terms]):
+        j = k - sum(units)
+        folds = max(j - 2, 0) * R + (nrows if j >= 2 else 0)
+        cost += (1 + folds) * R * N + (k - 1) * L * L + nrows * N * L
+    return cost
 
 
-def _conv2_signed(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], R: int, L: int) -> list[list[int]]:
-    """-(A convolved with B) on (Z/R) x (Z/L), exact in big integers."""
-    if R > _CHAIN_ROW_BOUND:
-        raise Infeasible(f"full convolution refused over {R} rows")
-    L2 = 2 * L
-    fa = [0] * (R * L2)
-    fb = [0] * (R * L2)
-    for i in range(R):
-        ra, rb = A[i], B[i]
-        base = i * L2
-        for j in range(L):
-            fa[base + j] = int(ra[j])
-            fb[base + j] = int(rb[j])
-    g = convolve_int(fa, fb)
-    out = [[0] * L for _ in range(R)]
-    for idx, v in enumerate(g):
-        if v:
-            i, j = divmod(idx, L2)
-            out[i % R][j % L] -= v
+def _require_budget(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> None:
+    cost = _kernel_cost(R, N, L, nrows, terms)
+    if cost > _KERNEL_BUDGET:
+        raise Infeasible(f"kernel cost {cost} exceeds budget {_KERNEL_BUDGET} (R = {R}, L = {L}, k = {len(terms)})")
+
+
+def _abs_sum(v: np.ndarray) -> int:
+    return sum(map(abs, v.tolist()))
+
+
+def _cconv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cyclic convolution over Z/len(x), exact.
+
+    Every partial sum is at most sum|x| sum|y| in magnitude: when that and
+    both operands lie below 2^63, int64 np.convolve computes it exactly,
+    otherwise Python integers do.
+    """
+    L = len(x)
+    sx, sy = _abs_sum(x), _abs_sum(y)
+    dtype = np.int64 if max(sx, sy, sx * sy) < _INT64_LIMIT else object
+    lin = np.convolve(x.astype(dtype), y.astype(dtype))
+    out = lin[:L].copy()
+    out[: L - 1] += lin[L:]
     return out
 
 
-def _fold_point(A: np.ndarray, B: np.ndarray, dt: int, R: int, L: int) -> list[int]:
-    """Exponent counts of -(A * B) at the single output row dt.
+def _fold(H: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of H convolved with the one-hot table {(d, s[d]) : d != 0}."""
+    R, N = H.shape
+    d = np.arange(1, R)
+    flat = H.ravel()
+    cols = (np.arange(N)[:, None] - s[None, 1:]) % N
+    out = np.empty((len(rows), N), dtype=H.dtype)
+    block = max(1, _BLOCK_CELLS // max(1, (R - 1) * N))
+    for lo in range(0, len(rows), block):
+        src = (rows[lo : lo + block, None] - d[None, :]) % R * N
+        out[lo : lo + block] = flat[src[:, None, :] + cols[None]].sum(axis=2)
+    return out
 
-    M[e1, e2] = sum_d A[d, e1] B[dt - d, e2], and out[e] sums the cyclic
-    anti-diagonal M[e1, e - e1].  Every partial sum of both steps is at most
-    R L max|A| max|B| in magnitude: below 2^53 float64 (BLAS) computes them
-    exactly, otherwise Python integers do.
+
+def _apply_hist(P: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Rows sum_j H[r, j] roll(P, (L/N) j): P convolved over Z/L with each
+    histogram row placed at the multiples of L/N, exact.
+
+    Every entry and partial sum is at most max|P| times a row sum of H (H
+    counts, so nonnegative), each taken as at least 1: int64 when that lies
+    below 2^63, Python integers above.
     """
-    Bt = B[(dt - np.arange(R)) % R]
-    bound = R * L * int(np.abs(A).max()) * int(np.abs(Bt).max())
-    dtype = np.float64 if bound < _FLOAT_EXACT else object
-    M = A.astype(dtype).T @ Bt.astype(dtype)
-    e1 = np.arange(L)
-    out = M[e1[:, None], (e1[None, :] - e1[:, None]) % L].sum(axis=0)
-    return [-int(v) for v in out]
+    L, N = len(P), H.shape[1]
+    bound = max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max()))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    shifted = np.stack([np.roll(P, (L // N) * j) for j in range(N)]).astype(dtype)
+    return H.astype(dtype) @ shifted
+
+
+def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, rows: np.ndarray) -> np.ndarray:
+    """Convolution over (Z/R) x (Z/N) of one-hot shift tables, at some rows.
+
+    Factor i has a single 1 at (d, shifts[i][d]) in every row d != 0, so
+    out[x, j] counts the tuples (d_1..d_k) of nonzero rows with sum d_i = x
+    and sum shifts[i][d_i] = j.  No factors give the unit, 1 at (0, 0).  The
+    counts sum to (R-1)^k: int64 below 2^63, Python integers above.
+    """
+    dtype = np.int64 if (R - 1) ** len(shifts) < _INT64_LIMIT else object
+    H = np.zeros((R, N), dtype=dtype)
+    if not shifts:
+        H[0, 0] = 1
+        return H[rows]
+    H[np.arange(1, R), shifts[0][1:]] = 1
+    if len(shifts) == 1:
+        return H[rows]
+    for s in shifts[1:-1]:
+        H = _fold(H, s, np.arange(R))
+    return _fold(H, shifts[-1], rows)
+
+
+def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, rows: np.ndarray) -> np.ndarray:
+    """Exponent counts of (-1)^(k-1) T_1 * ... * T_k at the given rows.
+
+    T_i is a sum of terms (base, shifts), each an L-vector and an R-vector:
+    row d of a term is sum_j [shifts[d] = j] roll(base, (L/N) j) over d != 0,
+    and shifts None is the unit term, base alone at row 0.  The product of
+    one term per factor is the convolution of their bases over Z/L times the
+    histogram of their shifts (_shift_hist), applied as shifts (_apply_hist).
+    """
+    acc = None
+    for terms in itertools.product(*tables):
+        P = functools.reduce(_cconv, [base for base, _ in terms])
+        H = _shift_hist([s for _, s in terms if s is not None], R, N, rows)
+        part = _apply_hist(P, H)
+        acc = part if acc is None else acc.astype(object) + part
+    return acc if len(tables) % 2 else -acc
 
 
 # -- trace algorithms -------------------------------------------------------
@@ -264,60 +330,59 @@ def trad_trace_naive(spec: HyperSpec, t, E_degree: int = 1) -> CycloElem:
     return -to_cyclo(counts.tolist(), L)
 
 
-def _rank1_tables(spec: HyperSpec, m: int) -> tuple[FqField, list[np.ndarray]]:
-    E, s = spec.extension(m)
+def _terms(spec: HyperSpec) -> list[int]:
+    """Terms per factor of the traditional tables: a pair with chi = rho
+    adds the u = 1 row as a unit term."""
+    return [2 if (a - b) % spec.N == 0 else 1 for a, b in zip(spec.s_chi, spec.s_rho)]
+
+
+def _trad_rows(spec: HyperSpec, m: int, t_code: int | None = None) -> tuple[FqField, np.ndarray]:
+    """Exponent counts of the traditional trace over F_{q^m}, at t_code or
+    at every row d = dlog t.  The kernel's cost and the values' field
+    Q(zeta_L) are refused before the extension field or any row is built."""
     N = spec.N
-    tabs = [
-        _rank1_trad_counts(E, N, (a * s) % N, (b * s) % N, spec.psi_c)
-        for a, b in zip(spec.s_chi, spec.s_rho)
-    ]
-    return E, tabs
+    R, L = spec.field.q ** m - 1, spec.field.p * N
+    _require_budget(R, N, L, R if t_code is None else 1, _terms(spec))
+    ctx_for(L)
+    E, sh = spec.extension(m)
+    tables = []
+    for a, b in zip(spec.s_chi, spec.s_rho):
+        base, s, row0 = _rank1_trad(E, N, (a * sh) % N, (b * sh) % N, spec.psi_c)
+        tables.append([(-base, s), (row0, None)] if row0.any() else [(-base, s)])
+    rows = np.arange(R) if t_code is None else np.array([E.DLOG[t_code]])
+    return E, _trace_rows(tables, R, N, rows)
 
 
 def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
-    """Full trace table by iterated convolution of rank-1 tables.
+    """Full trace table by convolution of rank-1 tables.
 
     Each pairwise step applies the fixed sign T_{A*B}(t) = -sum_{xy=t}
     T_A(x) T_B(y); the result must match the literal enumeration pointwise.
     """
-    E, tabs = _rank1_tables(spec, E_degree)
-    R, L = E.q - 1, E.p * spec.N
-    C: list[list[int]] = tabs[0].tolist()
-    for Tb in tabs[1:]:
-        C = _conv2_signed(C, Tb.tolist(), R, L)
-    values = {int(E.EXP[d]): to_cyclo(C[d], L) for d in range(R)}
+    E, C = _trad_rows(spec, E_degree)
+    L = E.p * spec.N
+    values = {int(E.EXP[d]): to_cyclo(C[d].tolist(), L) for d in range(E.q - 1)}
     values[0] = CycloElem.zero(L)
     return TraceTable(E, L, values)
 
 
 def _point_trace_conv(spec: HyperSpec, t_code: int, m: int) -> CycloElem:
     """Trace at one point over the degree-m extension, convolution route."""
-    E, tabs = _rank1_tables(spec, m)
-    R, L = E.q - 1, E.p * spec.N
-    dt = int(E.DLOG[t_code])
-    k = spec.k
-    if k == 1:
-        return to_cyclo(tabs[0][dt].tolist(), L)
-    if k > 2:
-        C = tabs[0].tolist()
-        for Tb in tabs[1:-1]:
-            C = _conv2_signed(C, Tb.tolist(), R, L)
-        A = np.array(C, dtype=object)
-    else:
-        A = tabs[0]
-    row = _fold_point(A, tabs[-1], dt, R, L)
-    return to_cyclo(row, L)
+    E, C = _trad_rows(spec, m, t_code)
+    return to_cyclo(C[0].tolist(), E.p * spec.N)
 
 
 def mellin_fast(spec: HyperSpec) -> TraceTable:
     """Float trace table via the transform that diagonalizes convolution."""
-    E, tabs = _rank1_tables(spec, 1)
-    R, L = E.q - 1, E.p * spec.N
+    E, N = spec.field, spec.N
+    R, L = E.q - 1, E.p * N
     basis = np.exp(2j * np.pi * np.arange(L) / L)
-    rows = [tab @ basis for tab in tabs]
     F = np.ones(R, dtype=complex)
-    for r in rows:
-        F = F * np.fft.fft(r)
+    for a, b in zip(spec.s_chi, spec.s_rho):
+        base, s, row0 = _rank1_trad(E, N, a, b, spec.psi_c)
+        row = -(base @ basis) * basis[(E.p * s) % L]
+        row[0] = row0 @ basis
+        F = F * np.fft.fft(row)
     conv = np.fft.ifft(F)
     sign = -1.0 if spec.k % 2 == 0 else 1.0
     values = {int(E.EXP[d]): sign * conv[d] for d in range(R)}
@@ -343,15 +408,16 @@ def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTa
     if path != "conv-of-canonical":
         raise ValueError(f"unknown path {path!r}")
     R = field.q - 1
-    tabs = [_rank1_canon_counts(field, N, a, b) for a, b in zip(spec.s_chi, spec.s_rho)]
-    C: list[list[int]] = tabs[0].tolist()
-    for Tb in tabs[1:]:
-        C = _conv2_signed(C, Tb.tolist(), R, N)
+    _require_budget(R, N, N, R, [1] * spec.k)
+    unit = np.zeros(N, dtype=np.int64)
+    unit[0] = 1
+    tables = [[(unit, _rank1_canon_shifts(field, N, a, b))] for a, b in zip(spec.s_chi, spec.s_rho)]
+    C = _trace_rows(tables, R, N, np.arange(R))
     lam = CycloElem.one(N)
     for a, b in zip(spec.s_chi, spec.s_rho):
         lam = lam * grossen_value(field, N, a, b)
     lam_inv = lam.invert()
-    values = {int(field.EXP[d]): to_cyclo(C[d], N) * lam_inv for d in range(R)}
+    values = {int(field.EXP[d]): to_cyclo(C[d].tolist(), N) * lam_inv for d in range(R)}
     values[0] = CycloElem.zero(N)
     return TraceTable(field, N, values)
 
@@ -429,8 +495,7 @@ def det_via_newton(spec: HyperSpec, t) -> CycloElem:
     if k > 3:
         raise Infeasible("newton reconstruction supported for k <= 3")
     q = spec.field.q
-    if k >= 3 and q ** k > _CHAIN_ROW_BOUND:
-        raise Infeasible("extension-field convolution too large for k = 3")
+    _require_budget(q ** k - 1, spec.N, spec.field.p * spec.N, 1, _terms(spec))
     t_code = t.code if hasattr(t, "code") else int(t) % q
     if t_code in (0, 1):
         raise BadT("determinant evaluated off the open locus")

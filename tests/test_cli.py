@@ -143,6 +143,13 @@ def test_verify_all_rejects_threads_key(capsys, tmp_path):
     assert "line 2" in err and "threads" in err
 
 
+def test_verify_det_trad_refuses_large_field(capsys):
+    # Q(zeta_{1009 * 1008}) would need about 3e11 table entries
+    code, _, err = run(capsys, "verify", "det-trad", "--q", "1009", "--k", "2")
+    assert code == 2
+    assert "TooLarge" in err and "zeta_1017072" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["hyper", "nonsense"])

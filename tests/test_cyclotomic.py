@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworkbench import cyclotomic
+from dworkbench.errors import TooLarge
 from dworkbench.cyclotomic import (
     CycloElem,
     common,
@@ -226,3 +228,21 @@ def test_poly_and_reduction_match_sympy():
         for e in (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 2, M - 1):
             rem = sympy.Poly(x ** e, x).rem(phi_m).all_coeffs()[::-1]
             assert list(ctx.red[e - ctx.phi]) == rem + [0] * (ctx.phi - len(rem))
+
+
+def test_ctx_budget_refuses_before_allocating():
+    # the largest modulus any check builds is 812 = 29 * 28; the first one
+    # past the budget (about 1 GB of tables) is refused before its
+    # polynomial or tables exist
+    budget = cyclotomic._CTX_BUDGET
+    assert 812 * euler_phi(812) * 300 < budget
+    M = next(m for m in range(10 ** 4, 2 * 10 ** 4) if m * euler_phi(m) > budget)
+    assert M * euler_phi(M) < 1.01 * budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"zeta_{M}"):
+            ctx_for(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

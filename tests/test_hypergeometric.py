@@ -1,17 +1,26 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dworkbench.cyclotomic import CycloElem, common
+from dworkbench.cyclotomic import CycloElem, common, to_cyclo
 from dworkbench.errors import BadN, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field
 from dworkbench.hypergeometric import (
     HyperSpec,
-    _fold_point,
+    _KERNEL_BUDGET,
+    _apply_hist,
+    _cconv,
+    _kernel_cost,
+    _point_trace_conv,
+    _rank1_trad,
+    _shift_hist,
+    _trace_rows,
     canonical_paths_compare,
     canonical_trace,
     det_trad,
@@ -156,51 +165,253 @@ def test_det_newton_rank_three(f7):
         assert x == y, (spec, t)
 
 
-def _fold_reference(A, B, dt, R, L):
+def _rank1_trad_counts(E, N, a, b, c_code):
+    """Literal R x L table of the rank-1 traditional trace, row d = dlog u.
+
+    Row d holds the exponent counts (over zeta_{pN}, flattened) of
+    -chi(u) sum_y psi(y(u-1)) (chi rhobar)(y) at u = g^d; the u = 1 row
+    keeps its natural column value -(q-1) [chi = rho] or 0.
+    """
+    q, p = E.q, E.p
+    R, L = q - 1, p * N
+    counts = np.zeros((R, L), dtype=np.int64)
+    diff = (a - b) % N
+    if diff == 0:
+        counts[0, 0] = -(q - 1)
+    TR = E.trace_abs_table()
+    d = np.arange(1, R)
+    UM1 = E.add_codes(E.EXP[d], np.full(R - 1, E.neg_code(1), dtype=np.int64))
+    dly = np.arange(R)
+    Y = E.EXP[dly]
+    chunk = max(1, (4 << 20) // R)
+    for lo in range(0, R - 1, chunk):
+        hi = min(R - 1, lo + chunk)
+        w = E.mul_codes(Y[None, :], UM1[lo:hi, None])
+        tr = (c_code * TR[w]) % p
+        cexp = (a * d[lo:hi, None] + diff * dly[None, :]) % N
+        e = (tr * N + cexp * p) % L
+        cells = (np.arange(hi - lo)[:, None] * L + e).ravel()
+        counts[lo + 1 : hi + 1] -= np.bincount(cells, minlength=(hi - lo) * L).reshape(hi - lo, L)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "p, m, N, pairs",
+    [
+        (29, 1, 7, ((1, 0, 1), (3, 5, 2), (6, 0, 1))),
+        (29, 2, 28, ((1, 0, 1), (5, 17, 3), (27, 2, 1))),
+        (13, 2, 12, ((1, 0, 1), (4, 7, 2), (11, 3, 5))),
+        (7, 3, 6, ((1, 0, 1), (2, 5, 3), (5, 1, 1))),
+        (13, 1, 4, ((2, 2, 1), (3, 3, 4))),  # chi = rho: row0 is -(q-1) at column 0
+    ],
+)
+def test_rank1_row_identity(p, m, N, pairs):
+    E = build_field(p, m)
+    for a, b, c in pairs:
+        ref = _rank1_trad_counts(E, N, a, b, c)
+        base, s, row0 = _rank1_trad(E, N, a, b, c)
+        assert (ref[0] == row0).all()
+        for d in range(1, E.q - 1):
+            assert (ref[d] == -np.roll(base, p * int(s[d]))).all(), (a, b, c, d)
+
+
+def _conv_reference(x, y):
+    L = len(x)
     out = [0] * L
-    for d in range(R):
-        for e1 in range(L):
-            for e2 in range(L):
-                out[(e1 + e2) % L] -= int(A[d][e1]) * int(B[(dt - d) % R][e2])
+    for i in range(L):
+        for j in range(L):
+            for e in range(L):
+                if (i + j - e) % L == 0:
+                    out[e] += int(x[i]) * int(y[j])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda L: st.tuples(*[st.lists(st.integers(-(1 << 70), 1 << 70), min_size=L, max_size=L)] * 2)
+), st.booleans())
+def test_cconv_matches_triple_loop(xy, small):
+    x, y = xy
+    if small:  # the int64 path
+        x, y = [v >> 60 for v in x], [v >> 60 for v in y]
+    got = _cconv(np.array(x, dtype=object), np.array(y, dtype=object))
+    assert got.tolist() == _conv_reference(x, y)
+    if small:
+        assert _cconv(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)).tolist() == _conv_reference(x, y)
+
+
+def test_cconv_exact_past_int64():
+    # the int64 path would wrap here; the Python-integer path must not
+    x = np.array([(1 << 40) + 1, 3, -(1 << 40)], dtype=np.int64)
+    y = np.array([(1 << 30) - 1, -(1 << 30), 7], dtype=np.int64)
+    assert (1 << 40) * (1 << 30) * 4 > 1 << 63
+    assert _cconv(x, y).tolist() == _conv_reference(x.tolist(), y.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda N: st.tuples(
+    st.just(N),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.lists(st.integers(0, 1 << 62), min_size=N, max_size=N), min_size=1, max_size=3),
+)), st.lists(st.integers(-(1 << 70), 1 << 70), min_size=12, max_size=12), st.booleans())
+@example(shape=(1, 1, [[0]]), vals=[1 << 63] + [0] * 11, small=False)  # an empty row must not pick int64
+def test_apply_hist_matches_loop(shape, vals, small):
+    N, c, H = shape
+    L = N * c
+    P = [v >> 62 if small else v for v in vals[:L]]  # small: the int64 path
+    if small:
+        H = [[h >> 56 for h in row] for row in H]
+    want = [[sum(H[r][j] * P[(e - c * j) % L] for j in range(N)) for e in range(L)] for r in range(len(H))]
+    got = _apply_hist(np.array(P, dtype=object), np.array(H, dtype=object))
+    assert got.tolist() == want
+    if small:
+        assert got.dtype == np.int64
+
+
+def _hist_reference(shifts, R, N):
+    out = [[0] * N for _ in range(R)]
+    if not shifts:
+        out[0][0] = 1
+        return out
+    for ds in itertools.product(range(1, R), repeat=len(shifts)):
+        j = sum(int(s[d]) for s, d in zip(shifts, ds))
+        out[sum(ds) % R][j % N] += 1
     return out
 
 
 @st.composite
-def _fold_case(draw, bound):
-    R = draw(st.integers(min_value=1, max_value=6))
-    L = draw(st.integers(min_value=1, max_value=6))
-    cell = st.integers(min_value=-bound, max_value=bound)
-    A = draw(st.lists(st.lists(cell, min_size=L, max_size=L), min_size=R, max_size=R))
-    B = draw(st.lists(st.lists(cell, min_size=L, max_size=L), min_size=R, max_size=R))
-    return A, B, draw(st.integers(min_value=0, max_value=R - 1)), R, L
+def _hist_case(draw):
+    R = draw(st.integers(min_value=1, max_value=7))
+    N = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=3))
+    shifts = [np.array(draw(st.lists(st.integers(0, N - 1), min_size=R, max_size=R)), dtype=np.int64) for _ in range(k)]
+    rows = draw(st.lists(st.integers(0, R - 1), min_size=1, max_size=R))
+    return shifts, R, N, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_hist_case())
+def test_shift_hist_matches_loop(case):
+    shifts, R, N, rows = case
+    want = _hist_reference(shifts, R, N)
+    assert _shift_hist(shifts, R, N, rows).tolist() == [want[r] for r in rows]
+
+
+def _dense(terms, R, N, L):
+    T = [[0] * L for _ in range(R)]
+    for base, s in terms:
+        for d in range(R):
+            if s is None and d == 0:
+                for e in range(L):
+                    T[0][e] += int(base[e])
+            elif s is not None and d != 0:
+                for e in range(L):
+                    T[d][(e + (L // N) * int(s[d])) % L] += int(base[e])
+    return T
+
+
+@st.composite
+def _tables_case(draw, bound):
+    R = draw(st.integers(min_value=1, max_value=5))
+    N = draw(st.integers(min_value=1, max_value=3))
+    L = N * draw(st.integers(min_value=1, max_value=3))
+    vec = st.lists(st.integers(-bound, bound), min_size=L, max_size=L).map(lambda v: np.array(v, dtype=object))
+    shifts = st.lists(st.integers(0, N - 1), min_size=R, max_size=R).map(lambda v: np.array(v, dtype=np.int64))
+    tables = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        terms = [(draw(vec), draw(shifts))]
+        if draw(st.booleans()):
+            terms.append((draw(vec), None))
+        tables.append(terms)
+    return tables, R, N, L
 
 
 @settings(max_examples=80, deadline=None)
-@given(_fold_case(3))
-def test_fold_point_matches_triple_loop_int64(case):
-    A, B, dt, R, L = case
-    got = _fold_point(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), dt, R, L)
-    assert got == _fold_reference(A, B, dt, R, L)
+@given(st.sampled_from([3, 1 << 70]).flatmap(_tables_case))
+def test_trace_rows_match_dense_convolution(case):
+    tables, R, N, L = case
+    acc = _dense(tables[0], R, N, L)
+    for terms in tables[1:]:
+        B = _dense(terms, R, N, L)
+        out = [[0] * L for _ in range(R)]
+        for d1, d2, e1, e2 in itertools.product(range(R), range(R), range(L), range(L)):
+            out[(d1 + d2) % R][(e1 + e2) % L] -= acc[d1][e1] * B[d2][e2]
+        acc = out
+    assert _trace_rows(tables, R, N, np.arange(R)).tolist() == acc
 
 
-@settings(max_examples=80, deadline=None)
-@given(_fold_case(1 << 70))
-def test_fold_point_matches_triple_loop_object(case):
-    A, B, dt, R, L = case
-    got = _fold_point(np.array(A, dtype=object), np.array(B, dtype=object), dt, R, L)
-    assert got == _fold_reference(A, B, dt, R, L)
+def test_conv_equals_naive_chi_equals_rho(f7):
+    # a pair with chi = rho puts -(q-1) in the u = 1 row of its table
+    spec = HyperSpec(f7, 3, (1, 2), (1, 0))
+    table = trad_trace_conv(spec)
+    for t in range(2, 7):
+        assert table.value_at(t) == trad_trace_naive(spec, t)
+        assert _point_trace_conv(spec, t, 2) == trad_trace_naive(spec, t, E_degree=2)
 
 
-def test_fold_point_exact_above_float_bound():
-    # odd products near 2^60 lose their low bits in float64
-    R, L = 3, 4
-    rng = random.Random(5)
-    A = [[rng.randrange(1 << 29, 1 << 30) | 1 for _ in range(L)] for _ in range(R)]
-    B = [[-(rng.randrange(1 << 29, 1 << 30) | 1) for _ in range(L)] for _ in range(R)]
-    want = _fold_reference(A, B, 1, R, L)
-    As, Bs = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-    Bt = Bs[(1 - np.arange(R)) % R]
-    exact = As.astype(object).T @ Bt.astype(object)  # sums of three odd products: odd
-    approx = (As.astype(np.float64).T @ Bt.astype(np.float64)).astype(np.int64)
-    assert (approx != exact).all()
-    assert _fold_point(As, Bs, 1, R, L) == want
+def _literal_points(spec, m, dts):
+    """k = 2 point traces over F_{q^m} at t = g^dt from the literal R x L tables."""
+    E, sh = spec.extension(m)
+    N, R, L = spec.N, E.q - 1, E.p * spec.N
+    A, B = (_rank1_trad_counts(E, N, a * sh % N, b * sh % N, spec.psi_c) for a, b in zip(spec.s_chi, spec.s_rho))
+    e1 = np.arange(L)[:, None]
+    out = []
+    for dt in dts:
+        M = A.T @ B[(dt - np.arange(R)) % R]  # M[e1, e2] = sum_d A[d, e1] B[dt - d, e2]
+        out.append(to_cyclo((-M[e1, (np.arange(L)[None, :] - e1) % L].sum(axis=0)).tolist(), L))
+    return out
+
+
+def test_conv_past_old_row_bound():
+    # 3480 rows, past the 3000 rows the R x L chain allowed, under the budget;
+    # two rows against the literal tables folded at one point
+    spec = HyperSpec(build_field(59), 2, (1, 1), (0, 0), psi_c=3)
+    E, _ = spec.extension(2)
+    R, L = E.q - 1, 59 * 2
+    assert R > 3000 and _kernel_cost(R, 2, L, R, [1, 1]) <= _KERNEL_BUDGET
+    table = trad_trace_conv(spec, E_degree=2)
+    dts = (1, 1234)
+    assert [table.value_at(int(E.EXP[dt])) for dt in dts] == _literal_points(spec, 2, dts)
+
+
+def test_conv_at_wide_rows():
+    # L = 7 * 127 = 889 and, over F_{43^2}, 1848 rows of L = 301: sizes whose
+    # cost is set by applying the histogram to the convolved base row
+    spec = HyperSpec(build_field(127), 7, (1, 2), (0, 3))
+    table = trad_trace_conv(spec)
+    for t in (2, 3, 100):
+        assert table.value_at(t) == trad_trace_naive(spec, t)
+    spec = HyperSpec(build_field(43), 7, (1, 2), (0, 3), psi_c=2)
+    E, _ = spec.extension(2)
+    table = trad_trace_conv(spec, E_degree=2)
+    dts = (5, 1000)
+    assert [table.value_at(int(E.EXP[dt])) for dt in dts] == _literal_points(spec, 2, dts)
+
+
+def _refused_peak(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(Infeasible, match="kernel cost"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_budget_refuses_before_allocating():
+    # det_via_newton at q = 181, k = 2, N = 180: the F_{181^2} point trace,
+    # one base convolution over L = 32580, is just past the budget
+    spec = HyperSpec(build_field(181), 180, (1, 2), (3, 5))
+    cost = _kernel_cost(181 ** 2 - 1, 180, 181 * 180, 1, [1, 1])
+    assert _KERNEL_BUDGET < cost < 1.1 * _KERNEL_BUDGET
+    assert _refused_peak(lambda: det_via_newton(spec, 2)) < 8 << 20
+
+
+def test_kernel_budget_counts_unit_terms():
+    # over F_{53^2} with N = 52 the full table fits the budget, but a pair
+    # with chi = rho adds a unit term whose products push it past
+    f53 = build_field(53)
+    R, L = 53 ** 2 - 1, 53 * 52
+    assert _kernel_cost(R, 52, L, R, [1, 1]) <= _KERNEL_BUDGET < _kernel_cost(R, 52, L, R, [2, 1])
+    spec = HyperSpec(f53, 52, (1, 5), (1, 2))
+    assert _refused_peak(lambda: trad_trace_conv(spec, E_degree=2)) < 8 << 20
