@@ -18,7 +18,10 @@ shifted copies of T1, with the shifts given by Zech logarithms
 z_j = dlog(1 + g^j) (see _orbit_step); it costs (q-1)^2 N cell updates
 against q (q-1)^2 N for the full state.  The torus stratum reads its rows
 off both slices, a boundary stratum reads the slice sigma = -1.  Cells are
-int64, normalised after each step and guarded against overflow.
+int64, normalised after each step and guarded against overflow.  A boundary
+stratum depends only on the multiset of its weights, so each distinct
+multiset of a label is evaluated once and shared by its coordinate sets
+(see _boundary_strata).
 """
 
 from __future__ import annotations
@@ -274,6 +277,26 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     return -to_cyclo(T1[0, (np.arange(N) - V * h) % N].tolist(), N)
 
 
+def _boundary_strata(field: FqField, N: int, entries: Sequence[int]) -> dict[tuple[int, ...], CycloElem]:
+    """Every boundary stratum of a label, one boundary_term per weight multiset.
+
+    boundary_term at its default anchor reads only the weights
+    (v_i - a) mod N over Z minus min(Z): the pinned unit is 1, V and the
+    readout shift depend on their sum, and the tuple count does not change
+    when slots are permuted together with their weights.  So strata with
+    the same sorted weight tuple share one value, for any residue sum.
+    """
+    values: dict[tuple[int, ...], CycloElem] = {}
+    strata = {}
+    for Z in strata_sets(entries):
+        a = entries[min(set(range(N)) - set(Z))] % N
+        key = tuple(sorted((entries[i] - a) % N for i in Z[1:]))
+        if key not in values:
+            values[key] = boundary_term(field, N, entries, Z)
+        strata[Z] = values[key]
+    return strata
+
+
 # -- torus stratum, scaling-orbit engine ------------------------------------
 
 
@@ -400,16 +423,12 @@ def eigentrace_charsum(v: "WeightVector | Sequence[int]", fiber: DworkFiber, eng
     if engine == "state":
         H = _torus_aggregate(field, N, entries)
         torus = -to_cyclo(H[_torus_row(field, N, fiber.t_code)].tolist(), N)
+        strata = _boundary_strata(field, N, entries)
     elif engine == "scan":
         torus = _torus_scan(field, N, entries, fiber.t_code)
+        strata = {Z: _boundary_scan(field, N, entries, Z) for Z in strata_sets(entries)}
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    strata = {}
-    for Z in strata_sets(entries):
-        if engine == "scan":
-            strata[Z] = _boundary_scan(field, N, entries, Z)
-        else:
-            strata[Z] = boundary_term(field, N, entries, Z)
     return EigenTrace(fiber, entries, torus, strata, sum(strata.values(), CycloElem.zero(N)))
 
 
@@ -417,7 +436,7 @@ def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") 
     """Eigentraces at every smooth t != 0, sharing one torus aggregation."""
     entries = _entries_of(v, N)
     H = _torus_aggregate(field, N, entries)
-    strata = {Z: boundary_term(field, N, entries, Z) for Z in strata_sets(entries)}
+    strata = _boundary_strata(field, N, entries)
     boundary = sum(strata.values(), CycloElem.zero(N))
     out: dict[int, EigenTrace] = {}
     for t_code in range(1, field.q):
@@ -440,21 +459,6 @@ def weil_check(trace: EigenTrace, tol: float = 1e-6) -> bool:
         if math.gcd(e, N) != 1:
             continue
         if abs(trace.value.embed(e)) > bound + tol * max(1.0, bound):
-            return False
-    return True
-
-
-def duality_check(v: "WeightVector | Sequence[int]", fiber: DworkFiber) -> bool:
-    """Negating the label conjugates the trace; permutation labels coincide."""
-    N = fiber.N
-    entries = _entries_of(v, N)
-    neg = tuple((-e) % N for e in entries)
-    tv = eigentrace_charsum(entries, fiber).value
-    tn = eigentrace_charsum(neg, fiber).value
-    if tn != tv.conjugate():
-        return False
-    if any(sorted((e + c) % N for e in entries) == sorted(neg) for c in range(N)):
-        if tn != tv:
             return False
     return True
 

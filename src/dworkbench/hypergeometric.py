@@ -281,10 +281,11 @@ def trad_trace_naive(spec: HyperSpec, t, E_degree: int = 1) -> CycloElem:
     solved from the hypersurface relation prod x = t prod y, accumulating
     psi(sum x - sum y) and the character exponents exactly.
     """
-    E, s = spec.extension(E_degree)
     k = spec.k
-    if E.q ** (2 * k - 1) > _NAIVE_BUDGET:
-        raise Infeasible(f"naive cost {E.q}^{2 * k - 1} exceeds budget")
+    qE = spec.field.q ** E_degree  # refuse before building the extension
+    if qE ** (2 * k - 1) > _NAIVE_BUDGET:
+        raise Infeasible(f"naive cost {qE}^{2 * k - 1} exceeds budget")
+    E, s = spec.extension(E_degree)
     t_code = t.code if hasattr(t, "code") else int(t) % spec.field.q
     if t_code in (0, 1):
         raise BadT("trace undefined at t in {0, 1}")

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -41,3 +42,20 @@ def f29():
 @pytest.fixture(scope="session")
 def f43():
     return build_field(43)
+
+
+@pytest.fixture
+def refused_peak():
+    """refused_peak(call, exc, match): call must raise exc matching match;
+    returns the tracemalloc peak in bytes of the refused call."""
+
+    def run(call, exc, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(exc, match=match):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

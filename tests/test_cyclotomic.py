@@ -1,5 +1,4 @@
 import cmath
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,7 +229,7 @@ def test_poly_and_reduction_match_sympy():
             assert list(ctx.red[e - ctx.phi]) == rem + [0] * (ctx.phi - len(rem))
 
 
-def test_ctx_budget_refuses_before_allocating():
+def test_ctx_budget_refuses_before_allocating(refused_peak):
     # the largest modulus any check builds is 812 = 29 * 28; the first one
     # past the budget (about 1 GB of tables) is refused before its
     # polynomial or tables exist
@@ -238,11 +237,4 @@ def test_ctx_budget_refuses_before_allocating():
     assert 812 * euler_phi(812) * 300 < budget
     M = next(m for m in range(10 ** 4, 2 * 10 ** 4) if m * euler_phi(m) > budget)
     assert M * euler_phi(M) < 1.01 * budget
-    tracemalloc.start()
-    try:
-        with pytest.raises(TooLarge, match=f"zeta_{M}"):
-            ctx_for(M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert refused_peak(lambda: ctx_for(M), TooLarge, f"zeta_{M}") < 1 << 20

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from dworkbench.cyclotomic import CycloElem
 from dworkbench.dwork import (
+    _COUNT_BUDGET,
+    _STATE_BUDGET,
     DworkFiber,
     EigenTrace,
     GroupElement,
     boundary_term,
     count_points,
-    duality_check,
     eigentrace_all_t,
     eigentrace_charsum,
     fix_count_bruteforce,
@@ -150,13 +151,6 @@ def test_weil_bound_holds(f29):
     assert all(weil_check(tr) for tr in table.values())
 
 
-def test_translate_and_conjugation_duality(f29):
-    v = build_v(2, 7)
-    smooth = [t for t in range(2, 29) if DworkFiber(f29, 7, t).is_smooth()]
-    for t in smooth[:3] + smooth[-1:]:
-        assert duality_check(v, DworkFiber(f29, 7, t))
-
-
 def test_translate_invariance_explicit(f13):
     # adding the all-ones vector to the label leaves every trace unchanged
     base = (0, 1, 2)
@@ -166,12 +160,19 @@ def test_translate_invariance_explicit(f13):
         assert eigentrace_charsum(base, fib).value == eigentrace_charsum(shifted, fib).value
 
 
-def test_conjugation_duality_explicit(f13):
+def test_conjugation_duality_explicit(f13, f29):
+    # both negated labels are permutations of translates of the label, so
+    # the traces are also real
     v = (0, 1, 2)
     neg = tuple((-e) % 3 for e in v)
     for t in (2, 5):
         fib = DworkFiber(f13, 3, t)
-        assert eigentrace_charsum(neg, fib).value == eigentrace_charsum(v, fib).value.conjugate()
+        tv = eigentrace_charsum(v, fib).value
+        assert eigentrace_charsum(neg, fib).value == tv.conjugate() == tv
+    v = build_v(2, 7)
+    tab = eigentrace_all_t(f29, 7, v)
+    tab_n = eigentrace_all_t(f29, 7, tuple((-e) % 7 for e in v.entries))
+    assert all(tab_n[t].value == tab[t].value.conjugate() == tab[t].value for t in tab)
 
 
 def test_lefschetz_against_point_count(f7):
@@ -203,6 +204,24 @@ def test_point_count_weil_consistency(f7):
 def test_point_count_budget_guard(f29):
     with pytest.raises(Infeasible):
         count_points(DworkFiber(f29, 7, 2), m=2)
+
+
+def test_count_budget_refuses_before_building_the_extension(f19, refused_peak):
+    # 19^(4 * 2) tuples is just past the budget, and refused before
+    # F_{19^4} (about 9 s and a 2 MiB peak to build) exists
+    assert _COUNT_BUDGET < 19 ** 8 < 2 * _COUNT_BUDGET
+    fib = DworkFiber(f19, 3, 2)
+    assert refused_peak(lambda: count_points(fib, m=4), Infeasible, "point enumeration") < 1 << 20
+
+
+def test_state_budget_refuses_before_allocating(refused_peak):
+    # q = 953 is the first prime q = 1 mod 7 whose q (q-1) 7 cells pass the
+    # budget (911 is the last one under it); at the bound the state is
+    # 48 MB of int64 cells and one step gathers twice that
+    assert 911 * 910 * 7 <= _STATE_BUDGET < 953 * 952 * 7 < 1.1 * _STATE_BUDGET
+    f953 = build_field(953)
+    v = build_v(2, 7)
+    assert refused_peak(lambda: eigentrace_all_t(f953, 7, v), Infeasible, "state space") < 1 << 20
 
 
 def test_fix_count_identity_element_is_point_count(f7):
@@ -344,6 +363,48 @@ def test_boundary_orbit_kernel_matches_scan_at_every_anchor(Nq, data, balanced):
         assert boundary_term(f, N, entries, Z) == want, (q, entries, Z)
         for i0 in Z if balanced else ():
             assert boundary_term(f, N, entries, Z, i0=i0) == want, (q, entries, Z, i0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(5, 11), (5, 31), (5, 41), (7, 29)]),
+    st.data(),
+    st.booleans(),
+)
+def test_boundary_strata_equal_direct_terms(Nq, data, zero_sum):
+    # one boundary_term per sorted weight tuple stands for every stratum
+    # with that tuple, whatever the label's residue sum
+    from dworkbench.dwork import _boundary_strata
+
+    N, q = Nq
+    f = build_field(q)
+    entries = data.draw(st.lists(st.integers(0, N - 1), min_size=N, max_size=N))
+    r = 0 if zero_sum else data.draw(st.integers(1, N - 1))
+    entries[-1] = (r - sum(entries[:-1])) % N
+    entries = tuple(entries)
+    strata = _boundary_strata(f, N, entries)
+    assert list(strata) == strata_sets(entries)
+    for Z, value in strata.items():
+        assert value == boundary_term(f, N, entries, Z), (q, entries, Z)
+
+
+def test_boundary_strata_one_term_per_weight_multiset(monkeypatch):
+    # 131 strata of the (6, 11) label over F_67 share 11 weight multisets
+    from dworkbench import dwork
+
+    calls = []
+    direct = dwork.boundary_term
+
+    def counted(*args):
+        calls.append(args[3])
+        return direct(*args)
+
+    monkeypatch.setattr(dwork, "boundary_term", counted)
+    v = build_v(6, 11)
+    table = eigentrace_all_t(build_field(67), 11, v)
+    assert len(strata_sets(v.entries)) == 131
+    assert len(calls) == len(set(calls)) == 11
+    assert all(len(tr.strata) == 131 for tr in table.values())
 
 
 @pytest.mark.parametrize("q, count", [(11, None), (31, 3), (41, 2), (61, 1)])

@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -388,30 +387,27 @@ def test_conv_at_wide_rows():
     assert [table.value_at(int(E.EXP[dt])) for dt in dts] == _literal_points(spec, 2, dts)
 
 
-def _refused_peak(call):
-    tracemalloc.start()
-    try:
-        with pytest.raises(Infeasible, match="kernel cost"):
-            call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_kernel_budget_refuses_before_allocating():
+def test_kernel_budget_refuses_before_allocating(refused_peak):
     # det_via_newton at q = 181, k = 2, N = 180: the F_{181^2} point trace,
     # one base convolution over L = 32580, is just past the budget
     spec = HyperSpec(build_field(181), 180, (1, 2), (3, 5))
     cost = _kernel_cost(181 ** 2 - 1, 180, 181 * 180, 1, [1, 1])
     assert _KERNEL_BUDGET < cost < 1.1 * _KERNEL_BUDGET
-    assert _refused_peak(lambda: det_via_newton(spec, 2)) < 8 << 20
+    assert refused_peak(lambda: det_via_newton(spec, 2), Infeasible, "kernel cost") < 8 << 20
 
 
-def test_kernel_budget_counts_unit_terms():
+def test_kernel_budget_counts_unit_terms(refused_peak):
     # over F_{53^2} with N = 52 the full table fits the budget, but a pair
     # with chi = rho adds a unit term whose products push it past
     f53 = build_field(53)
     R, L = 53 ** 2 - 1, 53 * 52
     assert _kernel_cost(R, 52, L, R, [1, 1]) <= _KERNEL_BUDGET < _kernel_cost(R, 52, L, R, [2, 1])
     spec = HyperSpec(f53, 52, (1, 5), (1, 2))
-    assert _refused_peak(lambda: trad_trace_conv(spec, E_degree=2)) < 8 << 20
+    assert refused_peak(lambda: trad_trace_conv(spec, E_degree=2), Infeasible, "kernel cost") < 8 << 20
+
+
+def test_naive_budget_refuses_before_building_the_extension(refused_peak):
+    # 1009^(2 * 3) naive tuples over F_{1009^2}; building that field alone
+    # took 87.5 s when the budget was checked after it
+    spec = HyperSpec(build_field(1009), 7, (1, 2), (0, 3))
+    assert refused_peak(lambda: trad_trace_naive(spec, 2, E_degree=2), Infeasible, "naive cost") < 1 << 20
