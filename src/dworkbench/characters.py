@@ -2,9 +2,12 @@
 
 Multiplicative characters are powers of a fixed dlog identification
 x -> zeta_{q-1}^{dlog x}; additive characters are shifts of
-x -> zeta_p^{abs trace x}.  Gauss and Jacobi sums are accumulated as exact
-root-of-unity count vectors, so every identity check is exact cyclotomic
-arithmetic.  The order-N "power residue" character sends the chosen
+x -> zeta_p^{abs trace x}.  Every term of a Gauss or Jacobi sum is a root of
+unity zeta_M^e, and `gauss_exponents` / `jacobi_exponents` build the
+exponents e of all terms at once, over Z/M for any common multiple M of the
+orders involved.  `gauss_sum` and `jacobi_sum` are the elements of their
+exponent counts; the identity checks decide on the counts directly (see
+`cyclotomic.vanishes`).  The order-N "power residue" character sends the chosen
 generator to zeta_N; that identification is a recorded convention, and no
 verified identity depends on it.
 """
@@ -14,8 +17,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycloElem, root_of_unity, to_cyclo
-from .errors import BadN, SizeMismatch, TrivialAdditive, ZeroInput
+import numpy as np
+
+from .cyclotomic import CycloElem, ctx_for, exponent_counts, root_of_unity, to_cyclo
+from .errors import BadN, NotAMultiple, SizeMismatch, TrivialAdditive, ZeroInput
 from .finitefield import FqElem, FqField
 
 
@@ -62,17 +67,6 @@ class MultChar:
     def bar(self) -> "MultChar":
         """Complex conjugate, i.e. inverse, character."""
         return MultChar(self.field, -self.j)
-
-    def compose_norm(self, E: FqField) -> "MultChar":
-        """chi composed with the norm from E down to this prime base field."""
-        base = self.field
-        if base.m != 1 or E.p != base.q:
-            raise ValueError("norm composition needs E over the prime base")
-        # the norm of E's generator is a base unit; shift by its dlog
-        ncode = E.norm_to_subfield(E.generator, 1).code
-        s = int(base.DLOG[ncode])
-        jE = self.j * s * (E.q - 1) // (base.q - 1)
-        return MultChar(E, jE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultChar):
@@ -128,46 +122,54 @@ def teich_char(field: FqField, N: int) -> MultChar:
     return MultChar(field, (field.q - 1) // N)
 
 
-def teich(u: FqElem, N: int) -> CycloElem:
-    """Image of the unit u under the order-N power-residue character."""
-    if u.code == 0:
-        raise ZeroInput("power-residue image of zero")
-    return teich_char(u.field, N)(u).coerce(N)
+def _char_exponents(chis: Sequence[MultChar], dlogs: np.ndarray, M: int) -> np.ndarray:
+    """Exponent over Z/M of chi(x) for each chi in chis and each unit x with
+    dlog x in dlogs: shape (len(chis), len(dlogs))."""
+    j0 = np.array([c.j0 for c in chis], dtype=np.int64)[:, None]
+    order = np.array([c.order for c in chis], dtype=np.int64)[:, None]
+    if np.any(M % order):
+        raise NotAMultiple(f"{M} is not a multiple of every character order")
+    return (j0 * dlogs) % order * (M // order)
+
+
+def gauss_exponents(psi: AddChar, chis: Sequence[MultChar], M: int) -> np.ndarray:
+    """Exponent over Z/M of every term psi(x) chi(x) of g(psi, chi), x running
+    over the units in code order, for each chi in chis: shape
+    (len(chis), q - 1).  M is any common multiple of p and the orders."""
+    f = psi.field
+    if M % f.p:
+        raise NotAMultiple(f"{M} is not a multiple of p = {f.p}")
+    units = np.arange(1, f.q, dtype=np.int64)
+    add = f.trace_abs_table()[f.mul_codes(psi.c, units)] * (M // f.p)
+    return (add + _char_exponents(chis, f.DLOG[units], M)) % M
+
+
+def jacobi_exponents(field: FqField, a: Sequence[MultChar], b: Sequence[MultChar], M: int) -> np.ndarray:
+    """Exponent over Z/M of every term a(x) b(1 - x) of J(a, b), x running over
+    the field minus 0 and 1 in code order, for each pair (a[i], b[i]): shape
+    (len(a), q - 2).  M is any common multiple of the orders."""
+    if any(c.field is not field for c in (*a, *b)):
+        raise ValueError("characters of different fields")
+    x = np.arange(2, field.q, dtype=np.int64)
+    comp = field._add_codes_int(np.ones_like(x), field.neg_codes(x))  # 1 - x, digitwise
+    dlog = field.DLOG
+    return (_char_exponents(a, dlog[x], M) + _char_exponents(b, dlog[comp], M)) % M
 
 
 def gauss_sum(psi: AddChar, chi: MultChar) -> CycloElem:
     """Sum of psi(x) chi(x) over the units, exact in Q(zeta_{p * ord chi})."""
     if psi.is_trivial():
         raise TrivialAdditive("gauss sum needs a nontrivial additive character")
-    f = psi.field
-    p, ordc = f.p, chi.order
-    L = p * ordc // math.gcd(p, ordc)
-    sp, sc = L // p, L // ordc
-    counts = [0] * L
-    trabs = f.trace_abs_table()
-    dlog = f.DLOG
-    for code in range(1, f.q):
-        e = (psi.exp_of(code) * sp + (chi.j0 * int(dlog[code])) % ordc * sc) % L
-        counts[e] += 1
-    return to_cyclo(counts, L)
+    L = math.lcm(psi.field.p, chi.order)
+    ctx_for(L)  # refuses an oversized field before its counts are built
+    return to_cyclo(exponent_counts(gauss_exponents(psi, [chi], L), L)[0], L)
 
 
 def jacobi_sum(a: MultChar, b: MultChar) -> CycloElem:
     """Sum of a(x) b(1-x) over x, with the chi(0) = 0 convention throughout."""
-    f = a.field
-    if b.field is not f:
-        raise ValueError("characters of different fields")
-    oa, ob = a.order, b.order
-    L = oa * ob // math.gcd(oa, ob)
-    sa, sb = L // oa, L // ob
-    counts = [0] * L
-    one = 1
-    for code in range(1, f.q):
-        if code == one:
-            continue
-        comp = f.add_code(1, f.neg_code(code))  # 1 - x
-        counts[(a.exp_of(code) * sa + b.exp_of(comp) * sb) % L] += 1
-    return to_cyclo(counts, L)
+    L = math.lcm(a.order, b.order)
+    ctx_for(L)
+    return to_cyclo(exponent_counts(jacobi_exponents(a.field, [a], [b], L), L)[0], L)
 
 
 def grossen_value(field: FqField, N: int, chi_res: int, rho_res: int) -> CycloElem:

@@ -5,6 +5,12 @@ primitive M-th root of unity z, as an integer numerator vector over one
 shared positive denominator.  Products are reduced modulo the M-th
 cyclotomic polynomial, so the representation is canonical and equality is
 literal coefficient equality.
+
+Sums of roots of unity are also handled before they become elements, as
+exponent-count vectors over Z/M (entry e counts zeta_M^e): `to_cyclo` turns
+one into an element, and `vanishes` decides whether one is zero in O(M
+omega(M)) steps, without the power basis.  An identity between products of
+such sums is then one vanishing test on the outer sums of their exponents.
 """
 
 from __future__ import annotations
@@ -29,19 +35,24 @@ _INT64_LIMIT = 1 << 63
 _CTX_BUDGET = 10 ** 8
 
 
-def euler_phi(M: int) -> int:
-    out, rem, f = 1, M, 2
+def _prime_powers(M: int) -> list[tuple[int, int]]:
+    """(l, l^k) for every prime power l^k exactly dividing M, l increasing."""
+    out, rem, f = [], M, 2
     while f * f <= rem:
         if rem % f == 0:
-            rem //= f
-            out *= f - 1
+            pk = 1
             while rem % f == 0:
                 rem //= f
-                out *= f
+                pk *= f
+            out.append((f, pk))
         f += 1
     if rem > 1:
-        out *= rem - 1
+        out.append((rem, rem))
     return out
+
+
+def euler_phi(M: int) -> int:
+    return math.prod(pk // l * (l - 1) for l, pk in _prime_powers(M))
 
 
 def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
@@ -435,8 +446,64 @@ def root_of_unity(M: int, k: int = 1) -> CycloElem:
 
 def to_cyclo(counts: Iterable[int], M: int, den: int = 1) -> CycloElem:
     """Build sum_e counts[e] * zeta_M^e / den from an exponent-count vector."""
-    counts = list(counts)
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
     return _make(M, _combine(ctx_for(M), counts, range(len(counts))), den)
+
+
+def exponent_counts(exps: np.ndarray, M: int) -> np.ndarray:
+    """Exponent-count vectors over Z/M, one per row: row i of the (k, M)
+    result counts the entries of exps[i] (of any shape) modulo M."""
+    exps = np.asarray(exps, dtype=np.int64)
+    k = exps.shape[0]
+    flat = exps.reshape(k, math.prod(exps.shape[1:])) % M + np.arange(0, k * M, M)[:, None]
+    return np.bincount(flat.ravel(), minlength=k * M).reshape(k, M)
+
+
+@lru_cache(maxsize=None)
+def _crt_layout(M: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The CRT grid of Z/M: a permutation perm and a shape such that
+    v[perm].reshape(shape) has, for each prime power l^k || M in turn, a
+    digit axis of length l and a residue axis of length l^(k-1), holding at
+    (..., d, r, ...) the entry whose exponent is r + d l^(k-1) mod l^k."""
+    pps = _prime_powers(M)
+    e = np.arange(M, dtype=np.int64)
+    pos = np.zeros(M, dtype=np.int64)
+    for _, pk in pps:
+        pos = pos * pk + e % pk
+    perm = np.empty(M, dtype=np.int64)
+    perm[pos] = e
+    perm.setflags(write=False)  # shared by every caller through the cache
+    return perm, tuple(n for l, pk in pps for n in (l, pk // l))
+
+
+def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
+    """Whether sum_e counts[..., e] * zeta_M^e = 0, exactly, for every vector
+    along the last axis (of length M); a bool array of the leading shape.
+
+    Z/M is the product of the Z/l^k over the prime powers l^k || M, and
+    Z[zeta_M] the tensor product of the Z[zeta_{l^k}], so on the CRT grid a
+    count vector is a tensor with a (digit, residue) pair of axes per factor.
+    In Z[zeta_{l^k}], z^(r + (l-1) l^(k-1)) = -sum_{d < l-1} z^(r + d l^(k-1)):
+    subtracting the top digit block from the others along every digit axis
+    leaves the coordinates in a Z-basis of Z[zeta_M], which are all 0 iff the
+    sum is.  Each step at most doubles the largest |entry|; the steps run in
+    int64 when that stays in range and in Python integers otherwise.
+    """
+    c = np.asarray(counts)
+    if c.shape[-1:] != (M,):
+        raise ValueError(f"count vectors must have length {M}, not {c.shape[-1:]}")
+    lead = c.shape[:-1]
+    if c.size == 0:
+        return np.ones(lead, dtype=bool)
+    perm, shape = _crt_layout(M)
+    steps = len(shape) // 2
+    big = max(int(c.max()), -int(c.min())) << (steps + 1) >= _INT64_LIMIT
+    x = c.astype(object if big else np.int64)[..., perm].reshape(lead + shape)
+    for ax in range(len(lead), x.ndim, 2):
+        top = x.shape[ax] - 1
+        head = (slice(None),) * ax
+        x = x[head + (slice(0, top),)] - x[head + (slice(top, top + 1),)]
+    return np.all(x.reshape(lead + (-1,)) == 0, axis=-1)
 
 
 def common(a: CycloElem, b: CycloElem) -> tuple[CycloElem, CycloElem]:

@@ -365,9 +365,6 @@ class FqField:
             out += (((A // self._pp[i]) + (B // self._pp[i])) % self.p) * self._pp[i]
         return out
 
-    def trace_to_prime(self, x: FqElem) -> int:
-        return int(self.trace_abs_table()[x.code])
-
     def norm_to_subfield(self, x: FqElem, d: int) -> FqElem:
         """Norm from F_{p^m} down to F_{p^d}, d | m."""
         if d < 1 or self.m % d != 0:

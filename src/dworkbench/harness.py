@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .characters import MultChar, gauss_sum, jacobi_sum, AddChar
-from .cyclotomic import CycloElem, common, root_of_unity
+import numpy as np
+
+from .characters import AddChar, MultChar, gauss_exponents, jacobi_exponents
+from .cyclotomic import CycloElem, common, exponent_counts, root_of_unity, vanishes
 from .dwork import (
     DworkFiber,
     GroupElement,
@@ -408,37 +410,50 @@ def check_build_v(seed: int = 0) -> CheckResult:
     return CheckResult("build-v", {}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
 
 
+_SUITE_BLOCK = 16  # characters or Jacobi pairs per vectorised step of the gauss suite
+
+
+def _modulus_counts(g: np.ndarray, q: int, M: int) -> np.ndarray:
+    """Count vectors of g(chi) conj(g(chi)) - q, one per row of Gauss-sum exponents g."""
+    out = exponent_counts(g[:, :, None] - g[:, None, :], M)
+    out[:, 0] -= q
+    return out
+
+
+def _jacobi_counts(field, G: np.ndarray, pairs: Sequence[tuple[int, int]], M: int) -> np.ndarray:
+    """Count vectors of J(a, b) g(ab) - g(a) g(b), one per pair (a, b); row j of
+    G holds the exponents of g(psi, chi^j)."""
+    J = jacobi_exponents(field, [MultChar(field, a) for a, _ in pairs], [MultChar(field, b) for _, b in pairs], M)
+    a, b = np.array(pairs, dtype=np.int64).T
+    lhs = exponent_counts(J[:, :, None] + G[(a + b) % (field.q - 1)][:, None, :], M)
+    return lhs - exponent_counts(G[a][:, :, None] + G[b][:, None, :], M)
+
+
 def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: int = 150) -> CheckResult:
-    """g(psi,1) = -1; g conj(g) = q for nontrivial chi; Jacobi factorization."""
+    """g(psi,1) = -1; g conj(g) = q for nontrivial chi; Jacobi factorization.
+
+    Every sum is its exponent-count vector over Z/M, M = p(q-1); a product
+    of sums is the outer sum of their exponents, and each identity holds iff
+    the count vector of its two sides' difference vanishes in Q(zeta_M).
+    """
     t0 = time.monotonic()
+    B = _SUITE_BLOCK
     rows = []
     for q in qs:
         field = build_field(q)
-        psi = AddChar(field)
-        triv_ok = gauss_sum(psi, MultChar(field, 0)) == -1
-        mod_ok = True
-        for j in range(1, q - 1):
-            chi = MultChar(field, j)
-            g = gauss_sum(psi, chi)
-            if g * g.conjugate() != q:
-                mod_ok = False
-                break
+        M = field.p * (q - 1)
+        G = gauss_exponents(AddChar(field), [MultChar(field, j) for j in range(q - 1)], M)
+        triv = exponent_counts(G[:1], M)
+        triv[0, 0] += 1
+        triv_ok = bool(vanishes(triv, M).all())
+        mod_ok = all(vanishes(_modulus_counts(G[lo : lo + B], q, M), M).all() for lo in range(1, q - 1, B))
         # Jacobi factorization J(a,b) g(ab) = g(a) g(b) whenever ab nontrivial
         pairs = [(a, b) for a in range(1, q - 1) for b in range(1, q - 1) if (a + b) % (q - 1) != 0]
         if len(pairs) > sample:
             rng = random.Random(seed * 7919 + q)
             pairs = rng.sample(pairs, sample)
-        jac_ok = True
-        gcache = {j: gauss_sum(psi, MultChar(field, j)) for j in set(x for pr in pairs for x in pr) | {(a + b) % (q - 1) for a, b in pairs}}
-        for a, b in pairs:
-            J = jacobi_sum(MultChar(field, a), MultChar(field, b))
-            lhs = _mul_lifted(J, gcache[(a + b) % (q - 1)])
-            rhs = _mul_lifted(gcache[a], gcache[b])
-            la, rb = common(lhs, rhs)
-            if la != rb:
-                jac_ok = False
-                break
-        rows.append({"q": q, "trivial_is_minus_one": triv_ok, "modulus": mod_ok, "jacobi_pairs": len(pairs), "jacobi": jac_ok})
+        jac_ok = all(vanishes(_jacobi_counts(field, G, pairs[lo : lo + B], M), M).all() for lo in range(0, len(pairs), B))
+        rows.append({"q": q, "trivial_is_minus_one": triv_ok, "modulus": bool(mod_ok), "jacobi_pairs": len(pairs), "jacobi": bool(jac_ok)})
     ok = all(r["trivial_is_minus_one"] and r["modulus"] and r["jacobi"] for r in rows)
     return CheckResult("gauss-suite", {"qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
 

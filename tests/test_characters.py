@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworkbench.characters import (
     AddChar,
@@ -9,11 +13,10 @@ from dworkbench.characters import (
     kummer_trace,
     phi_inverse,
     phi_value,
-    teich,
     teich_char,
 )
-from dworkbench.cyclotomic import CycloElem, common, root_of_unity
-from dworkbench.errors import BadN, TrivialAdditive, ZeroInput
+from dworkbench.cyclotomic import CycloElem, common, root_of_unity, to_cyclo
+from dworkbench.errors import BadN, TooLarge, TrivialAdditive
 from dworkbench.finitefield import build_field
 
 
@@ -46,11 +49,9 @@ def test_teich_char_has_exact_order(f29):
     chi = teich_char(f29, 7)
     assert chi.order == 7
     g = f29.generator
-    assert teich(g, 7) == root_of_unity(7)
+    assert chi(g).coerce(7) == root_of_unity(7)
     with pytest.raises(BadN):
         teich_char(f29, 5)
-    with pytest.raises(ZeroInput):
-        teich(f29.zero(), 7)
 
 
 def test_trivial_gauss_sum_is_minus_one(f7, f13, f29):
@@ -102,6 +103,16 @@ def test_jacobi_factorization_all_pairs(f13):
             assert x == y
 
 
+def test_sums_refuse_an_oversized_field_before_counting(refused_peak):
+    # g(psi, chi) for chi of order 1008 lives in Q(zeta_1017072), whose
+    # counts alone take 8 MiB; 14159 is the first prime q with Q(zeta_{q-1})
+    # past the context budget
+    f = build_field(1009)
+    assert refused_peak(lambda: gauss_sum(AddChar(f), MultChar(f, 1)), TooLarge, "zeta_1017072") < 1 << 20
+    f = build_field(14159)
+    assert refused_peak(lambda: jacobi_sum(MultChar(f, 1), MultChar(f, 1)), TooLarge, "zeta_14158") < 1 << 20
+
+
 def test_jacobi_rejects_mixed_fields(f7, f13):
     with pytest.raises(ValueError):
         jacobi_sum(MultChar(f7, 1), MultChar(f13, 1))
@@ -124,18 +135,6 @@ def test_kummer_trace_values(f29):
         kummer_trace(f29, 7, 1, 2, flavor="y")
 
 
-def test_compose_norm_matches_norm_then_char():
-    base = build_field(7)
-    E = build_field(7, 2)
-    chi = MultChar(base, 2)
-    chiE = chi.compose_norm(E)
-    for x in list(E.units())[:20]:
-        nx = E.norm_to_subfield(x, 1)
-        want = chi(base.from_code(nx.code)) if nx.field is not base else chi(nx)
-        a, b = common(chiE(x), want)
-        assert a == b
-
-
 def test_phi_value_inverse_cancel(f29):
     psi = AddChar(f29)
     val = phi_value(f29, 7, (1, 6), (0, 0), psi)
@@ -148,3 +147,69 @@ def test_phi_value_weight(f29):
     # trivial slots contribute unit factors, nontrivial ones weight q each
     assert abs(phi_value(f29, 7, (1, 6), (0, 0)).abs2() - 29 ** 2) < 1e-4
     assert abs(phi_value(f29, 7, (1, 6), (2, 3)).abs2() - 29 ** 4) < 1e-4
+
+
+# -- character identities through CycloElem, over F_q and F_{q^2} -------------
+
+FIELDS = ((5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2))
+
+
+@st.composite
+def field_psi(draw):
+    f = build_field(*draw(st.sampled_from(FIELDS)))
+    return f, AddChar(f, f.from_code(draw(st.integers(1, f.q - 1))))
+
+
+def _gauss_loop(psi, chi):
+    # the scalar loop gauss_sum ran before its terms were built in one array
+    f = psi.field
+    p, ordc = f.p, chi.order
+    L = p * ordc // math.gcd(p, ordc)
+    sp, sc = L // p, L // ordc
+    counts = [0] * L
+    for code in range(1, f.q):
+        e = (psi.exp_of(code) * sp + (chi.j0 * int(f.DLOG[code])) % ordc * sc) % L
+        counts[e] += 1
+    return to_cyclo(counts, L)
+
+
+def _jacobi_loop(a, b):
+    f = a.field
+    oa, ob = a.order, b.order
+    L = oa * ob // math.gcd(oa, ob)
+    sa, sb = L // oa, L // ob
+    counts = [0] * L
+    for code in range(2, f.q):
+        comp = f.add_code(1, f.neg_code(code))  # 1 - x
+        counts[(a.exp_of(code) * sa + b.exp_of(comp) * sb) % L] += 1
+    return to_cyclo(counts, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_psi(), st.data())
+def test_gauss_sum_times_its_conjugate_character(fpsi, data):
+    f, psi = fpsi
+    chi = MultChar(f, data.draw(st.integers(1, f.q - 2)))
+    sign = chi(f.el(-1)).as_rational()
+    assert sign in (1, -1)
+    assert _mul(gauss_sum(psi, chi), gauss_sum(psi, chi.bar())) == sign * f.q
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_psi(), st.data())
+def test_jacobi_times_gauss_is_a_gauss_product(fpsi, data):
+    f, psi = fpsi
+    a = data.draw(st.integers(1, f.q - 2))
+    b = data.draw(st.integers(1, f.q - 2).filter(lambda b: (a + b) % (f.q - 1)))
+    A, B = MultChar(f, a), MultChar(f, b)
+    lhs, rhs = common(_mul(jacobi_sum(A, B), gauss_sum(psi, A * B)), _mul(gauss_sum(psi, A), gauss_sum(psi, B)))
+    assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_psi(), st.data())
+def test_sums_match_the_scalar_loops(fpsi, data):
+    f, psi = fpsi
+    a, b = (MultChar(f, data.draw(st.integers(0, f.q - 2))) for _ in range(2))
+    assert gauss_sum(psi, a).to_json() == _gauss_loop(psi, a).to_json()
+    assert jacobi_sum(a, b).to_json() == _jacobi_loop(a, b).to_json()

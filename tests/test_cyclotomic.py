@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,13 @@ from dworkbench.cyclotomic import (
     ctx_for,
     cyclotomic_poly,
     euler_phi,
+    exponent_counts,
     root_of_unity,
     to_cyclo,
+    vanishes,
 )
+
+
 def test_euler_phi_small_values():
     assert [euler_phi(m) for m in (1, 2, 3, 4, 7, 12, 203)] == [1, 1, 2, 2, 6, 4, 168]
 
@@ -238,3 +243,100 @@ def test_ctx_budget_refuses_before_allocating(refused_peak):
     M = next(m for m in range(10 ** 4, 2 * 10 ** 4) if m * euler_phi(m) > budget)
     assert M * euler_phi(M) < 1.01 * budget
     assert refused_peak(lambda: ctx_for(M), TooLarge, f"zeta_{M}") < 1 << 20
+
+
+# -- exponent-count vectors --------------------------------------------------
+
+VANISH_MODULI = (1, 2, 4, 8, 9, 12, 28, 105, 203, 360, 812)
+
+
+def _primes_of(M):
+    return [l for l in range(2, M + 1) if M % l == 0 and all(l % d for d in range(2, l))]
+
+
+def _kernel_generators(M, l):
+    """Row i: x^i (1 + x^(M/l) + ... + x^((l-1)M/l)), the generators of the
+    kernel of Z[Z/M] -> Z[zeta_M] (Phi_M(x) x^i, through Phi_M's factors)."""
+    gens = np.zeros((M, M), dtype=np.int64)
+    for v in range(l):
+        gens[np.arange(M), (np.arange(M) + v * (M // l)) % M] += 1
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(VANISH_MODULI), st.data())
+def test_vanishes_matches_power_basis(M, data):
+    # half the draws are kernel combinations, so both answers occur often
+    c = np.array(data.draw(st.lists(coeff, min_size=M, max_size=M)), dtype=object)
+    if data.draw(st.booleans()):
+        c = np.zeros(M, dtype=object)
+        for l in _primes_of(M):
+            gens = _kernel_generators(M, l)
+            for i in data.draw(st.lists(st.integers(0, M - 1), max_size=4)):
+                c = c + data.draw(coeff) * gens[i].astype(object)
+        if data.draw(st.booleans()):
+            c[data.draw(st.integers(0, M - 1))] += data.draw(coeff)
+    assert bool(vanishes(c, M)) == to_cyclo(c.tolist(), M).is_zero()
+
+
+@pytest.mark.parametrize("M", VANISH_MODULI)
+def test_kernel_generators_vanish_and_units_break_them(M):
+    rng = np.random.default_rng(M)
+    for l in _primes_of(M):
+        gens = _kernel_generators(M, l) * rng.integers(-5, 6, size=(M, 1))
+        assert vanishes(gens, M).all()
+        for shift in (0, int(rng.integers(M))):
+            bumped = gens + np.roll(np.eye(M, dtype=np.int64), shift, axis=1)
+            assert not vanishes(bumped, M).any()
+    assert vanishes(np.zeros(M, dtype=np.int64), M)
+    assert not vanishes(np.eye(M, dtype=np.int64), M).any()
+
+
+def test_vanishes_past_int64_takes_the_exact_path(monkeypatch):
+    # over Z/6 the coordinates are (c0 - c3 - c2 + c5, c4 - c1 - c2 + c5):
+    # here (2^64, 0), which int64 steps would wrap to all zeros
+    t = 2 ** 62
+    c = [t, t, -t, -t, -t, t]
+    assert not to_cyclo(c, 6).is_zero()
+    assert not vanishes(np.array(c, dtype=object), 6)
+    assert not vanishes(np.array(c, dtype=np.int64), 6)
+    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 1 << 200)  # forces the int64 steps
+    assert vanishes(np.array(c, dtype=np.int64), 6)
+    monkeypatch.undo()
+    gens = [_kernel_generators(812, l).astype(object) for l in (29, 7)]
+    big = gens[0][5] * (2 ** 62 + 1) - gens[1][3] * 2 ** 70
+    assert vanishes(big, 812)
+    big[17] += 1
+    assert not vanishes(big, 812)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(VANISH_MODULI), st.integers(0, 5), st.data())
+def test_vanishes_batch_equals_single_calls(M, k, data):
+    rows = []
+    for _ in range(2 * k):
+        gens = _kernel_generators(M, data.draw(st.sampled_from(_primes_of(M) or [1])))
+        row = gens[data.draw(st.integers(0, M - 1))] * data.draw(small)
+        if data.draw(st.booleans()):
+            row[data.draw(st.integers(0, M - 1))] += 1
+        rows.append(row)
+    batch = np.array(rows, dtype=np.int64).reshape(2, k, M)
+    got = vanishes(batch, M)
+    assert got.shape == (2, k)
+    assert got.tolist() == [[bool(vanishes(r, M)) for r in b] for b in batch]
+
+
+def test_vanishes_rejects_wrong_length():
+    with pytest.raises(ValueError, match="length 12"):
+        vanishes(np.zeros(13, dtype=np.int64), 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 7, 12)), st.lists(st.lists(st.integers(-30, 30), min_size=5, max_size=5), max_size=4))
+def test_exponent_counts_match_a_loop(M, exps):
+    got = exponent_counts(np.array(exps, dtype=np.int64).reshape(len(exps), 5), M)
+    want = np.zeros((len(exps), M), dtype=np.int64)
+    for i, row in enumerate(exps):
+        for e in row:
+            want[i, e % M] += 1
+    assert np.array_equal(got, want)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dworkbench.errors import NotPrime
+from dworkbench import finitefield
+from dworkbench.errors import NotPrime, TooLarge
 from dworkbench.finitefield import build_field, is_prime, prime_factors
 
 
@@ -87,15 +88,6 @@ def test_norm_onto_subfield_units():
     assert lhs == E.norm_to_subfield(x, 1) * E.norm_to_subfield(y, 1)
 
 
-def test_trace_to_prime_additive():
-    E = build_field(7, 2)
-    xs = list(E.elements())
-    for x in xs[:10]:
-        for y in xs[10:20]:
-            tx, ty = E.trace_to_prime(x), E.trace_to_prime(y)
-            assert E.trace_to_prime(x + y) == (tx + ty) % 7
-
-
 def test_vector_code_ops_match_scalar(f29):
     rng = np.random.default_rng(0)
     A = rng.integers(0, 29, size=200)
@@ -119,6 +111,8 @@ def test_vector_code_ops_match_scalar_extension():
     for i in range(120):
         assert add[i] == E.add_code(int(A[i]), int(B[i]))
         assert mul[i] == E.mul_code(int(A[i]), int(B[i]))
+    tr = E.trace_abs_table()
+    assert np.array_equal(tr[add], (tr[A] + tr[B]) % 7)  # the absolute trace is additive
 
 
 def test_add_table_consistency(f7):
@@ -160,3 +154,20 @@ def test_add_table_peak_memory():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert int(out.stdout) < 80 * 1024, f"peak {int(out.stdout) // 1024} MiB"
+
+
+def test_table_bound_refuses_before_allocating(refused_peak):
+    # 2^25 is the first power of 2 past the bound; its exp and dlog tables
+    # would take 512 MiB
+    assert 2 ** 24 == finitefield._TABLE_BOUND
+    assert refused_peak(lambda: build_field(2, 25), TooLarge, "2\\^24") < 1 << 20
+
+
+def test_dense_add_bound_refuses_before_allocating(refused_peak):
+    # 47^2 = 2209 is just past the bound: its table would be 19 MiB of int32;
+    # the refusal's peak includes building F_{47^2} itself
+    assert 47 ** 2 - 10 < finitefield._DENSE_ADD_BOUND < 47 ** 2
+    assert refused_peak(lambda: build_field(47, 2).add_table(), TooLarge, "q = 2209") < 1 << 20
+    E = build_field(47, 2)
+    A = np.arange(E.q)
+    assert np.array_equal(E.add_codes(A, E.neg_codes(A)), np.zeros(E.q))  # digit addition still serves

@@ -1,14 +1,22 @@
 import json
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from dworkbench.characters import AddChar, MultChar, gauss_sum, jacobi_sum
+from dworkbench.cyclotomic import common
 from dworkbench.errors import ConfigError, MissingLambda
+from dworkbench.finitefield import build_field
 from dworkbench.harness import (
     CampaignConfig,
     CheckResult,
     _control_label,
+    _mul_lifted,
     check_build_v,
     check_det_hcan,
+    check_gauss_suite,
     check_signs,
     katz_check,
     psi2_weight_note,
@@ -157,3 +165,75 @@ def test_katz_control_breaks_constancy(n, N, q):
     rep = katz_check(n, N, q)
     assert rep.image_points > 1
     assert rep.control_constant is False
+
+
+def _gauss_suite_by_products(qs, seed=0, sample=150):
+    """The gauss suite's rows from CycloElem products: the literal reference
+    for check_gauss_suite, which decides the same identities on count vectors."""
+    rows = []
+    for q in qs:
+        field = build_field(q)
+        psi = AddChar(field)
+        triv_ok = gauss_sum(psi, MultChar(field, 0)) == -1
+        mod_ok = True
+        for j in range(1, q - 1):
+            chi = MultChar(field, j)
+            g = gauss_sum(psi, chi)
+            if g * g.conjugate() != q:
+                mod_ok = False
+                break
+        pairs = [(a, b) for a in range(1, q - 1) for b in range(1, q - 1) if (a + b) % (q - 1) != 0]
+        if len(pairs) > sample:
+            rng = random.Random(seed * 7919 + q)
+            pairs = rng.sample(pairs, sample)
+        jac_ok = True
+        gcache = {j: gauss_sum(psi, MultChar(field, j)) for j in set(x for pr in pairs for x in pr) | {(a + b) % (q - 1) for a, b in pairs}}
+        for a, b in pairs:
+            J = jacobi_sum(MultChar(field, a), MultChar(field, b))
+            lhs = _mul_lifted(J, gcache[(a + b) % (q - 1)])
+            rhs = _mul_lifted(gcache[a], gcache[b])
+            la, rb = common(lhs, rhs)
+            if la != rb:
+                jac_ok = False
+                break
+        rows.append({"q": q, "trivial_is_minus_one": triv_ok, "modulus": mod_ok, "jacobi_pairs": len(pairs), "jacobi": jac_ok})
+    return rows
+
+
+@pytest.mark.parametrize("qs,seed,sample", [((5, 7, 11, 13), 0, 10 ** 9)] + [((29,), s, 150) for s in range(3)])
+def test_gauss_suite_rows_match_the_product_reference(qs, seed, sample):
+    res = check_gauss_suite(qs, seed=seed, sample=sample)
+    assert res.ok
+    assert res.rows == _gauss_suite_by_products(qs, seed=seed, sample=sample)
+
+
+def _swap_dlog(field):
+    dlog = field.DLOG.copy()
+    dlog[[3, 5]] = dlog[[5, 3]]
+    return dlog
+
+
+def _bump_trace(field):
+    tr = field.trace_abs_table().copy()
+    tr[4] = (tr[4] + 1) % field.p
+    return tr
+
+
+@pytest.mark.parametrize("attr,corrupt", [("DLOG", _swap_dlog), ("_trabs", _bump_trace)])
+def test_gauss_suite_fails_like_the_reference_on_corrupt_tables(monkeypatch, attr, corrupt):
+    field = build_field(13)
+    monkeypatch.setattr(field, attr, corrupt(field))
+    res = check_gauss_suite((13,), sample=10 ** 9)
+    assert not res.ok
+    assert res.rows == _gauss_suite_by_products((13,), sample=10 ** 9)
+
+
+def test_gauss_suite_peak_memory(f29):
+    check_gauss_suite((7,), sample=10 ** 9)  # module caches are not the suite's temporaries
+    tracemalloc.start()
+    try:
+        assert check_gauss_suite((29,), sample=10 ** 9).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
