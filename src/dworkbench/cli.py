@@ -23,13 +23,7 @@ from .harness import (
     run_campaign,
     validate_n3,
 )
-from .hypergeometric import (
-    HyperSpec,
-    mellin_fast,
-    trad_trace_conv,
-    trad_trace_naive,
-    verify_det_hcan,
-)
+from .hypergeometric import HyperSpec, trad_trace_conv, trad_trace_naive, verify_det_hcan
 from .weights import build_v, hyper_data
 
 
@@ -79,19 +73,11 @@ def _cmd_hyper_trace(args) -> int:
         ts = [args.t] if args.t is not None else [t for t in range(2, args.q)]
         for t in ts:
             rows.append(_cyclo_row(t, trad_trace_naive(spec, t, E_degree=args.E)))
-    elif args.method == "conv":
+    else:
         table = trad_trace_conv(spec, E_degree=args.E)
         items = table.items() if args.t is None else [(args.t, table.value_at(args.t))]
         for t, val in items:
             rows.append(_cyclo_row(t, val))
-    else:
-        if args.E != 1:
-            raise ConfigError("spectral evaluation works over the base field only")
-        table = mellin_fast(spec)
-        items = table.items() if args.t is None else [(args.t, table.value_at(args.t))]
-        for t, val in items:
-            c = complex(val)
-            rows.append({"t": t, "value": {"re": c.real, "im": c.imag}, "abs2": abs(c) ** 2})
     if args.json:
         print(json.dumps(rows, sort_keys=True))
     else:
@@ -201,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     ht.add_argument("--q", type=int, required=True)
     ht.add_argument("--n", type=int, required=True)
     ht.add_argument("--N", type=int, required=True)
-    ht.add_argument("--method", choices=("naive", "conv", "mellin"), required=True)
+    ht.add_argument("--method", choices=("naive", "conv"), required=True)
     ht.add_argument("--t", type=int)
     ht.add_argument("--E", type=int, default=1, choices=(1, 2))
     ht.add_argument("--json", action="store_true")

@@ -34,14 +34,13 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import CycloElem, to_cyclo
+from .cyclotomic import _INT64_LIMIT, CycloElem, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible, UnsupportedN
 from .finitefield import FqField, build_field
 from .weights import WeightVector
 
 _COUNT_BUDGET = 10 ** 10
 _STATE_BUDGET = 6 * 10 ** 6  # q (q-1) N cells; a step gathers at most 2 (q-1)^2 N
-_INT64_LIMIT = 1 << 63
 
 
 def _entries_of(v: "WeightVector | Sequence[int]", N: int) -> tuple[int, ...]:
@@ -448,19 +447,34 @@ def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") 
     return out
 
 
-def weil_check(trace: EigenTrace, tol: float = 1e-6) -> bool:
-    """Purity bound: |T| <= rank * q^{(N-2)/2} at every embedding."""
+def _nonnegative_everywhere(x: CycloElem) -> bool:
+    """Whether a totally real x is >= 0 at every embedding, exactly.
+
+    On real x, sigma_e and sigma_-e agree, so its embeddings are sigma_e(x)
+    for e < M/2 prime to M.  prod_e (X + sigma_e(x)) is real-rooted with
+    rational coefficients, and they are all >= 0 iff no root -sigma_e(x) is
+    positive.
+    """
+    if x.is_rational():
+        return x.as_rational() >= 0
+    M = x.M
+    poly = [CycloElem.one(M)]  # coefficients, constant term first
+    for e in range(1, (M + 1) // 2):
+        if math.gcd(e, M) == 1:
+            s = x.galois(e)
+            poly = [a * s + b for a, b in zip([*poly, 0], [0, *poly])]  # times X + s
+    return all(c.is_rational() and c.as_rational() >= 0 for c in poly)
+
+
+def weil_check(trace: EigenTrace) -> bool:
+    """Purity bound |T|^2 <= rank^2 q^{N-2} at every embedding, decided
+    exactly on the totally real rank^2 q^{N-2} - T conj(T)."""
     from .weights import rank_of
 
     N = trace.fiber.N
     q = trace.fiber.field.q
-    bound = rank_of(trace.entries, N) * q ** ((N - 2) / 2)
-    for e in range(1, N):
-        if math.gcd(e, N) != 1:
-            continue
-        if abs(trace.value.embed(e)) > bound + tol * max(1.0, bound):
-            return False
-    return True
+    r = rank_of(trace.entries, N)
+    return _nonnegative_everywhere(r * r * q ** (N - 2) - trace.value * trace.value.conjugate())
 
 
 # -- point counting ---------------------------------------------------------

@@ -1,10 +1,10 @@
 """Hypergeometric trace functions and determinant identities.
 
 Three independent routes to the same trace table: a literal character-sum
-enumeration, multiplicative convolution of rank-1 tables, and a float
-transform accelerator.  Trace values are carried as exact root-of-unity
-count vectors over zeta_{pN} (flattened exponent a*N + b*p), so
-cross-algorithm equality checks are integer comparisons.
+enumeration, multiplicative convolution of rank-1 tables, and a Mellin
+route through products of Gauss sums.  Trace values are carried as exact
+root-of-unity count vectors over zeta_{pN} (flattened exponent a*N + b*p),
+so cross-algorithm equality checks are integer comparisons.
 
 A rank-1 table is never stored whole.  Its rows over u = g^d are one base
 row, a literal count over the units of the field, shifted by p s[d] (the
@@ -13,6 +13,11 @@ serves every convolution route: a histogram of summed shifts over
 (Z/q-1) x (Z/N) from one-hot tables, cyclic convolution of base rows over
 Z/pN, and the histogram applied to the convolved base as shifts by
 multiples of p.
+
+The Mellin route shares no code with the rank-1 tables.  Each factor's
+Mellin coefficient is a product of two Gauss sums, whose terms
+`gauss_exponents` lists; the inverse transform is a shift of count vectors
+over zeta_{p(q-1)}, and `cyclotomic.vanishes` decides the comparison.
 """
 
 from __future__ import annotations
@@ -23,24 +28,28 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import (
     AddChar,
+    MultChar,
+    gauss_exponents,
     gauss_sum,
     grossen_value,
     kummer_trace,
     phi_inverse,
     teich_char,
 )
-from .cyclotomic import _INT64_LIMIT, CycloElem, ctx_for, to_cyclo
+from .cyclotomic import _INT64_LIMIT, CycloElem, ctx_for, exponent_counts, to_cyclo, vanishes
 from .errors import BadN, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
 from .weights import WeightVector, hyper_data
 
 _NAIVE_BUDGET = 10 ** 9
-# cells gathered plus multiply-adds in one _trace_rows call: seconds of numpy work
+# cells gathered plus multiply-adds in one _trace_rows or mellin_rows call:
+# seconds of numpy work
 _KERNEL_BUDGET = 10 ** 9
-_BLOCK_CELLS = 1 << 20  # cells gathered per block of a histogram fold
+_BLOCK_CELLS = 1 << 20  # cells gathered per block of a histogram fold or Mellin outer sum
 
 
 class HyperSpec:
@@ -373,22 +382,60 @@ def _point_trace_conv(spec: HyperSpec, t_code: int, m: int) -> CycloElem:
     return to_cyclo(C[0].tolist(), E.p * spec.N)
 
 
-def mellin_fast(spec: HyperSpec) -> TraceTable:
-    """Float trace table via the transform that diagonalizes convolution."""
-    E, N = spec.field, spec.N
-    R, L = E.q - 1, E.p * N
-    basis = np.exp(2j * np.pi * np.arange(L) / L)
-    F = np.ones(R, dtype=complex)
+def mellin_rows(spec: HyperSpec) -> np.ndarray:
+    """Exponent counts over Z/M, M = p(q-1), of (q-1) T(g^d) at every row d,
+    by the Mellin transform over the characters omega^j, omega(g) = zeta_{q-1}.
+
+    Substituting x = y u in the rank-1 row -chi(u) sum_y psi(y(u-1))
+    (chi rhobar)(y), the u = 1 row included, gives its Mellin coefficient
+    sum_u T_i(u) omega^j(u) = -g(psi, chi omega^j) g(psibar, rhobar omega^-j).
+    The convolution sign (-1)^(k-1) then leaves
+        (q-1) T(g^d) = -sum_j zeta_{q-1}^{-jd}
+                        prod_i g(psi, chi_i omega^j) g(psibar, rhobar_i omega^-j),
+    where each pair's product is the outer sum of its terms' exponents and
+    zeta_{q-1}^{-jd} is a shift by -p j d.  Refused past _KERNEL_BUDGET
+    before any table is built.
+    """
+    f, N, k = spec.field, spec.N, spec.k
+    p, R = f.p, f.q - 1
+    M = p * R
+    # k outer sums of R x R exponents per character, k - 1 convolutions over
+    # Z/M per character, R shifted copies of an (R, M) table
+    cost = k * R ** 3 + (k - 1) * R * M * M + R * R * M
+    if cost > _KERNEL_BUDGET:
+        raise Infeasible(f"mellin cost {cost} exceeds budget {_KERNEL_BUDGET} (q = {f.q}, k = {k})")
+    chars = [MultChar(f, j) for j in range(R)]
+    psi = spec.psi()
+    G, Gbar = gauss_exponents(psi, chars, M), gauss_exponents(psi.bar(), chars, M)
+    j = np.arange(R)
+    step = max(1, _BLOCK_CELLS // (R * R))  # characters per block of outer sums
+    V = None
     for a, b in zip(spec.s_chi, spec.s_rho):
-        base, s, row0 = _rank1_trad(E, N, a, b, spec.psi_c)
-        row = -(base @ basis) * basis[(E.p * s) % L]
-        row[0] = row0 @ basis
-        F = F * np.fft.fft(row)
-    conv = np.fft.ifft(F)
-    sign = -1.0 if spec.k % 2 == 0 else 1.0
-    values = {int(E.EXP[d]): sign * conv[d] for d in range(R)}
-    values[0] = 0j
-    return TraceTable(E, L, values)
+        g, gbar = G[(j + a * R // N) % R], Gbar[(-j - b * R // N) % R]
+        F = np.concatenate([
+            exponent_counts(g[lo : lo + step, :, None] + gbar[lo : lo + step, None, :], M) for lo in range(0, R, step)
+        ])
+        V = F if V is None else np.stack([_cconv(x, y) for x, y in zip(V, F)])
+    # row d sums the windows V[j, s : s + M] of V twice over, s = p (j d mod R);
+    # each V[j] has (q-1)^(2k) terms, so every cell stays below (q-1)^(2k+1)
+    dtype = np.int64 if R ** (2 * k + 1) < _INT64_LIMIT else object
+    win = sliding_window_view(np.concatenate([V, V], axis=1).astype(dtype), M, axis=1)
+    s = p * (np.outer(j, j) % R)
+    return -np.stack([win[j, s[:, d]].sum(axis=0) for d in range(R)])
+
+
+def mellin_agrees(spec: HyperSpec, C: np.ndarray) -> np.ndarray:
+    """Row d: whether C[d], the traditional trace at g^d as counts over
+    Z/pN (see _trad_rows), equals the Mellin route's value, exactly.
+
+    C is lifted to Z/M by e -> e (q-1)/N and scaled by q-1; the difference
+    from mellin_rows must vanish in Q(zeta_M).
+    """
+    W = mellin_rows(spec)
+    R, M, L = spec.field.q - 1, W.shape[1], C.shape[1]
+    lift = np.zeros(W.shape, dtype=object)
+    lift[:, np.arange(L) * (M // L)] = C
+    return vanishes(W - R * lift, M)
 
 
 def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTable:

@@ -24,10 +24,6 @@ def mat(rows: Sequence[Sequence[int]], l: int) -> Mat:
     return np.asarray(rows, dtype=np.int64) % l
 
 
-def mat_mul(A: Mat, B: Mat, l: int) -> Mat:
-    return (A @ B) % l
-
-
 def mat_inv(A: Mat, l: int) -> Mat:
     """Gauss-Jordan inverse mod l; raises BadParams when singular."""
     n = A.shape[0]
@@ -178,15 +174,6 @@ def convert_pairing(rep: PairedRep, c, chi_c: int) -> PairedRep:
     return PairedRep(l, (rep.pairing @ c) % l, rep.gens, rep.chi, flavor="CJ", jc=jc)
 
 
-def convert_back(rep: PairedRep, c) -> PairedRep:
-    """Inverse of convert_pairing with the same involution."""
-    if rep.flavor != "CJ":
-        raise BadParams("inverse conversion starts from the CJ flavor")
-    l = rep.l
-    c = np.asarray(c, dtype=np.int64) % l
-    return PairedRep(l, (rep.pairing @ c) % l, rep.gens, rep.chi, flavor="SD")
-
-
 def sqrt_mod(a: int, l: int) -> int | None:
     a %= l
     if a == 0:
@@ -211,13 +198,6 @@ def sqrt_mod(a: int, l: int) -> int | None:
         m, cc = i, (b * b) % l
         t, r = (t * cc) % l, (r * b) % l
     return r
-
-
-def pairing_det_class(rep: PairedRep) -> tuple[str, int | None]:
-    """det of the pairing modulo squares: ("square", root) or ("nonsquare", None)."""
-    d = mat_det(rep.pairing, rep.l)
-    w = sqrt_mod(d, rep.l)
-    return ("square", w) if w is not None else ("nonsquare", None)
 
 
 # -- randomized admissible examples -----------------------------------------

@@ -54,9 +54,6 @@ class CharMultiset:
     def __repr__(self) -> str:
         return f"CharMultiset(N={self.N}, {list(self.residues)})"
 
-    def residue_sum(self) -> int:
-        return sum(r * c for r, c in self._counts.items()) % self.N
-
 
 class WeightVector:
     """Length-N eigenspace label with zero residue sum, taken mod translation."""
@@ -74,9 +71,6 @@ class WeightVector:
 
     def translate(self, c: int) -> "WeightVector":
         return WeightVector(self.N, [(e + c) % self.N for e in self.entries])
-
-    def negate(self) -> "WeightVector":
-        return WeightVector(self.N, [(-e) % self.N for e in self.entries])
 
     def __eq__(self, other: object) -> bool:
         # labels live mod adding a constant to all entries

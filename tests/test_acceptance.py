@@ -39,7 +39,7 @@ def _timed(fn, *args, **kwargs):
 
 @pytest.fixture(scope="module")
 def hyper_cross_t1():
-    return _timed(check_hyper_cross, n=2, N=7, q=29, tolerance=1e-6)
+    return _timed(check_hyper_cross, n=2, N=7, q=29)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def test_08_eigentrace_vs_canonical(katz_t1):
 
 
 def test_09_weil_translate_duality():
-    res, secs = _timed(check_weil_duality, n=2, N=7, qs=(29, 43), tolerance=1e-6)
+    res, secs = _timed(check_weil_duality, n=2, N=7, qs=(29, 43))
     ok = res.ok
     _line("09 weil bound, translate, duality", ok, secs)
     assert res.ok
@@ -167,7 +167,7 @@ def test_11_report_determinism(hyper_cross_t1, n3_t1, katz_t1):
     t0 = time.monotonic()
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [
-            pool.submit(check_hyper_cross, n=2, N=7, q=29, tolerance=1e-6),
+            pool.submit(check_hyper_cross, n=2, N=7, q=29),
             pool.submit(validate_n3, 7),
             pool.submit(validate_n3, 13),
             pool.submit(katz_check, 2, 7, 29),

@@ -50,10 +50,10 @@ def test_hyper_trace_rows(capsys):
     assert set(rows[0]) == {"t", "value", "abs2"}
 
 
-def test_hyper_trace_mellin_base_only(capsys):
-    code, _, err = run(capsys, "hyper", "trace", "--q", "29", "--n", "2", "--N", "7",
-                       "--method", "mellin", "--E", "2")
-    assert code == 2
+def test_hyper_trace_has_no_mellin_method():
+    with pytest.raises(SystemExit) as ei:
+        main(["hyper", "trace", "--q", "29", "--n", "2", "--N", "7", "--method", "mellin"])
+    assert ei.value.code == 2
 
 
 def test_dwork_trace_single_point(capsys):
@@ -141,6 +141,14 @@ def test_verify_all_rejects_threads_key(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "all", "--config", str(cfg))
     assert code == 2
     assert "line 2" in err and "threads" in err
+
+
+def test_verify_all_rejects_tolerance_key(capsys, tmp_path):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("checks = build-v\ntolerance = 1e-6\n")
+    code, _, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2
+    assert "line 2" in err and "tolerance" in err
 
 
 def test_verify_det_trad_refuses_large_field(capsys):

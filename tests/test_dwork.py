@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dworkbench.cyclotomic import CycloElem
+from dworkbench.characters import jacobi_sum, teich_char
+from dworkbench.cyclotomic import CycloElem, root_of_unity
 from dworkbench.dwork import (
     _COUNT_BUDGET,
     _STATE_BUDGET,
@@ -149,6 +150,22 @@ def test_all_t_table_matches_single_calls(f13):
 def test_weil_bound_holds(f29):
     table = eigentrace_all_t(f29, 7, build_v(2, 7))
     assert all(weil_check(tr) for tr in table.values())
+
+
+def test_weil_check_is_exact_at_every_embedding(f29):
+    tr = eigentrace_all_t(f29, 7, build_v(2, 7))[2]
+    bound = 2 ** 2 * 29 ** 5  # rank^2 q^(N-2)
+    tr.value = 3 * tr.value
+    assert not weil_check(tr)
+    # |1 + zeta^3| is 0.45 at e = 1 and 1.80 at e = 5
+    tr.value = 9000 * (1 + root_of_unity(7, 3))
+    assert abs(tr.value.embed(1)) ** 2 < bound < abs(tr.value.embed(5)) ** 2
+    assert not weil_check(tr)
+    # the equality case: |J(chi, chi)|^2 = q at every embedding
+    chi = teich_char(f29, 7)
+    tr.value = 2 * 29 ** 2 * jacobi_sum(chi, chi)
+    assert tr.value * tr.value.conjugate() == bound
+    assert weil_check(tr)
 
 
 def test_translate_invariance_explicit(f13):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworkbench.characters import AddChar, MultChar, gauss_sum, jacobi_sum
 from dworkbench.cyclotomic import common
@@ -17,6 +19,7 @@ from dworkbench.harness import (
     check_build_v,
     check_det_hcan,
     check_gauss_suite,
+    check_hyper_cross,
     check_signs,
     katz_check,
     psi2_weight_note,
@@ -83,8 +86,8 @@ def test_psi2_weight_closes(f29):
     rep = katz_check(2, 7, 29, with_control=False)
     note = psi2_weight_note(2, 7, 29, rep.lam)
     assert note.ok
-    devs = [r["max_rel_dev"] for r in note.rows if "max_rel_dev" in r]
-    assert len(devs) == 1 and devs[0] <= 1e-6
+    assert [r["abs2_is_target"] for r in note.rows if "abs2_is_target" in r] == [True]
+    assert not psi2_weight_note(2, 7, 29, rep.lam * 2).ok
 
 
 def test_config_parsing_full():
@@ -95,14 +98,12 @@ def test_config_parsing_full():
     q = 29, 43
     checks = build-v, signs
     seed = 3
-    tolerance = 1e-7
     """
     cfg = CampaignConfig.from_text(text)
     assert cfg.n == 2 and cfg.N == 7
     assert cfg.qs == (29, 43)
     assert cfg.checks == ("build-v", "signs")
     assert cfg.seed == 3
-    assert cfg.tolerance == 1e-7
 
 
 def test_config_errors_carry_line_numbers():
@@ -110,12 +111,58 @@ def test_config_errors_carry_line_numbers():
         CampaignConfig.from_text("zzz = 1")
     with pytest.raises(ConfigError, match="line 2"):
         CampaignConfig.from_text("n = 2\nN seven")
-    with pytest.raises(ConfigError):
-        CampaignConfig.from_text("n = 3")  # odd rank rejected at validation
-    with pytest.raises(ConfigError):
-        CampaignConfig.from_text("q = 30")  # not 1 mod N
-    with pytest.raises(ConfigError):
-        CampaignConfig.from_text("checks = nonsense")
+    with pytest.raises(ConfigError, match="line 1: n must be even"):
+        CampaignConfig.from_text("n = 3")
+    with pytest.raises(ConfigError, match="line 1: q = 30"):
+        CampaignConfig.from_text("q = 30")
+    with pytest.raises(ConfigError, match="line 2: q = 29 is not 1 mod N = 9"):
+        CampaignConfig.from_text("# q keeps its default\nN = 9")
+    with pytest.raises(ConfigError, match="line 3: unknown checks"):
+        CampaignConfig.from_text("n = 2\n\nchecks = nonsense")
+    with pytest.raises(ConfigError, match="line 1: q needs"):
+        CampaignConfig.from_text("q =")
+    with pytest.raises(ConfigError, match="line 1: unknown key 'tolerance'"):
+        CampaignConfig.from_text("tolerance = 1e-6")
+
+
+_CONFIG_KEYS = ["n", "N", "q", "checks", "seed", "outdir", "tolerance", "threads", ""]
+_config_line = st.one_of(
+    st.text(max_size=16),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(_CONFIG_KEYS),
+        st.one_of(st.text(max_size=10), st.integers(-30, 60).map(str), st.sampled_from(["29, 43", "signs", "build-v"])),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_config_line, max_size=6).map("\n".join))
+def test_config_rejections_name_the_offending_line(text):
+    try:
+        CampaignConfig.from_text(text)
+    except ConfigError as e:
+        head, sep, _ = str(e).partition(": ")
+        assert sep and head.startswith("line "), str(e)
+        line = text.splitlines()[int(head[5:]) - 1]
+        assert line.split("#", 1)[0].strip(), f"{e} names a blank line"
+
+
+def test_hyper_cross_mellin_fails_at_exactly_the_corrupted_t(monkeypatch):
+    from dworkbench import harness
+
+    real = harness._trad_rows
+
+    def corrupted(spec, m):
+        E, C = real(spec, m)
+        C = C.copy()
+        C[int(E.DLOG[11]), 5] += 1
+        return E, C
+
+    monkeypatch.setattr(harness, "_trad_rows", corrupted)
+    res = check_hyper_cross(2, 7, 29)
+    assert not res.ok
+    assert [r["t"] for r in res.rows if not r["mellin_ok"]] == [11]
 
 
 def test_campaign_small_run(tmp_path):

@@ -20,12 +20,14 @@ from dworkbench.hypergeometric import (
     _rank1_trad,
     _shift_hist,
     _trace_rows,
+    _trad_rows,
     canonical_paths_compare,
     canonical_trace,
     det_trad,
     det_via_newton,
     lambda_can,
-    mellin_fast,
+    mellin_agrees,
+    mellin_rows,
     trad_trace_conv,
     trad_trace_naive,
     verify_det_hcan,
@@ -70,13 +72,31 @@ def test_conv_equals_naive_extension_large(spec29):
     assert table.value_at(3) == trad_trace_naive(spec29, 3, E_degree=2)
 
 
-def test_mellin_close_to_exact(spec29):
-    conv = trad_trace_conv(spec29)
-    mell = mellin_fast(spec29)
-    for t, val in conv.items():
-        approx = complex(mell.value_at(t))
-        exact = val.embed()
-        assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
+@st.composite
+def _mellin_spec(draw):
+    p, m = draw(st.sampled_from([(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)]))
+    field = build_field(p, m)
+    R = field.q - 1
+    N = draw(st.sampled_from([n for n in range(1, R + 1) if R % n == 0]))
+    k = draw(st.integers(min_value=1, max_value=3))
+    chis = draw(st.lists(st.integers(0, N - 1), min_size=k, max_size=k))
+    # a pair with chi = rho carries the u = 1 row
+    rhos = [a if draw(st.booleans()) else draw(st.integers(0, N - 1)) for a in chis]
+    return HyperSpec(field, N, chis, rhos, psi_c=draw(st.integers(0, p - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mellin_spec())
+@example(spec=HyperSpec(build_field(29), 7, (1, 6), (0, 0)))
+def test_mellin_matches_conv_rows(spec):
+    _, C = _trad_rows(spec, 1)
+    assert mellin_agrees(spec, C).all()
+
+
+def test_mellin_budget_refuses_before_allocating(refused_peak):
+    # q = 1009, k = 2: about 10^15 multiply-adds of convolution over Z/p(q-1)
+    spec = HyperSpec(build_field(1009), 7, (1, 2), (0, 3))
+    assert refused_peak(lambda: mellin_rows(spec), Infeasible, "mellin cost") < 1 << 20
 
 
 def test_trace_table_boundary(spec29):

@@ -7,13 +7,10 @@ from dworkbench.errors import BadParams, NotSignDefinite
 from dworkbench.pairings import (
     PairedRep,
     cj_sign,
-    convert_back,
     convert_pairing,
     mat,
     mat_det,
     mat_inv,
-    mat_mul,
-    pairing_det_class,
     random_sd_example,
     sd_sign,
     sqrt_mod,
@@ -24,7 +21,7 @@ def test_matrix_helpers():
     l = 7
     A = mat([[1, 2], [3, 4]], l)
     B = mat_inv(A, l)
-    assert (mat_mul(A, B, l) == np.eye(2, dtype=np.int64)).all()
+    assert ((A @ B) % l == np.eye(2, dtype=np.int64)).all()
     assert mat_det(A, l) == (1 * 4 - 2 * 3) % l
     with pytest.raises(BadParams):
         mat_inv(mat([[1, 2], [2, 4]], l), l)
@@ -73,14 +70,6 @@ def test_sign_product_law():
             assert after == before * chi_sign
 
 
-def test_round_trip_conversion():
-    rng = random.Random(3)
-    rep, c, chi_c = random_sd_example(13, rng)
-    back = convert_back(convert_pairing(rep, c, chi_c), c)
-    assert back.flavor == "SD"
-    assert (back.pairing == rep.pairing).all()
-
-
 def test_det_kind_always_antisymmetric():
     rng = random.Random(9)
     for _ in range(30):
@@ -88,24 +77,12 @@ def test_det_kind_always_antisymmetric():
         assert sd_sign(rep) == -1
 
 
-def test_pairing_det_class_witness():
-    rng = random.Random(11)
-    for _ in range(20):
-        rep, _, _ = random_sd_example(13, rng)
-        cls, witness = pairing_det_class(rep)
-        d = mat_det(rep.pairing, 13)
-        if cls == "square":
-            assert witness is not None and (witness * witness) % 13 == d
-        else:
-            assert witness is None and sqrt_mod(d, 13) is None
-
-
 def test_det_kind_pairing_det_is_square():
     # conjugating a fixed form by a frame scales the det by a square
     rng = random.Random(2)
     for _ in range(10):
         rep, _, _ = random_sd_example(5, rng, kind="det")
-        assert pairing_det_class(rep)[0] == "square"
+        assert sqrt_mod(mat_det(rep.pairing, 5), 5) is not None
 
 
 def test_rep_validation_rejects_bad_input():
@@ -156,4 +133,4 @@ def test_elements_closure():
     keys = {e.tobytes() for e in els}
     for e in els[:10]:
         for g in rep.gens:
-            assert mat_mul(e, g, 5).tobytes() in keys
+            assert ((e @ g) % 5).tobytes() in keys
