@@ -567,80 +567,41 @@ def _one_plus(E: FqField, codes: np.ndarray) -> np.ndarray:
     return codes + 1 - E.p * (codes % E.p == E.p - 1)
 
 
-@lru_cache(maxsize=4)
-def _cubic_points(E: FqField) -> tuple[np.ndarray, np.ndarray]:
-    """Every point of every N = 3 fiber over E, tagged with its fiber.
-
-    Returns (P, key): P[i] holds the codes (x, y, z) of one representative.
-    A point (1 : y : z) with yz != 0 lies on the one fiber with
-    3t = (1 + y^3 + z^3) / (yz), and key[i] is the code of 3t when that is
-    an F_p constant (0 when the sum vanishes); a point with xyz = 0 lies on
-    every fiber, key -1.  The sum 1 + y^3 + z^3 does not depend on t: it is
-    formed once, with Zech logarithms Z[n] = dlog(1 + g^n), over the whole
-    (y, z) grid in row blocks.
-    """
-    Qe = E.q - 1
-    EXP, DLOG = E.EXP, E.DLOG
-    sub = Qe // (E.p - 1)  # dlogs of F_p^x inside E^x are the multiples of this
-    zech = DLOG[_one_plus(E, EXP)]  # -1 where 1 + g^n = 0
-    d = np.arange(Qe, dtype=np.int64)
-    cube = (3 * d) % Qe
-    dlu = DLOG[_one_plus(E, EXP[cube])]  # dlog(1 + y^3), -1 where it vanishes
-    ys, zs, keys = [], [], []
-    rows = max(1, (1 << 19) // Qe)
-    for lo in range(0, Qe, rows):
-        dly = d[lo : lo + rows, None]
-        u = dlu[lo : lo + rows, None]
-        zl = zech[(cube - u) % Qe]
-        dlhs = np.where(u < 0, cube, np.where(zl < 0, -1, (u + zl) % Qe))  # -1: sum is 0
-        D = (dlhs - dly - d) % Qe
-        iy, iz = np.nonzero((dlhs < 0) | (D % sub == 0))
-        ys.append(EXP[iy + lo])
-        zs.append(EXP[iz])
-        keys.append(np.where(dlhs[iy, iz] < 0, 0, EXP[D[iy, iz]]))
-    # (1 : 0 : z), (1 : y : 0) and (0 : 1 : z), each with w^3 = -1
-    roots = EXP[d[dlu < 0]]
-    zero = np.zeros_like(roots)
-    one = np.ones_like(roots)
-    ys = np.concatenate(ys)
-    P = np.concatenate([
-        np.stack([np.ones_like(ys), ys, np.concatenate(zs)], axis=1),
-        np.stack([one, zero, roots], axis=1),
-        np.stack([one, roots, zero], axis=1),
-        np.stack([zero, one, roots], axis=1),
-    ])
-    key = np.concatenate(keys + [np.full(3 * len(roots), -1, dtype=np.int64)])
-    P.setflags(write=False)
-    key.setflags(write=False)
-    return P, key
-
-
-def _curve_points(fiber: DworkFiber, E: FqField) -> np.ndarray:
-    """All points of the N = 3 fiber over E, one representative per row."""
-    P, key = _cubic_points(E)
-    c = E.mul_code(E.el(3).code, fiber.t_code)
-    return P[(key == c) | (key < 0)]
-
-
 def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
     """Points of the cubic fiber fixed by the scaled Frobenius, counted
-    projectively over the cubic extension.
+    projectively over the cubic extension E.
 
     The image of a point c is (zeta_i c_i^q).  It is the same projective
-    point exactly when the ratios zeta_i c_i^q / c_i agree over the nonzero
-    coordinates, that is, when dlog zeta_i + (q - 1) dlog c_i does.
+    point exactly when zeta_i c_i^q = lambda c_i for one lambda, that is,
+    when dlog zeta_i + (q - 1) dlog c_i agrees over the nonzero coordinates.
+    The condition is coordinatewise: scale the leading nonzero coordinate to
+    1, so lambda = zeta_lead, and one scan of E^x gives the units each later
+    coordinate may take (q - 1 of them; zero is always allowed).  The fixed
+    points of P^2(E) are the representatives (1 : y : z) and (0 : 1 : z)
+    built from those values, and the count keeps the ones on the curve
+    x^3 + y^3 + z^3 = 3t xyz: about q^2 tests after O(q^3) scans.
     """
     if fiber.N != 3:
         raise UnsupportedN("brute-force fixed points implemented for N = 3 only")
     if g.N != 3:
         raise BadParams("group element degree mismatch")
     base = fiber.field
-    E = build_field(base.q, 3)
     q = base.q
+    E = build_field(q, 3)
+    Qe = E.q - 1
     w = base.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
-    dz = E.DLOG[[(w ** e).code for e in g.exps]]
-    pts = _curve_points(fiber, E)
-    nz = pts != 0
-    ratio = (dz[None, :] + (q - 1) * E.DLOG[pts]) % (E.q - 1)
-    first = ratio[np.arange(len(pts)), nz.argmax(axis=1)]
-    return int(np.count_nonzero(np.all(~nz | (ratio == first[:, None]), axis=1)))
+    dz = [int(E.DLOG[(w ** e).code]) for e in g.exps]
+    d = np.arange(Qe, dtype=np.int64)
+
+    def fixed_values(i: int, lead: int) -> np.ndarray:
+        """Codes c with zeta_i c^q = zeta_lead c."""
+        return np.concatenate(([0], E.EXP[(dz[i] + (q - 1) * d) % Qe == dz[lead]]))
+
+    def cubes(c: np.ndarray) -> np.ndarray:
+        return np.where(c == 0, 0, E.EXP[(3 * E.DLOG[c]) % Qe])
+
+    ys, zs = fixed_values(1, 0), fixed_values(2, 0)
+    lhs = E._add_codes_int(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
+    rhs = E.mul_codes(E.mul_codes(E.el(3 * fiber.t_code).code, ys)[:, None], zs[None, :])
+    at_infinity = _one_plus(E, cubes(fixed_values(2, 1))) == 0  # (0 : 1 : z): 1 + z^3 = 0
+    return int(np.count_nonzero(lhs == rhs)) + int(np.count_nonzero(at_infinity))

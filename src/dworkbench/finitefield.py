@@ -360,7 +360,7 @@ class FqField:
         return self._trabs
 
     def _add_codes_int(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(A), dtype=np.int64)
+        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
         for i in range(self.m):
             out += (((A // self._pp[i]) + (B // self._pp[i])) % self.p) * self._pp[i]
         return out

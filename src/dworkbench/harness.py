@@ -31,7 +31,7 @@ from .dwork import (
     weil_check,
 )
 from .errors import AllRatiosUndefined, ConfigError, Infeasible, MissingLambda
-from .finitefield import build_field
+from .finitefield import build_field, is_prime
 from .hypergeometric import (
     HyperSpec,
     _trad_rows,
@@ -648,9 +648,15 @@ class CampaignConfig:
             return ("n",), "n must be even and at least 2"
         if self.N % 2 == 0 or self.N < 3:
             return ("N",), "N must be odd and at least 3"
+        if self.N < self.n + 5:
+            return ("N", "n"), f"N = {self.N} is below n + 5 = {self.n + 5}"
         if not self.qs:
             return ("q",), "q needs at least one value"
         for q in self.qs:
+            if q < 3:
+                return ("q",), f"q = {q} is below 3"
+            if not is_prime(q):
+                return ("q",), f"q = {q} is not prime"
             if q % self.N != 1:
                 return ("q", "N"), f"q = {q} is not 1 mod N = {self.N}"
         known = {

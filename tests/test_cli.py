@@ -104,6 +104,13 @@ def test_verify_n3_writes_report(capsys, tmp_path):
     assert payload["check"] == "n3" and payload["pass"] is True
 
 
+def test_verify_n3_larger_field(capsys):
+    # the fixed-point oracle over F_{31^3} runs in about a second
+    code, out, _ = run(capsys, "verify", "n3", "--q", "31")
+    assert code == 0
+    assert "n3 q=31: PASS" in out
+
+
 def test_verify_katz_writes_report(capsys, tmp_path):
     out_path = tmp_path / "katz.json"
     code, out, _ = run(capsys, "verify", "katz", "--n", "2", "--N", "7", "--q", "29",

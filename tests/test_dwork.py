@@ -1,7 +1,9 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworkbench.characters import jacobi_sum, teich_char
@@ -9,6 +11,7 @@ from dworkbench.cyclotomic import CycloElem, root_of_unity
 from dworkbench.dwork import (
     _COUNT_BUDGET,
     _STATE_BUDGET,
+    _one_plus,
     DworkFiber,
     EigenTrace,
     GroupElement,
@@ -251,26 +254,30 @@ def test_fix_count_only_cubic(f29):
         fix_count_bruteforce(DworkFiber(f29, 7, 2), GroupElement(7, (0,) * 7))
 
 
-def test_group_average_inversion(f7):
+_N3_EXPONENTS = [e for e in itertools.product(range(3), repeat=3) if sum(e) % 3 == 0]
+_N3_GROUP = [GroupElement(3, e) for e in ((0, 0, 0), (0, 1, 2), (0, 2, 1))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([7, 13, 19, 31]), st.integers(min_value=0, max_value=100), st.sampled_from(_N3_EXPONENTS))
+@example(7, 0, (0, 0, 0))  # the fiber t = 3 over F_7, each eigenspace
+@example(7, 0, (0, 1, 2))
+@example(7, 0, (0, 2, 1))
+def test_group_average_inversion(q, k, label):
     # averaging fixed points against the dual character recovers each trace
     from fractions import Fraction
 
-    from dworkbench.cyclotomic import root_of_unity
-
-    t = 3
-    fib = DworkFiber(f7, 3, t)
-    gs = [GroupElement(3, e) for e in ((0, 0, 0), (0, 1, 2), (0, 2, 1))]
-    fixes = {g: fix_count_bruteforce(fib, g) for g in gs}
-    for label in ((0, 0, 0), (0, 1, 2), (0, 2, 1)):
-        acc = CycloElem.zero(3)
-        for g in gs:
-            pair = sum(a * b for a, b in zip(label, g.exps))
-            acc = acc + root_of_unity(3, (-pair) % 3) * fixes[g]
-        pred = acc * Fraction(-1, 3)
-        if len(set(label)) == 1:
-            pred = pred + (1 + 7)
-        got = eigentrace_charsum(label, fib)
-        assert got.value == pred
+    f = build_field(q)
+    smooth = [t for t in range(1, q) if DworkFiber(f, 3, t).is_smooth()]
+    fib = DworkFiber(f, 3, smooth[k % len(smooth)])
+    acc = CycloElem.zero(3)
+    for g in _N3_GROUP:
+        pair = sum(a * b for a, b in zip(label, g.exps))
+        acc = acc + root_of_unity(3, (-pair) % 3) * fix_count_bruteforce(fib, g)
+    pred = acc * Fraction(-1, 3)
+    if len(set(label)) == 1:
+        pred = pred + (1 + q)
+    assert eigentrace_charsum(label, fib).value == pred, (fib, label)
 
 
 def test_trace_json_shape(f29):
@@ -310,20 +317,105 @@ def _literal_fixed(E, q, zetas, pts):
     return cnt
 
 
-def test_cubic_points_match_literal_enumeration(f7):
-    from dworkbench.dwork import _curve_points
+@pytest.fixture(scope="module")
+def cubic7_points():
+    return _literal_cubic_points(build_field(7, 3), range(7))
 
+
+def test_fix_count_matches_literal_fixed_points(f7, cubic7_points):
     E = build_field(7, 3)
-    literal = _literal_cubic_points(E, range(7))
     w = f7.generator ** 2  # a cube root of unity
     for t in range(7):
         fib = DworkFiber(f7, 3, t)
-        got = [tuple(int(c) for c in p) for p in _curve_points(fib, E)]
-        assert len(got) == len(set(got)) and set(got) == literal[t]
         for exps in ((0, 0, 0), (0, 1, 2), (0, 2, 1), (1, 1, 1)):
             g = GroupElement(3, exps)
             zetas = [(w ** e).code for e in g.exps]
-            assert fix_count_bruteforce(fib, g) == _literal_fixed(E, 7, zetas, literal[t])
+            assert fix_count_bruteforce(fib, g) == _literal_fixed(E, 7, zetas, cubic7_points[t])
+
+
+def _cubic_grid(E):
+    """Every point of every N = 3 fiber over E, tagged with its fiber.
+
+    Returns (P, key): P[i] holds the codes (x, y, z) of one representative.
+    A point (1 : y : z) with yz != 0 lies on the one fiber with
+    3t = (1 + y^3 + z^3) / (yz), and key[i] is the code of 3t when that is
+    an F_p constant (0 when the sum vanishes); a point with xyz = 0 lies on
+    every fiber, key -1.  The sum 1 + y^3 + z^3 is formed with Zech
+    logarithms over the whole (y, z) grid in row blocks.
+    """
+    Qe = E.q - 1
+    EXP, DLOG = E.EXP, E.DLOG
+    sub = Qe // (E.p - 1)  # dlogs of F_p^x inside E^x are the multiples of this
+    zech = DLOG[_one_plus(E, EXP)]  # -1 where 1 + g^n = 0
+    d = np.arange(Qe, dtype=np.int64)
+    cube = (3 * d) % Qe
+    dlu = DLOG[_one_plus(E, EXP[cube])]  # dlog(1 + y^3), -1 where it vanishes
+    ys, zs, keys = [], [], []
+    rows = max(1, (1 << 19) // Qe)
+    for lo in range(0, Qe, rows):
+        dly = d[lo : lo + rows, None]
+        u = dlu[lo : lo + rows, None]
+        zl = zech[(cube - u) % Qe]
+        dlhs = np.where(u < 0, cube, np.where(zl < 0, -1, (u + zl) % Qe))  # -1: sum is 0
+        D = (dlhs - dly - d) % Qe
+        iy, iz = np.nonzero((dlhs < 0) | (D % sub == 0))
+        ys.append(EXP[iy + lo])
+        zs.append(EXP[iz])
+        keys.append(np.where(dlhs[iy, iz] < 0, 0, EXP[D[iy, iz]]))
+    # (1 : 0 : z), (1 : y : 0) and (0 : 1 : z), each with w^3 = -1
+    roots = EXP[d[dlu < 0]]
+    zero = np.zeros_like(roots)
+    one = np.ones_like(roots)
+    ys = np.concatenate(ys)
+    P = np.concatenate([
+        np.stack([np.ones_like(ys), ys, np.concatenate(zs)], axis=1),
+        np.stack([one, zero, roots], axis=1),
+        np.stack([one, roots, zero], axis=1),
+        np.stack([zero, one, roots], axis=1),
+    ])
+    key = np.concatenate(keys + [np.full(3 * len(roots), -1, dtype=np.int64)])
+    return P, key
+
+
+def _grid_points(fiber, E, grid):
+    P, key = grid
+    c = E.mul_code(E.el(3).code, fiber.t_code)
+    return P[(key == c) | (key < 0)]
+
+
+def _grid_fix_count(fiber, g, grid):
+    """fix_count_bruteforce by filtering the whole cubic family's grid: the
+    literal reference for the route that scans fixed coordinates first."""
+    q = fiber.field.q
+    E = build_field(q, 3)
+    w = fiber.field.generator ** ((q - 1) // 3)
+    dz = E.DLOG[[(w ** e).code for e in g.exps]]
+    pts = _grid_points(fiber, E, grid)
+    nz = pts != 0
+    ratio = (dz[None, :] + (q - 1) * E.DLOG[pts]) % (E.q - 1)
+    first = ratio[np.arange(len(pts)), nz.argmax(axis=1)]
+    return int(np.count_nonzero(np.all(~nz | (ratio == first[:, None]), axis=1)))
+
+
+def test_grid_reference_points_match_literal_enumeration(f7, cubic7_points):
+    E = build_field(7, 3)
+    grid = _cubic_grid(E)
+    for t in range(7):
+        got = [tuple(int(c) for c in p) for p in _grid_points(DworkFiber(f7, 3, t), E, grid)]
+        assert len(got) == len(set(got)) and set(got) == cubic7_points[t]
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_fix_count_matches_the_grid_reference(q):
+    # every t, singular fibers and t = 0 included, and all nine exponent vectors
+    f = build_field(q)
+    grid = _cubic_grid(build_field(q, 3))
+    assert len(_N3_EXPONENTS) == 9
+    for t in range(q):
+        fib = DworkFiber(f, 3, t)
+        for exps in _N3_EXPONENTS:
+            g = GroupElement(3, exps)
+            assert fix_count_bruteforce(fib, g) == _grid_fix_count(fib, g, grid), (q, t, exps)
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dworkbench.characters import AddChar, MultChar, gauss_sum, jacobi_sum
 from dworkbench.cyclotomic import common
 from dworkbench.errors import ConfigError, MissingLambda
-from dworkbench.finitefield import build_field
+from dworkbench.finitefield import build_field, is_prime
 from dworkbench.harness import (
     CampaignConfig,
     CheckResult,
@@ -59,14 +59,9 @@ def test_n3_validation_passes_and_corrupt_fails():
     assert not bad.ok
 
 
-def test_n3_bytes_stable_across_workers():
-    from dworkbench.dwork import _cubic_points
-
-    # a fresh worker starts with a cold point cache, a long-lived one with a warm one
-    _cubic_points.cache_clear()
-    cold = validate_n3(7)
-    warm = validate_n3(7)
-    assert cold.canonical_bytes() == warm.canonical_bytes()
+def test_n3_bytes_repeat_in_process():
+    # no point cache outlives a call; test_11 compares spawned processes
+    assert validate_n3(7).canonical_bytes() == validate_n3(7).canonical_bytes()
 
 
 def test_signs_bytes_deterministic():
@@ -123,6 +118,15 @@ def test_config_errors_carry_line_numbers():
         CampaignConfig.from_text("q =")
     with pytest.raises(ConfigError, match="line 1: unknown key 'tolerance'"):
         CampaignConfig.from_text("tolerance = 1e-6")
+    with pytest.raises(ConfigError, match="line 2: q = 8 is not prime"):
+        CampaignConfig.from_text("n = 2\nq = 29, 8")  # 8 = 1 mod 7
+    for q in (-13, 1):  # both are 1 mod 7
+        with pytest.raises(ConfigError, match=f"line 1: q = {q} is below 3"):
+            CampaignConfig.from_text(f"q = {q}")
+    with pytest.raises(ConfigError, match="line 2: N = 7 is below n [+] 5 = 9"):
+        CampaignConfig.from_text("n = 4\nN = 7")
+    with pytest.raises(ConfigError, match="line 1: N = 7 is below n [+] 5 = 11"):
+        CampaignConfig.from_text("n = 6")
 
 
 _CONFIG_KEYS = ["n", "N", "q", "checks", "seed", "outdir", "tolerance", "threads", ""]
@@ -140,12 +144,16 @@ _config_line = st.one_of(
 @given(st.lists(_config_line, max_size=6).map("\n".join))
 def test_config_rejections_name_the_offending_line(text):
     try:
-        CampaignConfig.from_text(text)
+        cfg = CampaignConfig.from_text(text)
     except ConfigError as e:
         head, sep, _ = str(e).partition(": ")
         assert sep and head.startswith("line "), str(e)
         line = text.splitlines()[int(head[5:]) - 1]
         assert line.split("#", 1)[0].strip(), f"{e} names a blank line"
+    else:
+        # what is accepted can build its label and its fields
+        assert cfg.N >= cfg.n + 5
+        assert all(q >= 3 and is_prime(q) and q % cfg.N == 1 for q in cfg.qs)
 
 
 def test_hyper_cross_mellin_fails_at_exactly_the_corrupted_t(monkeypatch):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dworkbench.errors import BadParams, NotSignDefinite
 from dworkbench.pairings import (
@@ -68,6 +70,17 @@ def test_sign_product_law():
             after = cj_sign(twisted)
             chi_sign = 1 if chi_c == 1 else -1
             assert after == before * chi_sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 13, 17]), st.integers(min_value=0, max_value=2 ** 32), st.sampled_from([None, "det", "orth"]))
+def test_sign_product_law_on_random_reps(l, seed, kind):
+    rep, c, chi_c = random_sd_example(l, random.Random(seed), kind=kind)
+    assert chi_c in (1, l - 1)
+    chi_sign = 1 if chi_c == 1 else -1
+    assert cj_sign(convert_pairing(rep, c, chi_c)) == sd_sign(rep) * chi_sign
+    if kind == "det":
+        assert sd_sign(rep) == -1
 
 
 def test_det_kind_always_antisymmetric():
