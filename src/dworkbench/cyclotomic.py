@@ -415,12 +415,13 @@ class CycloElem:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "coeffs": [
-                [str(f.numerator), str(f.denominator)] for f in self.coeffs
-            ],
-        }
+        """Each coefficient n / den in lowest terms, as a [numerator, denominator] pair."""
+        den = self._den
+        coeffs = []
+        for n in self._num:
+            g = math.gcd(n, den)
+            coeffs.append([str(n // g), str(den // g)])
+        return {"M": self.M, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj: dict) -> "CycloElem":

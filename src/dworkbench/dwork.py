@@ -18,10 +18,15 @@ shifted copies of T1, with the shifts given by Zech logarithms
 z_j = dlog(1 + g^j) (see _orbit_step); it costs (q-1)^2 N cell updates
 against q (q-1)^2 N for the full state.  The torus stratum reads its rows
 off both slices, a boundary stratum reads the slice sigma = -1.  Cells are
-int64, normalised after each step and guarded against overflow.  A boundary
-stratum depends only on the multiset of its weights, so each distinct
-multiset of a label is evaluated once and shared by its coordinate sets
-(see _boundary_strata).
+int64, normalised after each step and guarded against overflow.
+
+A boundary stratum tracks no dlog sum, so its slices are single rows over
+Z/N and each step is a length-N cyclic convolution of T1 with two shift
+histograms that depend only on (q, N, V mod N, w): one circulant gather of
+T1 and an int64 product with the cached histograms (see _line_step).  A
+boundary stratum depends only on the multiset of its weights, so each
+distinct multiset of a label is evaluated once and shared by its
+coordinate sets (see _boundary_strata).
 """
 
 from __future__ import annotations
@@ -236,6 +241,44 @@ def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int
     return _normalize(to0), _normalize(T0 + to1)
 
 
+@lru_cache(maxsize=None)
+def _line_hists(field: FqField, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift histograms of _orbit_step without a dlog axis, for every (V, w).
+
+    With m = 0 the shifts of _orbit_step act on the weight axis alone:
+    hist[V, w, 0, s] counts k != 0 with w k + V j_k = s mod N (the T1'
+    sum), hist[V, w, 1, s] counts k with w k + V (k + h) = s (the T0' sum).
+    Each row sums to at most q - 1.  circ[s, e] = (e - s) mod N, so
+    T1[circ] is the circulant whose product with a histogram convolves.
+    """
+    Qm1 = field.q - 1
+    k = np.arange(Qm1)
+    kh = (k + Qm1 // 2) % Qm1
+    jk = _zech(field)[kh]
+    V, w = np.arange(N)[:, None, None], np.arange(N)[None, :, None]
+    cell = (V * N + w) * 2 * N  # flat offset of hist[V, w, 0, 0]
+    to1 = cell + (w * k + V * jk) % N
+    to0 = cell + N + (w * k + V * kh) % N
+    bins = np.concatenate([to1[..., 1:].ravel(), to0.ravel()])
+    hist = np.bincount(bins, minlength=2 * N ** 3).reshape(N, N, 2, N)
+    circ = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
+    for a in (hist, circ):
+        a.setflags(write=False)
+    return hist, circ
+
+
+def _line_step(T0: np.ndarray, T1: np.ndarray, hists: tuple[np.ndarray, np.ndarray], V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """_orbit_step with m = 0 on slices of length N, by one circulant gather.
+
+    hists is _line_hists of the field; the cells are nonnegative, so no
+    partial sum exceeds a result, which the caller's guard keeps below 2^63.
+    """
+    hist, circ = hists
+    N = len(circ)
+    to1, to0 = hist[V % N, w % N] @ T1[circ]
+    return _normalize(to0), _normalize(T0 + to1)
+
+
 def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[int], i0: int | None = None) -> CycloElem:
     """One boundary stratum: units on Z summing to zero, first slot pinned.
 
@@ -244,8 +287,9 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     labels with zero residue sum the value is independent of the choice.
     With the pinned unit equal to 1,
     the stratum counts tuples of the other units of Z with sum -1: the
-    orbit steps run over Z minus i0 without a dlog axis, and the slice
-    sigma = -1 = g^h is read as T1[e - V h].
+    orbit steps run over Z minus i0 without a dlog axis, each a length-N
+    circulant step (_line_step), and the slice sigma = -1 = g^h is read as
+    T1[e - V h].
     """
     Z = tuple(sorted(Z))
     if not (2 <= len(Z) <= N - 1):
@@ -260,20 +304,21 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     elif i0 not in Z:
         raise BadParams("pinned index must lie in the stratum")
     q = field.q
-    zech = _zech(field)
-    T0 = np.zeros((1, N), dtype=np.int64)
-    T0[0, 0] = 1  # the empty tuple: sum 0, exponent 0
+    hists = _line_hists(field, N)
+    T0 = np.zeros(N, dtype=np.int64)
+    T0[0] = 1  # the empty tuple: sum 0, exponent 0
     T1 = np.zeros_like(T0)
     V = 0
     for i in Z:
         if i == i0:
             continue
+        # each histogram row sums to at most q - 1
         _check_int64((q - 1) * _state_max(T0, T1), "boundary stratum")
         w = (entries[i] - a) % N
-        T0, T1 = _orbit_step(T0, T1, zech, 0, V, w)
+        T0, T1 = _line_step(T0, T1, hists, V, w)
         V += w
     h = (q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
-    return -to_cyclo(T1[0, (np.arange(N) - V * h) % N].tolist(), N)
+    return -to_cyclo(T1[(np.arange(N) - V * h) % N].tolist(), N)
 
 
 def _boundary_strata(field: FqField, N: int, entries: Sequence[int]) -> dict[tuple[int, ...], CycloElem]:
@@ -284,6 +329,8 @@ def _boundary_strata(field: FqField, N: int, entries: Sequence[int]) -> dict[tup
     readout shift depend on their sum, and the tuple count does not change
     when slots are permuted together with their weights.  So strata with
     the same sorted weight tuple share one value, for any residue sum.
+    The terms' circulant steps all read one histogram table per (field, N),
+    shared across strata and labels (see _line_hists).
     """
     values: dict[tuple[int, ...], CycloElem] = {}
     strata = {}

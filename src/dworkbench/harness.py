@@ -146,11 +146,14 @@ def _ratio_table(ev_values: dict, can_table, N: int, q: int, orientation: str) -
     """ratios[t] = T_v(t) / T_can(t^N) (or its conjugate), skips annotated.
 
     Many t share one image point t^N, so each canonical value is inverted
-    once; None marks a vanishing one.
+    once; None marks a vanishing one.  Each ratio is formed once per
+    distinct (T_v(t), t^N): keyed on the value, so a t whose eigentrace
+    differs from the rest of its image class still gets its own ratio.
     """
     ratios: dict[int, CycloElem] = {}
     skipped: dict[int, str] = {}
     inverse: dict[int, CycloElem | None] = {}
+    quotient: dict[tuple[CycloElem, int], CycloElem] = {}
     for t, tr in ev_values.items():
         tn = pow(t, N, q)
         if tn not in inverse:
@@ -161,7 +164,10 @@ def _ratio_table(ev_values: dict, can_table, N: int, q: int, orientation: str) -
         if inverse[tn] is None:
             skipped[t] = "canonical trace vanishes"
             continue
-        ratios[t] = tr.value * inverse[tn]
+        key = (tr.value, tn)
+        if key not in quotient:
+            quotient[key] = tr.value * inverse[tn]
+        ratios[t] = quotient[key]
     return ratios, skipped
 
 

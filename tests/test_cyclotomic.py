@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworkbench import cyclotomic
@@ -340,3 +340,17 @@ def test_exponent_counts_match_a_loop(M, exps):
         for e in row:
             want[i, e % M] += 1
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((7, 12)),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=6, max_size=6),
+    st.integers(-90, 90).filter(bool),
+)
+@example(7, [0] * 6, 5)
+@example(12, [-4, 6, 0, 9], -6)
+def test_to_json_matches_fraction_rendering(M, num, den):
+    a = cyclotomic._make(M, num[: euler_phi(M)], den)
+    want = [[str(f.numerator), str(f.denominator)] for f in a.coeffs]
+    assert a.to_json() == {"M": M, "coeffs": want}

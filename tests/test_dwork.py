@@ -497,6 +497,26 @@ def test_boundary_strata_equal_direct_terms(Nq, data, zero_sum):
         assert value == boundary_term(f, N, entries, Z), (q, entries, Z)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 7), (5, 11), (7, 29), (9, 37), (11, 67), (17, 103)]), st.data())
+def test_line_step_matches_general_orbit_step(Nq, data):
+    # the boundary step is _orbit_step without a dlog axis, exactly, on
+    # cells up to the largest the int64 guard lets through
+    from dworkbench.dwork import _line_hists, _line_step, _orbit_step, _zech
+
+    N, q = Nq
+    f = build_field(q)
+    top = ((1 << 63) - 1) // (q - 1)
+    cells = st.lists(st.integers(0, top), min_size=N, max_size=N)
+    T0, T1 = (np.array(data.draw(cells), dtype=np.int64) for _ in range(2))
+    V = data.draw(st.integers(0, 3 * N))
+    w = data.draw(st.integers(0, N - 1))
+    got = _line_step(T0.copy(), T1.copy(), _line_hists(f, N), V, w)
+    want = _orbit_step(T0[None].copy(), T1[None].copy(), _zech(f), 0, V, w)
+    for g, x in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, x[0]), (q, N, V, w)
+
+
 def test_boundary_strata_one_term_per_weight_multiset(monkeypatch):
     # 131 strata of the (6, 11) label over F_67 share 11 weight multisets
     from dworkbench import dwork

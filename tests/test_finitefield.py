@@ -171,3 +171,30 @@ def test_dense_add_bound_refuses_before_allocating(refused_peak):
     E = build_field(47, 2)
     A = np.arange(E.q)
     assert np.array_equal(E.add_codes(A, E.neg_codes(A)), np.zeros(E.q))  # digit addition still serves
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(7, 2), (13, 3), (47, 2)]), st.data())
+def test_vector_codes_match_digit_addition_and_field_axioms(pm, data):
+    # F_{7^2} and F_{13^3} add through the dense table, F_{47^2} (past the
+    # bound) digit by digit; both must agree with the digit reference
+    E = build_field(*pm)
+    assert (E.q <= finitefield._DENSE_ADD_BOUND) == (pm != (47, 2))
+    codes = st.lists(st.integers(0, E.q - 1), min_size=1, max_size=40)
+    A, B, C = (np.array(data.draw(codes)) for _ in range(3))
+    n = min(len(A), len(B), len(C))
+    A, B, C = A[:n], B[:n], C[:n]
+    add, mul = E.add_codes, E.mul_codes
+    assert np.array_equal(add(A, B), E._add_codes_int(A, B))
+    assert np.array_equal(add(A, B), add(B, A))
+    assert np.array_equal(add(add(A, B), C), add(A, add(B, C)))
+    assert np.array_equal(add(A, np.zeros_like(A)), A)
+    assert np.array_equal(add(A, E.neg_codes(A)), np.zeros_like(A))
+    assert np.array_equal(mul(A, B), mul(B, A))
+    assert np.array_equal(mul(mul(A, B), C), mul(A, mul(B, C)))
+    assert np.array_equal(mul(A, np.ones_like(A)), A)
+    assert np.array_equal(mul(A, np.zeros_like(A)), np.zeros_like(A))
+    assert np.array_equal(mul(A, add(B, C)), add(mul(A, B), mul(A, C)))
+    units = A[A != 0]
+    inv = E.EXP[(-E.DLOG[units]) % (E.q - 1)]
+    assert np.all(mul(units, inv) == 1)

@@ -292,3 +292,52 @@ def test_gauss_suite_peak_memory(f29):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_katz_ratio_memo_keeps_a_changed_value(monkeypatch):
+    # one T_v moved at a t whose image class holds earlier t: a memo keyed
+    # on t^N alone would reuse their ratio and report a false constant
+    from dworkbench import harness
+
+    n, N, q = 2, 7, 29
+    assert katz_check(n, N, q, with_control=False).constant
+    direct = harness.eigentrace_all_t
+
+    def bumped(*args):
+        table = direct(*args)
+        seen = set()
+        for t in table:
+            if pow(t, N, q) in seen:
+                last = t
+            seen.add(pow(t, N, q))
+        table[last].value = table[last].value + 1
+        return table
+
+    monkeypatch.setattr(harness, "eigentrace_all_t", bumped)
+    rep = katz_check(n, N, q, with_control=False)
+    assert rep.constant is False and rep.orientation is None
+
+
+def test_ratio_table_forms_one_product_per_distinct_value(monkeypatch):
+    from dworkbench.cyclotomic import CycloElem
+    from dworkbench.dwork import eigentrace_all_t
+    from dworkbench.harness import _ratio_table
+    from dworkbench.hypergeometric import HyperSpec, canonical_trace
+
+    n, N, q = 2, 7, 43
+    field, v = build_field(q), build_v(n, N)
+    ev = eigentrace_all_t(field, N, v)
+    can_table = canonical_trace(HyperSpec.from_label(field, v), path="conv-of-canonical")
+    values = [tr.value for tr in ev.values()]
+    products = []
+    direct = CycloElem.__mul__
+
+    def counted(a, b):
+        if any(a is x for x in values):  # not the products inside invert()
+            products.append((a, b))
+        return direct(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    ratios, skipped = _ratio_table(ev, can_table, N, q, "direct")
+    assert not skipped and len(ratios) == len(ev) == 35
+    assert len(products) == len({(tr.value, pow(t, N, q)) for t, tr in ev.items()}) == 5
