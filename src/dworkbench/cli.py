@@ -70,9 +70,9 @@ def _cmd_hyper_trace(args) -> int:
     spec = HyperSpec.from_label(field, build_v(args.n, args.N))
     rows = []
     if args.method == "naive":
-        ts = [args.t] if args.t is not None else [t for t in range(2, args.q)]
-        for t in ts:
-            rows.append(_cyclo_row(t, trad_trace_naive(spec, t, E_degree=args.E)))
+        ts = [args.t] if args.t is not None else list(range(2, args.q))
+        for t, val in zip(ts, trad_trace_naive(spec, ts, E_degree=args.E)):
+            rows.append(_cyclo_row(t, val))
     else:
         table = trad_trace_conv(spec, E_degree=args.E)
         items = table.items() if args.t is None else [(args.t, table.value_at(args.t))]
@@ -112,8 +112,6 @@ def _cmd_dwork_count(args) -> int:
 
 
 def _cmd_signs(args) -> int:
-    if args.dim != 2:
-        raise ConfigError("only dimension 2 examples are generated")
     res = check_signs(ls=(args.l,), count=args.count, seed=args.seed)
     if args.json:
         print(json.dumps(res.to_json(), sort_keys=True))
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("signs", help="pairing sign laws").add_subparsers(dest="action", required=True)
     sc = s.add_parser("check")
     sc.add_argument("--l", type=int, required=True)
-    sc.add_argument("--dim", type=int, default=2)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--count", type=int, default=100)
     sc.add_argument("--json", action="store_true")

@@ -8,6 +8,7 @@ q-1; additive structure is digitwise.  Bulk code arrays go through numpy.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -236,16 +237,36 @@ class FqField:
         raise ArithmeticError("no generator found")  # unreachable for a field
 
     def _build_log_tables(self) -> None:
-        q = self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
-        dlog = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for k in range(q - 1):
-            exp[k] = cur
-            dlog[cur] = k
-            cur = self._mul_code_slow(cur, self._gen_code)
-        if cur != 1:
+        """EXP[k] = g^k and its inverse DLOG, B ~ sqrt(q - 1) powers at a time.
+
+        Multiplying by g^B is F_p-linear on digit vectors, so each block of
+        B powers is the block before it times the m x m matrix of
+        x -> g^B x; only the first block takes slow products.  A cell of
+        block @ A is below m p^2 < 2^53, exact in int64.
+        """
+        q, p, m, g = self.q, self.p, self.m, self._gen_code
+        R = q - 1
+        B = math.isqrt(R)
+        first = [1]
+        for _ in range(B - 1):
+            first.append(self._mul_code_slow(first[-1], g))
+        gB = self._mul_code_slow(first[-1], g)
+        A = np.array([self._code_digits(self._mul_code_slow(gB, pi)) for pi in self._pp[:m]], dtype=np.int64)
+        pp = np.array(self._pp[:m], dtype=np.int64)
+        block = np.array([self._code_digits(c) for c in first], dtype=np.int64)
+        nblocks = R // B + 1  # rows 0..R: the last one checks the order
+        codes = np.empty(nblocks * B, dtype=np.int64)
+        for j in range(nblocks):
+            if j:
+                block = (block @ A) % p
+            codes[j * B : (j + 1) * B] = block @ pp
+        if codes[R] != 1:
             raise ArithmeticError("generator order check failed")
+        exp = codes[:R].copy()
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[exp] = np.arange(R, dtype=np.int64)
+        if (dlog[1:] < 0).any():
+            raise ArithmeticError("a unit has no discrete log")
         self.EXP, self.DLOG = exp, dlog
 
     # -- element access ----------------------------------------------------

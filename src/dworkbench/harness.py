@@ -30,7 +30,7 @@ from .dwork import (
     fix_count_bruteforce,
     weil_check,
 )
-from .errors import AllRatiosUndefined, ConfigError, Infeasible, MissingLambda
+from .errors import AllRatiosUndefined, BadParams, ConfigError, Infeasible, MissingLambda
 from .finitefield import build_field, is_prime
 from .hypergeometric import (
     HyperSpec,
@@ -44,7 +44,7 @@ from .hypergeometric import (
     trad_trace_naive,
     verify_det_hcan,
 )
-from .pairings import cj_sign, convert_pairing, random_sd_example, sd_sign
+from .pairings import cj_sign, convert_pairing, random_sd_example, require_odd_prime, sd_sign
 from .weights import build_v, hyper_data, rank_of, is_self_dual
 
 CONV_SIGN = "-1"  # per-factor sign baked into the convolution trace engine
@@ -142,31 +142,39 @@ class KatzReport:
         )
 
 
-def _ratio_table(ev_values: dict, can_table, N: int, q: int, orientation: str) -> tuple[dict, dict]:
+def _ratio_table(
+    ev_values: dict, can_table, N: int, q: int, orientation: str, inverse: dict | None = None,
+) -> tuple[dict, dict]:
     """ratios[t] = T_v(t) / T_can(t^N) (or its conjugate), skips annotated.
 
     Many t share one image point t^N, so each canonical value is inverted
-    once; None marks a vanishing one.  Each ratio is formed once per
-    distinct (T_v(t), t^N): keyed on the value, so a t whose eigentrace
-    differs from the rest of its image class still gets its own ratio.
+    once, into `inverse` (None marks a vanishing one); pass one dict to
+    every call of a check to share them.  The conjugate orientation takes
+    the conjugate of the inverse, exact since conjugation is a field
+    automorphism of Q(zeta_M).  Each ratio is formed once per distinct
+    (T_v(t), t^N): keyed on the value, so a t whose eigentrace differs from
+    the rest of its image class still gets its own ratio.
     """
+    if inverse is None:
+        inverse = {}
     ratios: dict[int, CycloElem] = {}
     skipped: dict[int, str] = {}
-    inverse: dict[int, CycloElem | None] = {}
+    oriented: dict[int, CycloElem | None] = {}
     quotient: dict[tuple[CycloElem, int], CycloElem] = {}
     for t, tr in ev_values.items():
         tn = pow(t, N, q)
-        if tn not in inverse:
-            can = can_table.value_at(tn)
-            if orientation == "conjugate":
-                can = can.conjugate()
-            inverse[tn] = None if can.is_zero() else can.invert()
-        if inverse[tn] is None:
+        if tn not in oriented:
+            if tn not in inverse:
+                can = can_table.value_at(tn)
+                inverse[tn] = None if can.is_zero() else can.invert()
+            inv = inverse[tn]
+            oriented[tn] = inv.conjugate() if orientation == "conjugate" and inv is not None else inv
+        if oriented[tn] is None:
             skipped[t] = "canonical trace vanishes"
             continue
         key = (tr.value, tn)
         if key not in quotient:
-            quotient[key] = tr.value * inverse[tn]
+            quotient[key] = tr.value * oriented[tn]
         ratios[t] = quotient[key]
     return ratios, skipped
 
@@ -204,9 +212,10 @@ def katz_check(
     spec = HyperSpec.from_label(field, v)
     can_table = canonical_trace(spec, path="conv-of-canonical")
 
+    inverse: dict[int, CycloElem | None] = {}
     candidates = {}
     for orientation in ("direct", "conjugate"):
-        ratios, skipped = _ratio_table(ev, can_table, N, q, orientation)
+        ratios, skipped = _ratio_table(ev, can_table, N, q, orientation, inverse)
         if not ratios:
             raise AllRatiosUndefined("every ratio skipped")
         candidates[orientation] = (ratios, skipped, _all_equal(ratios.values()))
@@ -245,7 +254,7 @@ def katz_check(
         # so the control is only meaningful with at least two
         ev_p = eigentrace_all_t(field, N, _control_label(v.entries, N))
         use = orientation if orientation is not None else "direct"
-        ratios_p, _ = _ratio_table(ev_p, can_table, N, q, use)
+        ratios_p, _ = _ratio_table(ev_p, can_table, N, q, use, inverse)
         control_constant = bool(ratios_p) and _all_equal(ratios_p.values())
 
     return KatzReport(
@@ -474,12 +483,11 @@ def check_hyper_cross(n: int = 2, N: int = 7, q: int = 29, seed: int = 0) -> Che
     ts = range(2, q)
     rows = []
     values = []
-    for t in ts:
+    for t, naive in zip(ts, trad_trace_naive(spec, ts)):
         d = int(field.DLOG[t])
         cv = to_cyclo(C[d], field.p * N)
         values.append(cv)
-        exact = cv == trad_trace_naive(spec, t)
-        rows.append({"t": t, "conv_eq_naive": bool(exact), "mellin_ok": bool(mellin_ok[d])})
+        rows.append({"t": t, "conv_eq_naive": cv == naive, "mellin_ok": bool(mellin_ok[d])})
     digest = _digest(json.dumps(v.to_json(), sort_keys=True).encode() for v in values)
     ok = all(r["conv_eq_naive"] and r["mellin_ok"] for r in rows)
     return CheckResult(
@@ -574,7 +582,18 @@ def check_weil_duality(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), see
 
 
 def check_signs(ls: Sequence[int] = (5, 13), count: int = 100, seed: int = 0) -> CheckResult:
-    """Sign product law on randomized examples; det pairing always -1."""
+    """Sign product law on randomized examples; det pairing always -1.
+
+    Each l must be an odd prime, and there must be at least one l and one
+    draw: an empty draw would pass vacuously.  Both are refused before any
+    draw.
+    """
+    if not ls:
+        raise BadParams("ls needs at least one modulus")
+    for l in ls:
+        require_odd_prime(l)
+    if count < 1:
+        raise BadParams(f"count = {count} must be at least 1")
     t0 = time.monotonic()
     rows = []
     for l in ls:

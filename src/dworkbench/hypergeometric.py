@@ -45,7 +45,8 @@ from .errors import BadN, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
 from .weights import WeightVector, hyper_data
 
-_NAIVE_BUDGET = 10 ** 9
+_NAIVE_BUDGET = 10 ** 9  # tuples per point of trad_trace_naive
+_NAIVE_CELLS = 1 << 15  # (t, tuple) cells per chunk of trad_trace_naive
 # cells gathered plus multiply-adds in one _trace_rows or mellin_rows call:
 # seconds of numpy work
 _KERNEL_BUDGET = 10 ** 9
@@ -283,33 +284,40 @@ def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, rows: np.ndar
 # -- trace algorithms -------------------------------------------------------
 
 
-def trad_trace_naive(spec: HyperSpec, t, E_degree: int = 1) -> CycloElem:
-    """Literal character-sum trace over the degree-m extension at one point.
+def trad_trace_naive(spec: HyperSpec, ts: Sequence, E_degree: int = 1) -> list[CycloElem]:
+    """Literal character-sum traces over the degree-m extension, one per t.
 
     Enumerates all unit tuples (x_1..x_k, y_1..y_{k-1}) with the last y
     solved from the hypersurface relation prod x = t prod y, accumulating
-    psi(sum x - sum y) and the character exponents exactly.
+    psi(sum x - sum y) and the character exponents exactly.  Each chunk of
+    tuples is enumerated once for every t: only the solved last y depends
+    on t.  The budget is charged per point.
     """
     k = spec.k
     qE = spec.field.q ** E_degree  # refuse before building the extension
     if qE ** (2 * k - 1) > _NAIVE_BUDGET:
         raise Infeasible(f"naive cost {qE}^{2 * k - 1} exceeds budget")
-    E, s = spec.extension(E_degree)
-    t_code = t.code if hasattr(t, "code") else int(t) % spec.field.q
-    if t_code in (0, 1):
+    t_codes = [t.code if hasattr(t, "code") else int(t) % spec.field.q for t in ts]
+    if any(c in (0, 1) for c in t_codes):
         raise BadT("trace undefined at t in {0, 1}")
+    if not t_codes:
+        return []
+    E, s = spec.extension(E_degree)
     q, p = E.q, E.p
     R, L = q - 1, p * spec.N
     N = spec.N
     EXP, TR = E.EXP, E.trace_abs_table()
-    dt = int(E.DLOG[t_code])
+    NEG_EXP = E.neg_codes(EXP)
+    dt = E.DLOG[np.array(t_codes, dtype=np.int64)][:, None]
+    nt = len(t_codes)
     aN = [(a * s) % N for a in spec.s_chi]
     bN = [(b * s) % N for b in spec.s_rho]
     c = spec.psi_c
     nfree = 2 * k - 1
     total = R ** nfree
-    counts = np.zeros(L, dtype=np.int64)
-    chunk = 1 << 18
+    counts = np.zeros(nt * L, dtype=np.int64)
+    row0 = (np.arange(nt, dtype=np.int64) * L)[:, None]
+    chunk = max(1, _NAIVE_CELLS // nt)
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
         digs = []
@@ -319,25 +327,22 @@ def trad_trace_naive(spec: HyperSpec, t, E_degree: int = 1) -> CycloElem:
             rem = rem // R
         dx = digs[:k]
         dy = digs[k:]
-        dy_last = (sum(dx) - dt - sum(dy)) % R
-        dy_all = dy + [dy_last]
-        sx = EXP[dx[0]]
+        z = EXP[dx[0]]  # sum x - sum y over the free coordinates
         for dd in dx[1:]:
-            sx = E.add_codes(sx, EXP[dd])
-        sy = EXP[dy_all[0]]
-        for dd in dy_all[1:]:
-            sy = E.add_codes(sy, EXP[dd])
-        z = E.add_codes(sx, E.neg_codes(sy))
-        tr = (c * TR[z]) % p
+            z = E.add_codes(z, EXP[dd])
+        for dd in dy:
+            z = E.add_codes(z, NEG_EXP[dd])
         cexp = np.zeros_like(idx)
         for a_i, dd in zip(aN, dx):
             cexp += a_i * dd
-        for b_j, dd in zip(bN, dy_all):
+        for b_j, dd in zip(bN, dy):
             cexp -= b_j * dd
-        cexp %= N
-        e = (tr * N + cexp * p) % L
-        counts += np.bincount(e, minlength=L)
-    return -to_cyclo(counts.tolist(), L)
+        # the solved last y, one row per t
+        dy_last = (sum(dx) - sum(dy) - dt) % R
+        tr = (c * TR[E.add_codes(z, NEG_EXP[dy_last])]) % p
+        e = (tr * N + ((cexp - bN[-1] * dy_last) % N) * p) % L
+        counts += np.bincount((e + row0).ravel(), minlength=nt * L)
+    return [-to_cyclo(row.tolist(), L) for row in counts.reshape(nt, L)]
 
 
 def _terms(spec: HyperSpec) -> list[int]:

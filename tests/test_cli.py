@@ -50,6 +50,19 @@ def test_hyper_trace_rows(capsys):
     assert set(rows[0]) == {"t", "value", "abs2"}
 
 
+def test_hyper_trace_naive_rows_equal_conv(capsys):
+    trace = ("hyper", "trace", "--q", "29", "--n", "2", "--N", "7", "--json", "--method")
+    code, out, _ = run(capsys, *trace, "naive")
+    assert code == 0
+    naive = json.loads(out)
+    code, out, _ = run(capsys, *trace, "conv")
+    assert code == 0
+    assert [r["t"] for r in naive] == list(range(2, 29))
+    assert [r["value"] for r in naive] == [r["value"] for r in json.loads(out)]
+    code, out, _ = run(capsys, *trace, "naive", "--t", "5")
+    assert code == 0 and [r["value"] for r in json.loads(out)] == [naive[3]["value"]]
+
+
 def test_hyper_trace_has_no_mellin_method():
     with pytest.raises(SystemExit) as ei:
         main(["hyper", "trace", "--q", "29", "--n", "2", "--N", "7", "--method", "mellin"])
@@ -78,16 +91,29 @@ def test_dwork_count(capsys):
 
 
 def test_signs_check(capsys):
-    code, out, _ = run(capsys, "signs", "check", "--l", "5", "--dim", "2", "--seed", "0",
-                       "--count", "10", "--json")
+    code, out, _ = run(capsys, "signs", "check", "--l", "5", "--seed", "0", "--count", "10", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["pass"] is True
 
 
 def test_signs_dim_guard(capsys):
-    code, _, _ = run(capsys, "signs", "check", "--l", "5", "--dim", "3")
-    assert code == 2
+    # every example is 2x2, so there is no --dim option to pass
+    with pytest.raises(SystemExit) as exc:
+        main(["signs", "check", "--l", "5", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "--dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, match", [
+    (("--l", "5", "--count", "0"), "count = 0"),
+    (("--l", "5", "--count", "-5"), "count = -5"),
+    (("--l", "4"), "l = 4 must be an odd prime"),
+], ids=["count-0", "count-minus-5", "l-4"])
+def test_signs_refuses_bad_input(capsys, argv, match):
+    code, out, err = run(capsys, "signs", "check", *argv)
+    assert code == 2 and out == ""
+    assert "BadParams" in err and match in err
 
 
 def test_verify_det_hcan(capsys):

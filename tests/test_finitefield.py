@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -198,3 +199,37 @@ def test_vector_codes_match_digit_addition_and_field_axioms(pm, data):
     units = A[A != 0]
     inv = E.EXP[(-E.DLOG[units]) % (E.q - 1)]
     assert np.all(mul(units, inv) == 1)
+
+
+# sha256 of EXP and DLOG bytes as the per-element power loop built them
+_TABLE_DIGESTS = {
+    (2, 7): "23f5b6f187922c7afe55319d5e75726a7e53c71214aa818f0cb54a79998efa0f",
+    (3, 5): "64b74d0b7f80e66481bdebff913f0bb38a5cb358d28f4ed3f722f513c35a1e1e",
+    (13, 3): "536fba6a4a731d95c478d63d7a85554df319a25800b1cb0565e18519afaad1e9",
+    (43, 2): "7cb4675da517996a5613ca8fc2502008bbb31610d421bb618d48584407fe775d",
+    (29, 1): "ac929ce5b25ca62e42ed341cf95f4b1e8c0d2f75fb909ec59f560d975bd19e67",
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(_TABLE_DIGESTS))
+def test_log_tables_step_by_the_generator(p, m):
+    # F_{2^7} has q - 1 = 127 prime, so its blocks of 11 powers do not tile
+    # the group; each table is checked against the slow product element by
+    # element
+    E = finitefield.FqField(p, m)
+    R, g = E.q - 1, E._gen_code
+    exp = E.EXP.tolist()
+    assert exp[0] == 1 and len(exp) == R
+    assert all(exp[k + 1] == E._mul_code_slow(exp[k], g) for k in range(R - 1))
+    assert E._mul_code_slow(exp[-1], g) == 1
+    assert E.DLOG[0] == -1 and np.array_equal(E.DLOG[E.EXP], np.arange(R))
+    assert hashlib.sha256(E.EXP.tobytes() + E.DLOG.tobytes()).hexdigest() == _TABLE_DIGESTS[(p, m)]
+
+
+@pytest.mark.parametrize("gen, match", [(7, "no discrete log"), (0, "order check")])
+def test_log_tables_refuse_a_non_generator(monkeypatch, gen, match):
+    # 7 has order 7 in F_29, so 7^28 = 1 and only the unit check sees that
+    # its powers miss 24 units; the non-unit 0 fails the order check
+    monkeypatch.setattr(finitefield.FqField, "_find_generator", lambda self: gen)
+    with pytest.raises(ArithmeticError, match=match):
+        finitefield.FqField(29, 1)

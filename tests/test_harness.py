@@ -341,3 +341,36 @@ def test_ratio_table_forms_one_product_per_distinct_value(monkeypatch):
     ratios, skipped = _ratio_table(ev, can_table, N, q, "direct")
     assert not skipped and len(ratios) == len(ev) == 35
     assert len(products) == len({(tr.value, pow(t, N, q)) for t, tr in ev.items()}) == 5
+
+
+def test_katz_inverts_each_canonical_value_once(monkeypatch):
+    # the direct, conjugate and control ratio tables share one inverse per
+    # image point t^N (canonical_trace's own inverse of lambda is not one)
+    from dworkbench import harness
+    from dworkbench.cyclotomic import CycloElem
+
+    n, N, q = 2, 7, 43
+    tables = []
+    canonical = harness.canonical_trace
+
+    def kept(*args, **kwargs):
+        tables.append(canonical(*args, **kwargs))
+        return tables[-1]
+
+    inverted = []
+    invert = CycloElem.invert
+
+    def counted(self):
+        inverted.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(harness, "canonical_trace", kept)
+    monkeypatch.setattr(CycloElem, "invert", counted)
+    rep = katz_check(n, N, q)
+    assert rep.constant and rep.control_constant is False
+    (can_table,) = tables
+    values = [v for _, v in can_table.items()]
+    image = {pow(row["t"], N, q) for row in rep.rows}
+    nonzero = [tn for tn in image if not can_table.value_at(tn).is_zero()]
+    of_values = [x for x in inverted if any(x is v for v in values)]
+    assert len(of_values) == len({id(x) for x in of_values}) == len(nonzero) == 5

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -55,21 +56,21 @@ def test_spec_validation(f29):
 
 def test_conv_equals_naive_spot(spec29):
     table = trad_trace_conv(spec29)
-    for t in (2, 5, 17, 28):
-        assert table.value_at(t) == trad_trace_naive(spec29, t)
+    ts = (2, 5, 17, 28)
+    assert [table.value_at(t) for t in ts] == trad_trace_naive(spec29, ts)
 
 
 def test_conv_equals_naive_extension(f7):
     spec = HyperSpec(f7, 3, (1, 2), (0, 0))
     table = trad_trace_conv(spec, E_degree=2)
-    for t in (2, 3, 5):
-        assert table.value_at(t) == trad_trace_naive(spec, t, E_degree=2)
+    ts = (2, 3, 5)
+    assert [table.value_at(t) for t in ts] == trad_trace_naive(spec, ts, E_degree=2)
 
 
 @pytest.mark.slow
 def test_conv_equals_naive_extension_large(spec29):
     table = trad_trace_conv(spec29, E_degree=2)
-    assert table.value_at(3) == trad_trace_naive(spec29, 3, E_degree=2)
+    assert [table.value_at(3)] == trad_trace_naive(spec29, [3], E_degree=2)
 
 
 @st.composite
@@ -363,9 +364,9 @@ def test_conv_equals_naive_chi_equals_rho(f7):
     # a pair with chi = rho puts -(q-1) in the u = 1 row of its table
     spec = HyperSpec(f7, 3, (1, 2), (1, 0))
     table = trad_trace_conv(spec)
-    for t in range(2, 7):
-        assert table.value_at(t) == trad_trace_naive(spec, t)
-        assert _point_trace_conv(spec, t, 2) == trad_trace_naive(spec, t, E_degree=2)
+    ts = range(2, 7)
+    assert [table.value_at(t) for t in ts] == trad_trace_naive(spec, ts)
+    assert [_point_trace_conv(spec, t, 2) for t in ts] == trad_trace_naive(spec, ts, E_degree=2)
 
 
 def _literal_points(spec, m, dts):
@@ -398,8 +399,8 @@ def test_conv_at_wide_rows():
     # cost is set by applying the histogram to the convolved base row
     spec = HyperSpec(build_field(127), 7, (1, 2), (0, 3))
     table = trad_trace_conv(spec)
-    for t in (2, 3, 100):
-        assert table.value_at(t) == trad_trace_naive(spec, t)
+    ts = (2, 3, 100)
+    assert [table.value_at(t) for t in ts] == trad_trace_naive(spec, ts)
     spec = HyperSpec(build_field(43), 7, (1, 2), (0, 3), psi_c=2)
     E, _ = spec.extension(2)
     table = trad_trace_conv(spec, E_degree=2)
@@ -430,4 +431,68 @@ def test_naive_budget_refuses_before_building_the_extension(refused_peak):
     # 1009^(2 * 3) naive tuples over F_{1009^2}; building that field alone
     # took 87.5 s when the budget was checked after it
     spec = HyperSpec(build_field(1009), 7, (1, 2), (0, 3))
-    assert refused_peak(lambda: trad_trace_naive(spec, 2, E_degree=2), Infeasible, "naive cost") < 1 << 20
+    assert refused_peak(lambda: trad_trace_naive(spec, [2], E_degree=2), Infeasible, "naive cost") < 1 << 20
+
+
+def _naive_one(spec, t, E_degree=1):
+    """The literal trace at one point: the whole enumeration for this t alone."""
+    E, s = spec.extension(E_degree)
+    k, N, p, R = spec.k, spec.N, E.p, E.q - 1
+    L = p * N
+    EXP, TR = E.EXP, E.trace_abs_table()
+    dt = int(E.DLOG[int(t) % spec.field.q])
+    aN = [(a * s) % N for a in spec.s_chi]
+    bN = [(b * s) % N for b in spec.s_rho]
+    nfree = 2 * k - 1
+    total = R ** nfree
+    counts = np.zeros(L, dtype=np.int64)
+    for lo in range(0, total, 1 << 18):
+        rem = np.arange(lo, min(total, lo + (1 << 18)), dtype=np.int64)
+        digs = []
+        for _ in range(nfree):
+            digs.append(rem % R)
+            rem = rem // R
+        dx, dy = digs[:k], digs[k:]
+        dy_all = dy + [(sum(dx) - dt - sum(dy)) % R]
+        sx = EXP[dx[0]]
+        for dd in dx[1:]:
+            sx = E.add_codes(sx, EXP[dd])
+        sy = EXP[dy_all[0]]
+        for dd in dy_all[1:]:
+            sy = E.add_codes(sy, EXP[dd])
+        tr = (spec.psi_c * TR[E.add_codes(sx, E.neg_codes(sy))]) % p
+        cexp = sum(a_i * dd for a_i, dd in zip(aN, dx)) - sum(b_j * dd for b_j, dd in zip(bN, dy_all))
+        counts += np.bincount((tr * N + (cexp % N) * p) % L, minlength=L)
+    return -to_cyclo(counts.tolist(), L)
+
+
+def test_naive_all_points_match_one_point_at_a_time(spec29, f7):
+    ts = range(2, 29)
+    assert trad_trace_naive(spec29, ts) == [_naive_one(spec29, t) for t in ts]
+    # k = 1 over F_{29^2}: no free y, and the extension's trace table
+    spec = HyperSpec(spec29.field, 7, (2,), (5,), psi_c=3)
+    assert trad_trace_naive(spec, [3], E_degree=2) == [_naive_one(spec, 3, E_degree=2)]
+    # k = 3 at q = 7: two free y per tuple; repeated points and an FqElem
+    spec = HyperSpec(f7, 6, (1, 2, 4), (0, 3, 3))
+    ts = [2, f7.from_code(3), 6, 2]
+    assert trad_trace_naive(spec, ts) == [_naive_one(spec, int(getattr(t, "code", t))) for t in ts]
+
+
+def test_naive_refuses_points_off_the_locus(spec29):
+    for ts in ([0], [2, 1], [29]):
+        with pytest.raises(BadT):
+            trad_trace_naive(spec29, ts)
+    assert trad_trace_naive(spec29, []) == []
+
+
+@pytest.mark.parametrize("q", [29, 43])
+def test_naive_all_points_peak_memory(q):
+    # one chunk holds at most 2^15 (t, tuple) cells, whatever the number of t
+    spec = HyperSpec.from_label(build_field(q), build_v(2, 7))
+    tracemalloc.start()
+    try:
+        trad_trace_naive(spec, range(2, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
