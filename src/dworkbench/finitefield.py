@@ -231,7 +231,8 @@ class FqField:
     def _find_generator(self) -> int:
         n = self.q - 1
         checks = [n // r for r in prime_factors(n)]
-        for cand in range(2, self.q):
+        # 1 passes only when there is nothing to check: it generates F_2^x
+        for cand in range(1, self.q):
             if all(self._pow_code_slow(cand, c) != 1 for c in checks):
                 return cand
         raise ArithmeticError("no generator found")  # unreachable for a field

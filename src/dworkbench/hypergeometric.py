@@ -18,12 +18,19 @@ The Mellin route shares no code with the rank-1 tables.  Each factor's
 Mellin coefficient is a product of two Gauss sums, whose terms
 `gauss_exponents` lists; the inverse transform is a shift of count vectors
 over zeta_{p(q-1)}, and `cyclotomic.vanishes` decides the comparison.
+
+The determinant identity is decided the same way, over Z/pN.  The closed
+form is a product of Gauss sums taken from `gauss_exponents` alone, and
+Newton's identities take the power sums from one-point kernel traces over
+F_{q^m}, m <= k; `det_agrees` compares the two without building Q(zeta_pN),
+and `det_trad` and `det_via_newton` are the elements of the same counts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,7 +43,6 @@ from .characters import (
     gauss_exponents,
     gauss_sum,
     grossen_value,
-    kummer_trace,
     phi_inverse,
     teich_char,
 )
@@ -187,10 +193,9 @@ def _kernel_cost(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> in
     return cost
 
 
-def _require_budget(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> None:
-    cost = _kernel_cost(R, N, L, nrows, terms)
+def _require_budget(cost: int, L: int, k: int) -> None:
     if cost > _KERNEL_BUDGET:
-        raise Infeasible(f"kernel cost {cost} exceeds budget {_KERNEL_BUDGET} (R = {R}, L = {L}, k = {len(terms)})")
+        raise Infeasible(f"kernel cost {cost} exceeds budget {_KERNEL_BUDGET} (L = {L}, k = {k})")
 
 
 def _abs_sum(v: np.ndarray) -> int:
@@ -351,14 +356,22 @@ def _terms(spec: HyperSpec) -> list[int]:
     return [2 if (a - b) % spec.N == 0 else 1 for a, b in zip(spec.s_chi, spec.s_rho)]
 
 
+def _trad_budget(spec: HyperSpec, m: int, nrows: int) -> int:
+    """Refuse the kernel cost of _trad_rows over F_{q^m} at nrows rows, before
+    anything is built; returns L = pN."""
+    L = spec.field.p * spec.N
+    _require_budget(_kernel_cost(spec.field.q ** m - 1, spec.N, L, nrows, _terms(spec)), L, spec.k)
+    return L
+
+
 def _trad_rows(spec: HyperSpec, m: int, t_code: int | None = None) -> tuple[FqField, np.ndarray]:
-    """Exponent counts of the traditional trace over F_{q^m}, at t_code or
-    at every row d = dlog t.  The kernel's cost and the values' field
-    Q(zeta_L) are refused before the extension field or any row is built."""
+    """Exponent counts over Z/L of the traditional trace over F_{q^m}, at
+    t_code or at every row d = dlog t.  The kernel's cost is refused before
+    the extension field or any row is built; a caller that makes elements of
+    Q(zeta_L) from the rows refuses that field first."""
     N = spec.N
-    R, L = spec.field.q ** m - 1, spec.field.p * N
-    _require_budget(R, N, L, R if t_code is None else 1, _terms(spec))
-    ctx_for(L)
+    R = spec.field.q ** m - 1
+    _trad_budget(spec, m, R if t_code is None else 1)
     E, sh = spec.extension(m)
     tables = []
     for a, b in zip(spec.s_chi, spec.s_rho):
@@ -374,17 +387,12 @@ def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
     Each pairwise step applies the fixed sign T_{A*B}(t) = -sum_{xy=t}
     T_A(x) T_B(y); the result must match the literal enumeration pointwise.
     """
+    L = _trad_budget(spec, E_degree, spec.field.q ** E_degree - 1)
+    ctx_for(L)
     E, C = _trad_rows(spec, E_degree)
-    L = E.p * spec.N
     values = {int(E.EXP[d]): to_cyclo(C[d].tolist(), L) for d in range(E.q - 1)}
     values[0] = CycloElem.zero(L)
     return TraceTable(E, L, values)
-
-
-def _point_trace_conv(spec: HyperSpec, t_code: int, m: int) -> CycloElem:
-    """Trace at one point over the degree-m extension, convolution route."""
-    E, C = _trad_rows(spec, m, t_code)
-    return to_cyclo(C[0].tolist(), E.p * spec.N)
 
 
 def mellin_rows(spec: HyperSpec) -> np.ndarray:
@@ -461,7 +469,7 @@ def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTa
     if path != "conv-of-canonical":
         raise ValueError(f"unknown path {path!r}")
     R = field.q - 1
-    _require_budget(R, N, N, R, [1] * spec.k)
+    _require_budget(_kernel_cost(R, N, N, R, [1] * spec.k), N, spec.k)
     unit = np.zeros(N, dtype=np.int64)
     unit[0] = 1
     tables = [[(unit, _rank1_canon_shifts(field, N, a, b))] for a, b in zip(spec.s_chi, spec.s_rho)]
@@ -504,6 +512,90 @@ def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
 
 
 # -- determinants -----------------------------------------------------------
+#
+# Both sides of the determinant identity are exponent-count vectors over
+# Z/L, L = pN: the closed form from Gauss sums alone, Newton's identities
+# from the rank-1 kernel alone.  They share only the F_q tables, and
+# det_agrees decides their equality with `vanishes`, building no element.
+
+
+def _combo(*terms: tuple[int, np.ndarray]) -> np.ndarray:
+    """sum c v over the (c, v) terms, exact: int64 when sum |c| max|v| lies
+    below 2^63, Python integers otherwise."""
+    bound = sum(abs(c) * max(1, int(v.max()), -int(v.min())) for c, v in terms)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return sum(c * v.astype(dtype) for c, v in terms)
+
+
+def _locus_code(spec: HyperSpec, t) -> int:
+    code = t.code if hasattr(t, "code") else int(t) % spec.field.q
+    if code in (0, 1):
+        raise BadT("determinant evaluated off the open locus")
+    return code
+
+
+def _det_budget(spec: HyperSpec) -> int:
+    """Refuse the cost of _det_counts before anything is built; returns L.
+
+    The k^2 Gauss sums are joined pairwise by outer sums of (q-1)^2 cells;
+    the ceil(k^2/2) pair vectors, then the f-th power, take dense
+    convolutions over Z/L of L^2 multiply-adds each."""
+    f, k = spec.field, spec.k
+    L = f.p * spec.N
+    convs = (k * k + 1) // 2 - 1 + f.m - 1
+    _require_budget(k * k // 2 * (f.q - 1) ** 2 + convs * L * L, L, k)
+    return L
+
+
+def _det_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
+    """Exponent counts over Z/L of det_trad at t, from one gauss_exponents
+    call: the k^2 sums pair by outer sums and the pairs join by _cconv; the
+    sign (-1)^(k^2) and q^(k(k-1)/2) are an integer factor, and the chi(-1)
+    factor and the Kummer twists are shifts by multiples of p."""
+    f, N, k = spec.field, spec.N, spec.k
+    p, L = f.p, f.p * N
+    tch = teich_char(f, N)
+    G = gauss_exponents(spec.psi().bar(), [tch ** ((a - b) % N) for a in spec.s_chi for b in spec.s_rho], L)
+    half = k * k // 2
+    vecs = list(exponent_counts(G[0 : 2 * half : 2, :, None] + G[1 : 2 * half : 2, None, :], L))
+    if k % 2:
+        vecs.append(exponent_counts(G[-1:], L)[0])
+    D = functools.reduce(_cconv, [functools.reduce(_cconv, vecs)] * f.m)
+    sa, sb = sum(spec.s_chi) % N, sum(spec.s_rho) % N
+    DLOG = f.DLOG
+    # prod chi((-1)^(k-1)) = zeta_N^(sa dlog(-1)) for even k, once per power
+    shift = f.m * sa * int(DLOG[f.neg_code(1)]) if k % 2 == 0 else 0
+    shift += sa * int(DLOG[t_code])  # (prod chi)(t)
+    if sa != sb:  # (prod rho / prod chi)(1 - t)
+        shift += (sb - sa) * int(DLOG[(f.one() - f.from_code(t_code)).code])
+    return _combo((((-1) ** k * f.q ** (k * (k - 1) // 2)) ** f.m, np.roll(D, p * (shift % N))))
+
+
+def _newton_budget(spec: HyperSpec) -> int:
+    """Refuse the cost of _newton_counts before anything is built; returns L:
+    a one-row kernel over each F_{q^m}, m <= k, and k(k-1)/2 dense
+    convolutions over Z/L."""
+    k, f, N = spec.k, spec.field, spec.N
+    if k > 3:
+        raise Infeasible("newton reconstruction supported for k <= 3")
+    L = f.p * N
+    cost = sum(_kernel_cost(f.q ** m - 1, N, L, 1, _terms(spec)) for m in range(1, k + 1))
+    _require_budget(cost + k * (k - 1) // 2 * L * L, L, k)
+    return L
+
+
+def _newton_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
+    """Exponent counts over Z/L of k! e_k, e_k the top elementary symmetric
+    function of the Frobenius eigenvalues at t: each power sum p_m is the
+    one-point trace over F_{q^m}, and Newton's identities with the
+    denominators cleared give p1, p1^2 - p2 or p1^3 - 3 p1 p2 + 2 p3."""
+    ps = [_trad_rows(spec, m, t_code)[1][0] for m in range(1, spec.k + 1)]
+    if spec.k == 1:
+        return ps[0]
+    p11 = _cconv(ps[0], ps[0])
+    if spec.k == 2:
+        return _combo((1, p11), (-1, ps[1]))
+    return _combo((1, _cconv(p11, ps[0])), (-3, _cconv(ps[0], ps[1])), (2, ps[2]))
 
 
 def det_trad(spec: HyperSpec, t) -> CycloElem:
@@ -511,30 +603,15 @@ def det_trad(spec: HyperSpec, t) -> CycloElem:
 
     Constant part: product over S_chi of chi((-1)^{k-1}), times
     q^{k(k-1)/2}, times the full grid of negated conjugate Gauss sums
-    -g(psibar, rhobar_j / chibar_i); then the residue twist (prod chi)(t),
-    and when the multiset products differ also (prod rho / prod chi)(1-t).
+    -g(psibar, rhobar_j / chibar_i), all to the f-th power for q = p^f;
+    then the residue twist (prod chi)(t), and when the multiset products
+    differ also (prod rho / prod chi)(1-t).  Built from the counts of
+    _det_counts, after their cost and then Q(zeta_pN) are refused.
     """
-    f, N, k = spec.field, spec.N, spec.k
-    t_el = t if hasattr(t, "code") else f.el(t)
-    if t_el.code in (0, 1):
-        raise BadT("determinant evaluated off the open locus")
-    M = f.p * N
-    tch = teich_char(f, N)
-    psibar = spec.psi().bar()
-    neg1 = f.el(-1) if (k - 1) % 2 == 1 else f.one()
-    acc = CycloElem.rational(M, Fraction(f.q) ** (k * (k - 1) // 2))
-    for a in spec.s_chi:
-        acc = acc * (tch ** a)(neg1).coerce(M)
-    for a in spec.s_chi:
-        for b in spec.s_rho:
-            acc = acc * (-gauss_sum(psibar, tch ** ((a - b) % N))).coerce(M)
-    acc = acc ** f.m
-    sa = sum(spec.s_chi) % N
-    sb = sum(spec.s_rho) % N
-    acc = acc * kummer_trace(f, N, sa, t_el, "x").coerce(M)
-    if sa != sb:
-        acc = acc * kummer_trace(f, N, (sb - sa) % N, t_el, "one_minus_x").coerce(M)
-    return acc
+    t_code = _locus_code(spec, t)
+    L = _det_budget(spec)
+    ctx_for(L)
+    return to_cyclo(_det_counts(spec, t_code), L)
 
 
 def det_via_newton(spec: HyperSpec, t) -> CycloElem:
@@ -542,25 +619,25 @@ def det_via_newton(spec: HyperSpec, t) -> CycloElem:
 
     Power sums p_m are single-point convolution traces over F_{q^m};
     Newton's identities then give the top elementary symmetric function of
-    the Frobenius eigenvalues, which is the determinant.
+    the Frobenius eigenvalues, which is the determinant.  Built from the
+    counts of _newton_counts over k!, after their cost and then Q(zeta_pN)
+    are refused.
     """
-    k = spec.k
-    if k > 3:
-        raise Infeasible("newton reconstruction supported for k <= 3")
-    q = spec.field.q
-    _require_budget(q ** k - 1, spec.N, spec.field.p * spec.N, 1, _terms(spec))
-    t_code = t.code if hasattr(t, "code") else int(t) % q
-    if t_code in (0, 1):
-        raise BadT("determinant evaluated off the open locus")
-    ps = [_point_trace_conv(spec, t_code, m) for m in range(1, k + 1)]
-    e1 = ps[0]
-    if k == 1:
-        return e1
-    e2 = (e1 * ps[0] - ps[1]) / 2
-    if k == 2:
-        return e2
-    e3 = (e2 * ps[0] - e1 * ps[1] + ps[2]) / 3
-    return e3
+    L = _newton_budget(spec)
+    t_code = _locus_code(spec, t)
+    ctx_for(L)
+    return to_cyclo(_newton_counts(spec, t_code), L, den=math.factorial(spec.k))
+
+
+def det_agrees(spec: HyperSpec, t) -> bool:
+    """Whether det_trad and det_via_newton agree at t, exactly: k! det minus
+    Newton's counts must vanish in Q(zeta_L).  Both costs are refused
+    before either side is built, and no Q(zeta_L) context is."""
+    L = _det_budget(spec)
+    _newton_budget(spec)
+    t_code = _locus_code(spec, t)
+    diff = _combo((math.factorial(spec.k), _det_counts(spec, t_code)), (-1, _newton_counts(spec, t_code)))
+    return bool(vanishes(diff, L))
 
 
 def lambda_can(field: FqField, N: int, a: int, n: int) -> CycloElem:

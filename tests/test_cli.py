@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dworkbench.cli import main
+from dworkbench.errors import Infeasible
+from dworkbench.harness import check_det_oracle
 
 
 def run(capsys, *argv):
@@ -184,11 +186,20 @@ def test_verify_all_rejects_tolerance_key(capsys, tmp_path):
     assert "line 2" in err and "tolerance" in err
 
 
-def test_verify_det_trad_refuses_large_field(capsys):
-    # Q(zeta_{1009 * 1008}) would need about 3e11 table entries
+def test_verify_det_trad_refuses_large_field(capsys, refused_peak):
+    # one dense convolution over Z/(1009 * 1008) would take 10^12 multiply-adds
     code, _, err = run(capsys, "verify", "det-trad", "--q", "1009", "--k", "2")
     assert code == 2
-    assert "TooLarge" in err and "zeta_1017072" in err
+    assert "Infeasible: kernel cost" in err and "L = 1017072" in err
+    # the command's check refuses before it allocates
+    assert refused_peak(lambda: check_det_oracle(q=1009, k=2), Infeasible, "L = 1017072") < 8 << 20
+
+
+@pytest.mark.parametrize("argv", [("--q", "2"), ("--q", "29", "--k", "1"), ("--q", "29", "--k", "4")])
+def test_verify_det_trad_refuses_bad_input(capsys, argv):
+    code, out, err = run(capsys, "verify", "det-trad", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: BadParams: det-oracle needs")
 
 
 def test_usage_error_exit_code():

@@ -73,6 +73,14 @@ def test_extension_field_arithmetic():
     assert len(fixed) == 7
 
 
+def test_field_of_two_elements():
+    # 1 generates the trivial unit group
+    f = finitefield.FqField(2, 1)
+    assert f.generator.code == 1
+    assert f.EXP.tolist() == [1] and f.DLOG[1] == 0
+    assert (f.one() + f.one()).code == 0 and f.one() * f.one() == f.one()
+
+
 def test_subfield_embedding_is_constant_code():
     E = build_field(7, 2)
     for c in range(7):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworkbench.characters import AddChar, MultChar, gauss_sum, jacobi_sum
-from dworkbench.cyclotomic import common
-from dworkbench.errors import ConfigError, MissingLambda
+from dworkbench.cyclotomic import common, ctx_for
+from dworkbench.errors import BadParams, ConfigError, Infeasible, MissingLambda
 from dworkbench.finitefield import build_field, is_prime
 from dworkbench.harness import (
     CampaignConfig,
@@ -18,6 +18,7 @@ from dworkbench.harness import (
     _mul_lifted,
     check_build_v,
     check_det_hcan,
+    check_det_oracle,
     check_gauss_suite,
     check_hyper_cross,
     check_signs,
@@ -171,6 +172,79 @@ def test_hyper_cross_mellin_fails_at_exactly_the_corrupted_t(monkeypatch):
     res = check_hyper_cross(2, 7, 29)
     assert not res.ok
     assert [r["t"] for r in res.rows if not r["mellin_ok"]] == [11]
+
+
+def _bump_nth_call(monkeypatch, name, n, bump):
+    """Wrap hypergeometric.<name> so that its n-th call (from 0) returns bump(result)."""
+    from dworkbench import hypergeometric
+
+    real = getattr(hypergeometric, name)
+    calls = []
+
+    def wrapped(*args):
+        out = real(*args)
+        calls.append(None)
+        return bump(out, *args) if len(calls) == n + 1 else out
+
+    monkeypatch.setattr(hypergeometric, name, wrapped)
+
+
+def _bump_gauss(G, psi, chis, M):
+    G = G.copy()
+    G[1, 3] = (G[1, 3] + 1) % M
+    return G
+
+
+def _bump_p2(out, spec, m, t_code=None):
+    E, C = out
+    if m != 2:
+        return out
+    C = C.copy()
+    C[0, 7] += 1
+    return E, C
+
+
+@pytest.mark.parametrize("row", range(6))
+def test_det_oracle_fails_at_exactly_the_corrupted_row(monkeypatch, row):
+    # det_agrees forms one Gauss exponent table and one p_2 per row: a bumped
+    # exponent or count changes that row's side by a nonzero element
+    with monkeypatch.context() as mp:
+        _bump_nth_call(mp, "gauss_exponents", row, _bump_gauss)
+        res = check_det_oracle(q=29)
+    assert [i for i, r in enumerate(res.rows) if not r["ok"]] == [row]
+    with monkeypatch.context() as mp:
+        # _trad_rows runs at m = 1 and m = 2 for each row; the bump lands on m = 2
+        _bump_nth_call(mp, "_trad_rows", 2 * row + 1, _bump_p2)
+        res = check_det_oracle(q=29)
+    assert [i for i, r in enumerate(res.rows) if not r["ok"]] == [row]
+
+
+def test_det_oracle_builds_no_cyclotomic_field():
+    ctx_for.cache_clear()
+    assert check_det_oracle(q=29).ok
+    assert ctx_for.cache_info().currsize == 0
+
+
+def test_det_oracle_peak_memory():
+    # as power-basis elements of Q(zeta_4970) the two sides peaked at 205 MiB here
+    build_field(71)
+    build_field(71, 2)
+    tracemalloc.start()
+    try:
+        res = check_det_oracle(q=71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert peak < 24 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_det_oracle_refuses_bad_parameters_before_any_work(refused_peak):
+    for q, k in ((2, 2), (3, 2), (29, 1), (29, 4)):
+        assert refused_peak(lambda: check_det_oracle(q=q, k=k), BadParams, "det-oracle needs") < 1 << 16
+    # at q = 151 the Gauss side fits the budget and Newton's does not: both
+    # are refused before either is built
+    assert refused_peak(lambda: check_det_oracle(q=151), Infeasible, "L = 22650") < 1 << 20
 
 
 def test_campaign_small_run(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dworkbench.characters import gauss_sum, kummer_trace, teich_char
 from dworkbench.cyclotomic import CycloElem, common, to_cyclo
 from dworkbench.errors import BadN, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field
@@ -16,8 +17,8 @@ from dworkbench.hypergeometric import (
     _KERNEL_BUDGET,
     _apply_hist,
     _cconv,
+    _det_budget,
     _kernel_cost,
-    _point_trace_conv,
     _rank1_trad,
     _shift_hist,
     _trace_rows,
@@ -135,6 +136,88 @@ def _random_disjoint(field, rng, k=2, equal_sums=None):
         if equal_sums is not None and (sum(chis) % N == sum(rhos) % N) != equal_sums:
             continue
         return HyperSpec(field, N, chis, rhos)
+
+
+def _point_trace_conv(spec, t_code, m):
+    """The trace at one point over the degree-m extension, convolution route."""
+    E, C = _trad_rows(spec, m, t_code)
+    return to_cyclo(C[0], E.p * spec.N)
+
+
+def _det_trad_by_products(spec, t):
+    """det_trad as a product of CycloElem factors in Q(zeta_pN): the literal
+    reference for det_trad, which forms the same product on count vectors."""
+    f, N, k = spec.field, spec.N, spec.k
+    t_el = t if hasattr(t, "code") else f.from_code(t)
+    M = f.p * N
+    tch = teich_char(f, N)
+    psibar = spec.psi().bar()
+    neg1 = f.el(-1) if (k - 1) % 2 == 1 else f.one()
+    acc = CycloElem.rational(M, Fraction(f.q) ** (k * (k - 1) // 2))
+    for a in spec.s_chi:
+        acc = acc * (tch ** a)(neg1).coerce(M)
+    for a in spec.s_chi:
+        for b in spec.s_rho:
+            acc = acc * (-gauss_sum(psibar, tch ** ((a - b) % N))).coerce(M)
+    acc = acc ** f.m
+    sa = sum(spec.s_chi) % N
+    sb = sum(spec.s_rho) % N
+    acc = acc * kummer_trace(f, N, sa, t_el, "x").coerce(M)
+    if sa != sb:
+        acc = acc * kummer_trace(f, N, (sb - sa) % N, t_el, "one_minus_x").coerce(M)
+    return acc
+
+
+@pytest.mark.parametrize("q", [7, 13, 29])
+def test_det_trad_matches_the_product_reference(q):
+    field = build_field(q)
+    rng = random.Random(q)
+    for i in range(8):
+        spec = _random_disjoint(field, rng, k=3 if q == 13 and i % 2 else 2, equal_sums=i < 4)
+        spec = HyperSpec(field, spec.N, spec.s_chi, spec.s_rho, psi_c=rng.randrange(1, q))
+        t = rng.randrange(2, q)
+        assert det_trad(spec, t) == _det_trad_by_products(spec, t), (spec, t)
+
+
+def test_det_trad_matches_the_product_reference_over_extensions_and_rank_four(f7, f19):
+    # F_{3^2} and F_{5^2}: the f-th power of the constant is a repeated convolution
+    for p in (3, 5):
+        field = build_field(p, 2)
+        rng = random.Random(p)
+        for equal in (True, False):
+            spec = _random_disjoint(field, rng, equal_sums=equal)
+            t = field.from_code(rng.randrange(2, field.q))
+            assert det_trad(spec, t) == _det_trad_by_products(spec, t), (spec, t)
+    # the k = 3 specs of test_det_newton_rank_three, and det-hcan's k = 4 spec,
+    # whose (q-1)^16 terms take the Python-integer path
+    for chis, rhos, t in (((1, 1, 2), (0, 0, 3), 3), ((1, 2, 4), (0, 3, 5), 5)):
+        spec = HyperSpec(f7, 6, chis, rhos)
+        assert det_trad(spec, t) == _det_trad_by_products(spec, t)
+    spec = HyperSpec.from_label(f19, build_v(4, 9))
+    assert det_trad(spec, 2) == _det_trad_by_products(spec, 2)
+
+
+def test_det_via_newton_is_newton_of_point_traces(f7, f29):
+    rng = random.Random(3)
+    for equal in (True, False):
+        spec = _random_disjoint(f29, rng, equal_sums=equal)
+        t = rng.randrange(2, 29)
+        p1, p2 = (_point_trace_conv(spec, t, m) for m in (1, 2))
+        assert det_via_newton(spec, t) == (p1 * p1 - p2) / 2
+    spec = HyperSpec(f7, 6, (1, 2, 4), (0, 3, 5))
+    p1, p2, p3 = (_point_trace_conv(spec, 5, m) for m in (1, 2, 3))
+    assert det_via_newton(spec, 5) == (p1 * p1 * p1 - 3 * p1 * p2 + 2 * p3) / 6
+
+
+def test_det_budget_refuses_before_allocating(refused_peak):
+    # q = 1009, N = 1008: one dense convolution over Z/1017072 alone is 10^12
+    spec = HyperSpec(build_field(1009), 1008, (1, 2), (3, 5))
+    assert refused_peak(lambda: det_trad(spec, 2), Infeasible, "L = 1017072") < 1 << 20
+    # over Z/17030 one convolution (k = 2) fits, the four that pair nine sums (k = 3) do not
+    f131 = build_field(131)
+    assert _det_budget(HyperSpec(f131, 130, (1, 2), (3, 5))) == 17030
+    spec = HyperSpec(f131, 130, (1, 2, 4), (3, 5, 6))
+    assert refused_peak(lambda: det_trad(spec, 2), Infeasible, "L = 17030") < 1 << 20
 
 
 def test_det_newton_matches_direct(f29):
