@@ -4,7 +4,10 @@ An element lives in the power basis 1, z, ..., z^{phi(M)-1} for a fixed
 primitive M-th root of unity z, as an integer numerator vector over one
 shared positive denominator.  Products are reduced modulo the M-th
 cyclotomic polynomial, so the representation is canonical and equality is
-literal coefficient equality.
+literal coefficient equality.  One numpy table per modulus, the power
+vectors of z^0 .. z^(M-1), serves every reduction, Galois action and
+coercion, in int64 when the result is proved in range and in Python
+integers otherwise.
 
 Sums of roots of unity are also handled before they become elements, as
 exponent-count vectors over Z/M (entry e counts zeta_M^e): `to_cyclo` turns
@@ -29,9 +32,10 @@ Rat = Union[int, Fraction]
 
 # The int64 fast paths run only when every partial sum is proved below this.
 _INT64_LIMIT = 1 << 63
-# A context holds about M * phi(M) reduction and power-vector entries, at
-# about 16 bytes each (M = 3437: 1.0e7 entries, 157 MB traced), so the
-# budget caps a context near 1.6 GB.
+# A context holds M * phi(M) power-vector entries, built in int64 and kept
+# in the narrowest dtype that holds them (M = 3437: 1.0e7 entries, a 91 MB
+# traced peak and 10 MB kept, at 1 byte each), so the budget caps a
+# context's build near 0.9 GB.
 _CTX_BUDGET = 10 ** 8
 
 
@@ -85,9 +89,15 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 
 
 class CycloCtx:
-    """Cached per-modulus data: reduction rows and canonical power vectors."""
+    """Cached per-modulus data: the power vectors of z^0 .. z^(M-1).
 
-    __slots__ = ("M", "phi", "poly", "red", "pow_vecs", "_emb", "_tabs")
+    Row e of the (M, phi) array `powers` holds the power-basis coordinates
+    of z^e, in the narrowest integer dtype that holds them, and `pmax` is
+    the largest |entry|.  Since z^M = 1, row e mod M reduces any z^e; the
+    rows of z^phi .. z^(2 phi - 2) reduce a product modulo Phi_M.
+    """
+
+    __slots__ = ("M", "phi", "poly", "powers", "pmax", "_emb")
 
     def __init__(self, M: int):
         phi = euler_phi(M)
@@ -96,42 +106,26 @@ class CycloCtx:
         self.M = M
         self.poly = cyclotomic_poly(M)
         self.phi = phi
-        top = max(2 * phi - 2, M - 1)
-        red: list[tuple[int, ...]] = []
-        cur = [-c for c in self.poly[:phi]]  # z^phi
-        red.append(tuple(cur))
-        for _ in range(phi, top):
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                cur = [c + lead * b for c, b in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self.red = red
-        vecs: list[tuple[int, ...]] = []
-        for e in range(M):
-            if e < phi:
-                v = [0] * phi
-                v[e] = 1
-                vecs.append(tuple(v))
-            else:
-                vecs.append(red[e - phi])
-        self.pow_vecs = vecs
+        pw = np.zeros((M, phi), dtype=np.int64)
+        pw[np.arange(phi), np.arange(phi)] = 1
+        pmax = 1
+        if M > phi:
+            zphi = pw[phi]
+            zphi[:] = [-c for c in self.poly[:phi]]
+            h = pmax = int(np.abs(zphi).max())
+            # z^(e+1) = z z^e: shift, then the top coordinate times z^phi;
+            # each step is refused before it could leave int64
+            for e in range(phi + 1, M):
+                lead = int(pw[e - 1, -1])
+                if pmax + abs(lead) * h >= _INT64_LIMIT:
+                    raise ArithmeticError(f"power vectors of Q(zeta_{M}) leave int64")
+                pw[e, 1:] = pw[e - 1, :-1]
+                if lead:
+                    pw[e] += lead * zphi
+                pmax = max(pmax, int(np.abs(pw[e]).max()))
+        self.powers = pw.astype(np.min_scalar_type(-pmax - 1), copy=False)
+        self.pmax = pmax
         self._emb: dict[int, list[complex]] = {}
-        self._tabs: tuple[np.ndarray, np.ndarray, int] | None = None
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """pow_vecs as an (M, phi) array, its rows for z^phi .. z^(2phi-2) (the
-        reduction of a product), and the largest |entry|; built on first use in
-        the narrowest integer dtype that holds them."""
-        tabs = self._tabs
-        if tabs is None:
-            pmax = max(1, max(max(max(r), -min(r)) for r in self.red))
-            dt = np.min_scalar_type(-pmax - 1)
-            pow_arr = np.array(self.pow_vecs, dtype=dt).reshape(self.M, self.phi)
-            red_arr = pow_arr[np.arange(self.phi, 2 * self.phi - 1) % self.M]
-            tabs = (pow_arr, red_arr, pmax)
-            self._tabs = tabs
-        return tabs
 
     def embedding_basis(self, e: int) -> list[complex]:
         basis = self._emb.get(e)
@@ -152,46 +146,21 @@ def _max_abs(vals: Sequence[int]) -> int:
     return int(max(max(vals), -min(vals))) if len(vals) else 0
 
 
-def _reduce_vec(conv: list[int], ctx: CycloCtx) -> list[int]:
-    phi = ctx.phi
-    out = list(conv[:phi])
-    out += [0] * (phi - len(out))
-    for i in range(phi, len(conv)):
-        c = conv[i]
-        if c:
-            row = ctx.red[i - phi]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return out
-
-
 def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
-    """Numerator vector of a * b reduced modulo Phi_M, exact."""
+    """Numerator vector of a * b reduced modulo Phi_M, exact: in int64 when
+    every partial sum is proved below 2^63, in Python integers otherwise."""
     phi = ctx.phi
-    _, red_arr, pmax = ctx.tables()
-    if _max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * pmax) < _INT64_LIMIT:
-        conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return (conv[:phi] + conv[phi:] @ red_arr).tolist()
-    conv = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
-    return _reduce_vec(conv.tolist(), ctx)
+    dt = np.int64 if _max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * ctx.pmax) < _INT64_LIMIT else object
+    conv = np.convolve(np.array(a, dtype=dt), np.array(b, dtype=dt))
+    return (conv[:phi] + conv[phi:] @ ctx.powers[np.arange(phi, 2 * phi - 1) % ctx.M]).tolist()
 
 
 def _combine(ctx: CycloCtx, coeffs: Sequence[int], exps: Sequence[int]) -> list[int]:
-    """Numerator vector of sum_i coeffs[i] * z^exps[i], exact."""
-    pow_arr, _, pmax = ctx.tables()
-    if _max_abs(coeffs) * len(coeffs) * pmax < _INT64_LIMIT:
-        c = np.array(coeffs, dtype=np.int64)
-        nz = np.flatnonzero(c)
-        rows = pow_arr[np.asarray(exps, dtype=np.int64)[nz] % ctx.M]
-        return (c[nz] @ rows).tolist()
-    out = [0] * ctx.phi
-    for c, e in zip(coeffs, exps):
-        if c:
-            for j, r in enumerate(ctx.pow_vecs[e % ctx.M]):
-                if r:
-                    out[j] += c * r
-    return out
+    """Numerator vector of sum_i coeffs[i] * z^exps[i], exact: in int64 when
+    every partial sum is proved below 2^63, in Python integers otherwise."""
+    c = np.array(coeffs, dtype=np.int64 if _max_abs(coeffs) * len(coeffs) * ctx.pmax < _INT64_LIMIT else object)
+    nz = np.flatnonzero(c)
+    return (c[nz] @ ctx.powers[np.asarray(exps, dtype=np.int64)[nz] % ctx.M]).tolist()
 
 
 def _make(M: int, num: list[int], den: int) -> "CycloElem":
@@ -440,9 +409,7 @@ class CycloElem:
 
 def root_of_unity(M: int, k: int = 1) -> CycloElem:
     """zeta_M^k in canonical form."""
-    ctx = ctx_for(M)
-    row = ctx.pow_vecs[k % M]
-    return _make(M, list(row), 1)
+    return _make(M, ctx_for(M).powers[k % M].tolist(), 1)
 
 
 def to_cyclo(counts: Iterable[int], M: int, den: int = 1) -> CycloElem:

@@ -541,46 +541,20 @@ def count_points(fiber: DworkFiber, m: int = 1) -> int:
     nt_code = E.mul_code(E.el(N).code, fiber.t_code)  # t is a base residue
     total = 0
     chunk = 1 << 20
-    # chart j: coords before j vanish, coord j = 1, later coords free
-    for j in range(N):
+    # chart j: coords before j vanish, coord j = 1, later coords free; from
+    # j = 1 on the product term vanishes with the first coordinate, and at
+    # j = N - 1 the equation reads 1 = 0
+    for j in range(N - 1):
         nfree = N - 1 - j
-        if nfree == 0:
-            # all earlier coords zero: equation reads 1 = 0
-            continue
         size = qe ** nfree
-        if j >= 1:
-            # the product term vanishes with the first coordinate
-            total += _count_fermat_affine(E, powN, nfree)
-            continue
-        total += sum(
-            _chart_zero_chunk(E, powN, nt_code, nfree, lo, min(size, lo + chunk))
-            for lo in range(0, size, chunk)
-        )
+        rhs = nt_code if j == 0 else 0
+        total += sum(_chart_chunk(E, powN, rhs, nfree, lo, min(size, lo + chunk)) for lo in range(0, size, chunk))
     return total
 
 
-def _count_fermat_affine(E: FqField, powN: np.ndarray, nfree: int) -> int:
-    # solutions of 1 + sum_{i} x_i^N = 0 over nfree free coordinates
-    qe = E.q
-    size = qe ** nfree
-    cnt = 0
-    chunk = 1 << 20
-    flat = E.m == 1
-    for lo in range(0, size, chunk):
-        idx = np.arange(lo, min(size, lo + chunk), dtype=np.int64)
-        rem = idx
-        acc = np.full_like(idx, 1)
-        for _ in range(nfree):
-            xi = rem % qe
-            rem //= qe
-            acc = acc + powN[xi] if flat else E.add_codes(acc, powN[xi])
-        if flat:
-            acc %= qe
-        cnt += int(np.count_nonzero(acc == 0))
-    return cnt
-
-
-def _chart_zero_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo: int, hi: int) -> int:
+def _chart_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo: int, hi: int) -> int:
+    """Solutions of 1 + sum_i x_i^N = nt prod_i x_i among the free coordinate
+    tuples with flat indices lo .. hi - 1."""
     qe = E.q
     idx = np.arange(lo, hi, dtype=np.int64)
     rem = idx
@@ -648,7 +622,7 @@ def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
         return np.where(c == 0, 0, E.EXP[(3 * E.DLOG[c]) % Qe])
 
     ys, zs = fixed_values(1, 0), fixed_values(2, 0)
-    lhs = E._add_codes_int(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
+    lhs = E.add_codes(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
     rhs = E.mul_codes(E.mul_codes(E.el(3 * fiber.t_code).code, ys)[:, None], zs[None, :])
     at_infinity = _one_plus(E, cubes(fixed_values(2, 1))) == 0  # (0 : 1 : z): 1 + z^3 = 0
     return int(np.count_nonzero(lhs == rhs)) + int(np.count_nonzero(at_infinity))

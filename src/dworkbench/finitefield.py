@@ -3,7 +3,8 @@
 Elements are integer codes in 0..q-1 whose base-p digits are the coordinates
 in the power basis of a fixed irreducible modulus (for m = 1 the code is the
 residue itself).  Every multiplicative question becomes index arithmetic mod
-q-1; additive structure is digitwise.  Bulk code arrays go through numpy.
+q-1, through the EXP and DLOG tables; addition is digitwise, with no table.
+Bulk code arrays go through numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import BadSubfield, NotPrime, TooLarge, ZeroInput
 
 _TABLE_BOUND = 1 << 24
-_DENSE_ADD_BOUND = 2200  # full q x q addition table only below this
 
 
 def is_prime(n: int) -> bool:
@@ -203,7 +203,6 @@ class FqField:
         self._gen_code = self._find_generator()
         self._build_log_tables()
         self._trabs: np.ndarray | None = None
-        self._add_table: np.ndarray | None = None
 
     # -- construction internals -------------------------------------------
 
@@ -319,14 +318,12 @@ class FqField:
     # -- vectorized code arithmetic ---------------------------------------
 
     def add_codes(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Codes of A + B, digit by digit, shaped by the broadcast of A and B."""
         if self.m == 1:
             return (A + B) % self.p
-        if self.q <= _DENSE_ADD_BOUND:
-            return self.add_table()[A, B]
         out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
         for i in range(self.m):
-            di = ((A // self._pp[i]) + (B // self._pp[i])) % self.p
-            out += di * self._pp[i]
+            out += (((A // self._pp[i]) + (B // self._pp[i])) % self.p) * self._pp[i]
         return out
 
     def neg_codes(self, A: np.ndarray) -> np.ndarray:
@@ -344,22 +341,6 @@ class FqField:
         d = (self.DLOG[A] + self.DLOG[B]) % (self.q - 1)
         return np.where(nz, self.EXP[np.where(nz, d, 0)], 0)
 
-    def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            if self.q > _DENSE_ADD_BOUND:
-                raise TooLarge(f"dense addition table refused for q = {self.q}")
-            # int32 throughout, in row blocks: no q x q temporaries
-            codes = np.arange(self.q, dtype=np.int32)
-            digits = [(codes // self._pp[i]) % self.p for i in range(self.m)]
-            tab = np.zeros((self.q, self.q), dtype=np.int32)
-            rows = max(1, (1 << 18) // self.q)
-            for lo in range(0, self.q, rows):
-                blk = tab[lo : lo + rows]
-                for i, d in enumerate(digits):
-                    blk += ((d[lo : lo + rows, None] + d[None, :]) % self.p) * self._pp[i]
-            self._add_table = tab
-        return self._add_table
-
     # -- trace and norm ----------------------------------------------------
 
     def trace_abs_table(self) -> np.ndarray:
@@ -375,17 +356,11 @@ class FqField:
                 for i in range(1, m):
                     im = np.zeros(q, dtype=np.int64)
                     im[1:] = self.EXP[(dl * (p ** i)) % (q - 1)]
-                    acc = self._add_codes_int(acc, im)
+                    acc = self.add_codes(acc, im)
                 if np.any(acc >= p):
                     raise ArithmeticError("absolute trace left the prime field")
                 self._trabs = acc
         return self._trabs
-
-    def _add_codes_int(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-        for i in range(self.m):
-            out += (((A // self._pp[i]) + (B // self._pp[i])) % self.p) * self._pp[i]
-        return out
 
     def norm_to_subfield(self, x: FqElem, d: int) -> FqElem:
         """Norm from F_{p^m} down to F_{p^d}, d | m."""

@@ -47,7 +47,7 @@ from .characters import (
     teich_char,
 )
 from .cyclotomic import _INT64_LIMIT, CycloElem, ctx_for, exponent_counts, to_cyclo, vanishes
-from .errors import BadN, BadT, Infeasible, SizeMismatch
+from .errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
 from .weights import WeightVector, hyper_data
 
@@ -92,12 +92,17 @@ class HyperSpec:
         return AddChar(self.field, self.psi_c)
 
     def extension(self, m: int) -> tuple[FqField, int]:
-        """The degree-m extension and the dlog shift of norm composition."""
+        """The degree-m extension and the dlog shift of norm composition.
+        Only a prime base field is extended: the shift composes the norm
+        down to F_p."""
         if m == 1:
             return self.field, 1
-        E = build_field(self.field.q, m)
+        f = self.field
+        if f.m > 1:
+            raise BadParams(f"no degree-{m} extension of F_{f.q} = F_{f.p}^{f.m}: the base field must be prime")
+        E = build_field(f.q, m)
         ncode = E.norm_to_subfield(E.generator, 1).code
-        return E, int(self.field.DLOG[ncode])
+        return E, int(f.DLOG[ncode])
 
     @staticmethod
     def from_label(field: FqField, v: "WeightVector | Sequence[int]", N: int | None = None) -> "HyperSpec":

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -168,9 +169,10 @@ def test_context_basis_size():
 def _literal(M, coeffs, exps):
     # sum_i coeffs[i] * z^exps[i] through the canonical power vectors, in Python integers
     ctx = ctx_for(M)
+    powers = ctx.powers.tolist()
     out = [0] * ctx.phi
     for c, e in zip(coeffs, exps):
-        for j, r in enumerate(ctx.pow_vecs[e % M]):
+        for j, r in enumerate(powers[e % M]):
             out[j] += c * r
     return out
 
@@ -212,12 +214,48 @@ def test_mul_above_int64_bound_is_exact():
 
 
 def test_small_products_take_the_int64_path(monkeypatch):
-    def fail(*args):
-        raise AssertionError("Python-integer reduction used for small operands")
+    # a product computes in int64 exactly while the proved bound
+    # max|a| max|b| phi (1 + (phi - 1) pmax) is below 2^63, and in Python
+    # integers from there on; at M = 7 the bound is 36 max|a| max|b|
+    seen = []
+    convolve = np.convolve
 
-    monkeypatch.setattr(cyclotomic, "_reduce_vec", fail)
+    def spy(a, b):
+        seen.append(a.dtype)
+        return convolve(a, b)
+
+    monkeypatch.setattr(cyclotomic.np, "convolve", spy)
+    assert euler_phi(7) == 6 and ctx_for(7).pmax == 1
     a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8]
     assert list((to_cyclo(a, 7) * to_cyclo(b, 7)).coeffs) == _literal_mul(7, a, b)
+    z = [0, 1, 0, 0, 0, 0]
+    for top in ((2 ** 63 - 1) // 36, (2 ** 63 - 1) // 36 + 1):
+        big = [top, -top, 5, 0, 1, -top]
+        assert list((to_cyclo(big, 7) * to_cyclo(z, 7)).coeffs) == _literal_mul(7, big, z)
+    assert seen == [np.dtype(np.int64), np.dtype(np.int64), np.dtype(object)]
+
+
+def test_context_keeps_one_narrow_table():
+    # Q(zeta_812): the 812 x 336 power vectors fit int8, 0.26 MiB
+    ctx_for.cache_clear()
+    tracemalloc.start()
+    try:
+        ctx = ctx_for(812)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ctx.powers.shape == (812, 336) and ctx.powers.dtype == np.int8
+    assert kept < 1 << 20, f"{kept / 2 ** 20:.2f} MiB"
+
+
+def test_context_build_refuses_to_leave_int64(monkeypatch):
+    # each step of the power recurrence is refused before its entries could
+    # reach the limit: at a limit of 3, Q(zeta_105), whose Phi has a
+    # coefficient -2, is refused, and Q(zeta_7), which takes no step, is not
+    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 3)
+    with pytest.raises(ArithmeticError, match="zeta_105"):
+        cyclotomic.CycloCtx(105)
+    assert cyclotomic.CycloCtx(7).pmax == 1
 
 
 def test_poly_and_reduction_match_sympy():
@@ -229,9 +267,12 @@ def test_poly_and_reduction_match_sympy():
     for M in (28, 63, 105, 812):
         ctx = ctx_for(M)
         phi_m = sympy.Poly(sympy.cyclotomic_poly(M, x), x)
-        for e in (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 2, M - 1):
+        # below 812 every row up to z^max(M - 1, 2 phi - 2); at 812 the first
+        # and last reduction rows and z^(M - 1)
+        rows = range(max(M, 2 * ctx.phi - 1)) if M < 812 else (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 2, M - 1)
+        for e in rows:
             rem = sympy.Poly(x ** e, x).rem(phi_m).all_coeffs()[::-1]
-            assert list(ctx.red[e - ctx.phi]) == rem + [0] * (ctx.phi - len(rem))
+            assert ctx.powers[e % M].tolist() == rem + [0] * (ctx.phi - len(rem))
 
 
 def test_ctx_budget_refuses_before_allocating(refused_peak):

@@ -221,6 +221,18 @@ def test_point_count_weil_consistency(f7):
     assert n2 == 49 + 1 - (a * a - 2 * 7)
 
 
+def test_point_count_matches_literal_projective_enumeration():
+    # (N, q) = (5, 11): the nonzero tuples of F_11^5 on the hypersurface,
+    # counted up to scaling; t = 0 is the Fermat quintic
+    q, N = 11, 5
+    x = np.indices((q,) * N).reshape(N, -1)
+    for t in (0, 2):
+        on = (np.sum(x ** N, axis=0) - N * t * np.prod(x, axis=0)) % q == 0
+        nonzero = int(np.count_nonzero(on)) - 1  # the zero tuple
+        assert nonzero % (q - 1) == 0
+        assert count_points(DworkFiber(build_field(q), N, t)) == nonzero // (q - 1)
+
+
 def test_point_count_budget_guard(f29):
     with pytest.raises(Infeasible):
         count_points(DworkFiber(f29, 7, 2), m=2)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dworkbench.characters import gauss_sum, kummer_trace, teich_char
 from dworkbench.cyclotomic import CycloElem, common, to_cyclo
-from dworkbench.errors import BadN, BadT, Infeasible, SizeMismatch
+from dworkbench import hypergeometric
+from dworkbench.errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field
 from dworkbench.hypergeometric import (
     HyperSpec,
@@ -25,6 +26,7 @@ from dworkbench.hypergeometric import (
     _trad_rows,
     canonical_paths_compare,
     canonical_trace,
+    det_agrees,
     det_trad,
     det_via_newton,
     lambda_can,
@@ -195,6 +197,27 @@ def test_det_trad_matches_the_product_reference_over_extensions_and_rank_four(f7
         assert det_trad(spec, t) == _det_trad_by_products(spec, t)
     spec = HyperSpec.from_label(f19, build_v(4, 9))
     assert det_trad(spec, 2) == _det_trad_by_products(spec, 2)
+
+
+def test_extensions_of_a_non_prime_field_are_refused(monkeypatch):
+    # over F_{3^2}, traces over an extension and Newton's determinant are
+    # refused before the extension is built; det_trad takes no extension
+    field = build_field(3, 2)
+    spec = _random_disjoint(field, random.Random(3))
+    t = field.from_code(5)
+
+    def fail(*args):
+        raise AssertionError("extension field built")
+
+    monkeypatch.setattr(hypergeometric, "build_field", fail)
+    for call in (
+        lambda: trad_trace_conv(spec, E_degree=2),
+        lambda: trad_trace_naive(spec, [t], E_degree=2),
+        lambda: det_agrees(spec, t),
+    ):
+        with pytest.raises(BadParams, match="F_9 = F_3\\^2"):
+            call()
+    assert det_trad(spec, t) == _det_trad_by_products(spec, t)
 
 
 def test_det_via_newton_is_newton_of_point_traces(f7, f29):

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -40,3 +41,51 @@ def test_verdict_modules_use_no_float_embeddings(name):
             names |= set((getattr(node, "module", None) or "").split("."))
     found = sorted(names & {"embed", "abs2", "fft"})
     assert not found, f"{name} references {found}"
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _references(tree):
+    """Counter of the identifiers a tree refers to: names, attributes,
+    imported names and the words of its strings, docstrings left out."""
+    docs = {id(node) for node in _docstrings(tree)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def test_every_symbol_is_used():
+    # a top-level function or class, or a non-dunder method, that nothing in
+    # the source, the tests or the benchmark refers to outside its own body
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    defs = [
+        (path.name, node)
+        for path in SRC.glob("*.py")
+        for top in trees[path].body
+        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    unused = sorted(
+        f"{name}:{node.name}"
+        for name, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and total[node.name] <= _references(node)[node.name]
+    )
+    assert not unused, f"defined but never referenced: {unused}"
