@@ -3,10 +3,11 @@ degree-N family sum X_i^N = N t prod X_i in P^{N-1}.
 
 The eigentrace is a stratified character sum: a torus stratum constrained by
 s^N = (Nt)^N prod u_i plus boundary strata over vanishing coordinate sets.
-Two evaluation routes are kept: a literal nested scan (the defining sum) and
-a scaling-orbit engine that aggregates every t at once.  The engine must
+Two evaluation routes are kept: eigentrace_all_t, a scaling-orbit engine
+that serves every t of a label from one aggregation, and eigentrace_scan,
+the literal nested scan of the defining sum at one fiber.  The engine must
 agree with the scan, and at N = 3 with brute-force equivariant fixed-point
-counts.
+counts, which fix_count_bruteforce also finds for every t in one pass.
 
 The engine counts m-tuples of units by (sum sigma, dlog sum d mod q-1,
 weight e mod N), one unit at a time.  F_q^x scales tuples coordinatewise,
@@ -40,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .cyclotomic import _INT64_LIMIT, CycloElem, to_cyclo
-from .errors import BadN, BadParams, BadT, Infeasible, UnsupportedN
+from .errors import BadN, BadParams, BadT, Infeasible
 from .finitefield import FqField, build_field
 from .weights import WeightVector
 
@@ -125,18 +126,14 @@ class EigenTrace:
 
     __slots__ = ("fiber", "entries", "torus", "strata", "hyperplane", "value")
 
-    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict, boundary: CycloElem):
-        """boundary is the sum of the strata values, shared by every fiber."""
+    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict, hyperplane: CycloElem, boundary: CycloElem):
+        """strata, hyperplane and boundary (the strata's sum) are the label's, shared by every fiber."""
         self.fiber = fiber
         self.entries = entries
         self.torus = torus
         self.strata = strata
-        q, N = fiber.field.q, fiber.N
-        if len(set(entries)) == 1:
-            self.hyperplane = CycloElem.rational(N, (q ** (N - 1) - 1) // (q - 1))
-        else:
-            self.hyperplane = CycloElem.zero(N)
-        self.value = torus + self.hyperplane + boundary
+        self.hyperplane = hyperplane
+        self.value = torus + hyperplane + boundary
 
     def to_json(self) -> dict:
         strata = {
@@ -457,32 +454,21 @@ def _check_fiber_for_charsum(fiber: DworkFiber) -> None:
         raise BadT("character-sum trace needs a smooth fiber (t^N != 1)")
 
 
-def eigentrace_charsum(v: "WeightVector | Sequence[int]", fiber: DworkFiber, engine: str = "state") -> EigenTrace:
-    """Exact Frobenius trace on the labelled eigenspace of the smooth fiber.
-
-    engine "state" aggregates by constraint residue; engine "scan" runs the
-    defining nested sum.  Both produce identical exact values.
-    """
-    _check_fiber_for_charsum(fiber)
-    N, field = fiber.N, fiber.field
-    entries = _entries_of(v, N)
-    if engine == "state":
-        H = _torus_aggregate(field, N, entries)
-        torus = -to_cyclo(H[_torus_row(field, N, fiber.t_code)].tolist(), N)
-        strata = _boundary_strata(field, N, entries)
-    elif engine == "scan":
-        torus = _torus_scan(field, N, entries, fiber.t_code)
-        strata = {Z: _boundary_scan(field, N, entries, Z) for Z in strata_sets(entries)}
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return EigenTrace(fiber, entries, torus, strata, sum(strata.values(), CycloElem.zero(N)))
+def _hyperplane(q: int, N: int, entries: Sequence[int]) -> CycloElem:
+    """The invariant hyperplane classes 1 + q + ... + q^{N-2}, on the all-equal label only."""
+    if len(set(entries)) == 1:
+        return CycloElem.rational(N, (q ** (N - 1) - 1) // (q - 1))
+    return CycloElem.zero(N)
 
 
 def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") -> dict[int, EigenTrace]:
-    """Eigentraces at every smooth t != 0, sharing one torus aggregation."""
+    """Exact Frobenius traces on the labelled eigenspace of every smooth
+    fiber t != 0: one torus aggregation, one set of strata and one
+    hyperplane constant per label, shared by every fiber."""
     entries = _entries_of(v, N)
     H = _torus_aggregate(field, N, entries)
     strata = _boundary_strata(field, N, entries)
+    hyperplane = _hyperplane(field.q, N, entries)
     boundary = sum(strata.values(), CycloElem.zero(N))
     out: dict[int, EigenTrace] = {}
     for t_code in range(1, field.q):
@@ -490,8 +476,26 @@ def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") 
         if not fiber.is_smooth():
             continue
         torus = -to_cyclo(H[_torus_row(field, N, t_code)].tolist(), N)
-        out[t_code] = EigenTrace(fiber, entries, torus, dict(strata), boundary)
+        out[t_code] = EigenTrace(fiber, entries, torus, strata, hyperplane, boundary)
     return out
+
+
+def eigentrace_charsum(v: "WeightVector | Sequence[int]", fiber: DworkFiber) -> EigenTrace:
+    """The trace of eigentrace_all_t at one smooth fiber t != 0."""
+    _check_fiber_for_charsum(fiber)
+    return eigentrace_all_t(fiber.field, fiber.N, v)[fiber.t_code]
+
+
+def eigentrace_scan(v: "WeightVector | Sequence[int]", fiber: DworkFiber) -> EigenTrace:
+    """The same trace by the defining nested sums, the reference route the
+    engine of eigentrace_all_t is tested against."""
+    _check_fiber_for_charsum(fiber)
+    N, field = fiber.N, fiber.field
+    entries = _entries_of(v, N)
+    torus = _torus_scan(field, N, entries, fiber.t_code)
+    strata = {Z: _boundary_scan(field, N, entries, Z) for Z in strata_sets(entries)}
+    hyperplane = _hyperplane(field.q, N, entries)
+    return EigenTrace(fiber, entries, torus, strata, hyperplane, sum(strata.values(), CycloElem.zero(N)))
 
 
 def _nonnegative_everywhere(x: CycloElem) -> bool:
@@ -588,29 +592,31 @@ def _one_plus(E: FqField, codes: np.ndarray) -> np.ndarray:
     return codes + 1 - E.p * (codes % E.p == E.p - 1)
 
 
-def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
-    """Points of the cubic fiber fixed by the scaled Frobenius, counted
-    projectively over the cubic extension E.
+def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
+    """Points of each cubic fiber fixed by the scaled Frobenius, counted
+    projectively over the cubic extension E: counts[t] for every t in F_q.
 
     The image of a point c is (zeta_i c_i^q).  It is the same projective
     point exactly when zeta_i c_i^q = lambda c_i for one lambda, that is,
     when dlog zeta_i + (q - 1) dlog c_i agrees over the nonzero coordinates.
-    The condition is coordinatewise: scale the leading nonzero coordinate to
-    1, so lambda = zeta_lead, and one scan of E^x gives the units each later
-    coordinate may take (q - 1 of them; zero is always allowed).  The fixed
-    points of P^2(E) are the representatives (1 : y : z) and (0 : 1 : z)
-    built from those values, and the count keeps the ones on the curve
-    x^3 + y^3 + z^3 = 3t xyz: about q^2 tests after O(q^3) scans.
+    The condition is coordinatewise and free of t: scale the leading nonzero
+    coordinate to 1, so lambda = zeta_lead, and one scan of E^x gives the
+    units each later coordinate may take (q - 1 of them; zero is always
+    allowed).  The fixed points of P^2(E) are the representatives
+    (1 : y : z) and (0 : 1 : z) built from those values, and each is
+    bucketed by the fibers x^3 + y^3 + z^3 = 3t xyz it lies on: (1 : y : z)
+    with yz != 0 on the one fiber with 3t = (1 + y^3 + z^3) / (yz), when that
+    is an F_q constant; the others on every fiber when the sum vanishes.
+    About q^2 tests after O(q^3) scans.
     """
-    if fiber.N != 3:
-        raise UnsupportedN("brute-force fixed points implemented for N = 3 only")
     if g.N != 3:
         raise BadParams("group element degree mismatch")
-    base = fiber.field
-    q = base.q
+    q = field.q
+    if field.m != 1 or (q - 1) % 3 != 0:
+        raise BadN("fiber field must be prime with q = 1 mod 3")
     E = build_field(q, 3)
     Qe = E.q - 1
-    w = base.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
+    w = field.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
     dz = [int(E.DLOG[(w ** e).code]) for e in g.exps]
     d = np.arange(Qe, dtype=np.int64)
 
@@ -623,6 +629,9 @@ def fix_count_bruteforce(fiber: DworkFiber, g: GroupElement) -> int:
 
     ys, zs = fixed_values(1, 0), fixed_values(2, 0)
     lhs = E.add_codes(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
-    rhs = E.mul_codes(E.mul_codes(E.el(3 * fiber.t_code).code, ys)[:, None], zs[None, :])
+    yz = E.mul_codes(ys[:, None], zs[None, :])
+    c3t = E.mul_codes(lhs, E.EXP[-E.DLOG[yz] % Qe])  # lhs / yz where yz != 0
+    one = (yz != 0) & (c3t < q)  # the F_q constants are the codes below q
+    counts = np.bincount(c3t[one] * pow(3, -1, q) % q, minlength=q)
     at_infinity = _one_plus(E, cubes(fixed_values(2, 1))) == 0  # (0 : 1 : z): 1 + z^3 = 0
-    return int(np.count_nonzero(lhs == rhs)) + int(np.count_nonzero(at_infinity))
+    return counts + np.count_nonzero((yz == 0) & (lhs == 0)) + np.count_nonzero(at_infinity)

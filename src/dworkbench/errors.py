@@ -53,10 +53,6 @@ class BadT(WorkbenchError):
     """Parameter value lands outside the open locus of the family."""
 
 
-class UnsupportedN(WorkbenchError):
-    """Brute-force oracle only exists for the smallest family member."""
-
-
 class NotSignDefinite(WorkbenchError):
     """Pairing matrix is neither symmetric nor antisymmetric."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .dwork import (
     GroupElement,
     count_points,
     eigentrace_all_t,
-    eigentrace_charsum,
     fix_count_bruteforce,
     weil_check,
 )
@@ -71,10 +71,9 @@ class CheckResult:
             "seed": self.seed,
         }
 
-    def canonical_bytes(self, include_timing: bool = False) -> bytes:
+    def canonical_bytes(self) -> bytes:
         d = self.to_json()
-        if not include_timing:
-            d.pop("runtime_ms")
+        d.pop("runtime_ms")
         return json.dumps(d, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
 
 
@@ -210,7 +209,7 @@ def katz_check(
     if not ev:
         raise AllRatiosUndefined("no smooth fibers at this q")
     spec = HyperSpec.from_label(field, v)
-    can_table = canonical_trace(spec, path="conv-of-canonical")
+    can_table = canonical_trace(spec)
 
     inverse: dict[int, CycloElem | None] = {}
     candidates = {}
@@ -306,31 +305,31 @@ _N3_LABELS = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
 def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
     """Charsum versus brute-force equivariant fixed points, all smooth t.
 
-    The inversion weights fixed-point counts by conjugated character values;
-    the all-equal label additionally needs the curve's invariant classes
-    1 + q.  The corrupt flag injects a wrong stratum value to prove the
-    oracle can fail.
+    One eigentrace table per label and one fixed-point pass per group
+    element serve every t.  The inversion weights fixed-point counts by
+    conjugated character values; the all-equal label additionally needs the
+    curve's invariant classes 1 + q.  The corrupt flag injects a wrong
+    stratum value to prove the oracle can fail.
     """
     t0 = time.monotonic()
     field = build_field(q)
     gs = [GroupElement(3, e) for e in _N3_LABELS]
     smooth = [t for t in range(1, q) if DworkFiber(field, 3, t).is_smooth()]
+    fixes = {g: fix_count_bruteforce(field, g).tolist() for g in gs}
+    traces = {v: eigentrace_all_t(field, 3, v) for v in _N3_LABELS}
 
     rows = []
     for t in smooth:
-        fiber = DworkFiber(field, 3, t)
-        fixes = {g: fix_count_bruteforce(fiber, g) for g in gs}
-        npts = count_points(fiber, 1)
-        row = {"t": t, "fix_counts": [fixes[g] for g in gs], "points": npts, "ok": True}
+        npts = count_points(DworkFiber(field, 3, t), 1)
+        row = {"t": t, "fix_counts": [fixes[g][t] for g in gs], "points": npts, "ok": True}
         for v in _N3_LABELS:
-            tr = eigentrace_charsum(v, fiber)
-            val = tr.value
+            val = traces[v][t].value
             if corrupt and v == (0, 0, 0):
                 val = val + 1  # stands in for a corrupted stratum weight
             acc = CycloElem.zero(3)
             for g in gs:
                 pair = sum(a * b for a, b in zip(v, g.exps)) % 3
-                acc = acc + root_of_unity(3, (-pair) % 3) * fixes[g]
+                acc = acc + root_of_unity(3, (-pair) % 3) * fixes[g][t]
             pred = acc * Fraction(-1, 3)
             if v == (0, 0, 0):
                 pred = pred + (1 + q)
@@ -709,38 +708,48 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
     """
     results: list[CheckResult] = []
     lam_by_q: dict[int, CycloElem] = {}
+    if cfg.outdir:
+        os.makedirs(cfg.outdir, exist_ok=True)
+
+    def add(r: CheckResult) -> None:
+        """Keep a report, written to outdir at once so that a later refusal leaves it."""
+        if cfg.outdir:
+            with open(os.path.join(cfg.outdir, f"{len(results):02d}-{r.check}.json"), "w") as fh:
+                json.dump(r.to_json(), fh, indent=1, sort_keys=True)
+        results.append(r)
+
     for name in cfg.checks:
         if name == "build-v":
-            results.append(check_build_v(seed=cfg.seed))
+            add(check_build_v(seed=cfg.seed))
         elif name == "gauss-suite":
-            results.append(check_gauss_suite(seed=cfg.seed))
+            add(check_gauss_suite(seed=cfg.seed))
         elif name == "hyper-cross":
-            results.append(check_hyper_cross(cfg.n, cfg.N, cfg.qs[0], seed=cfg.seed))
+            add(check_hyper_cross(cfg.n, cfg.N, cfg.qs[0], seed=cfg.seed))
         elif name == "canonical-paths":
-            results.append(check_canonical_paths(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
+            add(check_canonical_paths(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
         elif name == "det-oracle":
-            results.append(check_det_oracle(q=cfg.qs[0], seed=cfg.seed))
+            add(check_det_oracle(q=cfg.qs[0], seed=cfg.seed))
         elif name == "det-hcan":
-            results.append(check_det_hcan(seed=cfg.seed))
+            add(check_det_hcan(seed=cfg.seed))
         elif name == "n3":
             for q in (7, 13):
-                results.append(validate_n3(q, seed=cfg.seed))
+                add(validate_n3(q, seed=cfg.seed))
         elif name == "katz":
             for q in cfg.qs:
                 rep = katz_check(cfg.n, cfg.N, q, seed=cfg.seed)
                 if rep.lam is not None:
                     lam_by_q[q] = rep.lam
-                results.append(rep.to_result())
+                add(rep.to_result())
         elif name == "weil-duality":
-            results.append(check_weil_duality(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
+            add(check_weil_duality(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
         elif name == "signs":
-            results.append(check_signs(seed=cfg.seed))
+            add(check_signs(seed=cfg.seed))
         elif name == "psi2":
             for q in cfg.qs:
                 lam = lam_by_q.get(q)
                 if lam is None:
                     lam = katz_check(cfg.n, cfg.N, q, seed=cfg.seed, with_control=False).lam
-                results.append(psi2_weight_note(cfg.n, cfg.N, q, lam))
+                add(psi2_weight_note(cfg.n, cfg.N, q, lam))
 
     ok = all(r.ok for r in results)
     # adjudication consistency across runs
@@ -748,12 +757,4 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
         seen = {r.adjudications.get(key) for r in results} - {None}
         if len(seen) > 1:
             ok = False
-    if cfg.outdir:
-        import os
-
-        os.makedirs(cfg.outdir, exist_ok=True)
-        for i, r in enumerate(results):
-            path = os.path.join(cfg.outdir, f"{i:02d}-{r.check}.json")
-            with open(path, "w") as fh:
-                json.dump(r.to_json(), fh, indent=1, sort_keys=True)
     return (0 if ok else 1), results

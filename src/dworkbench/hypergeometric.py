@@ -456,23 +456,12 @@ def mellin_agrees(spec: HyperSpec, C: np.ndarray) -> np.ndarray:
     return vanishes(W - R * lift, M)
 
 
-def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTable:
-    """Trace table of the normalized sheaf by either of its two definitions.
-
-    conv-of-canonical: iterated convolution of rank-1 power-residue twists
-    divided by their attached negative Jacobi sums; values in Q(zeta_N).
-    trad-over-phi: the traditional table times the exact inverse of the
-    Gauss-sum normalization; values in Q(zeta_{pN}).  The two agree up to
-    one global sign, which the caller records.
+def canonical_trace(spec: HyperSpec) -> TraceTable:
+    """Trace table of the normalized sheaf as a convolution of canonical
+    pieces: iterated convolution of rank-1 power-residue twists divided by
+    their attached negative Jacobi sums; values in Q(zeta_N).
     """
     field, N = spec.field, spec.N
-    if path == "trad-over-phi":
-        tab = trad_trace_conv(spec)
-        pin = phi_inverse(field, N, spec.s_chi, spec.s_rho, spec.psi())
-        values = {c: v * pin for c, v in tab._all.items()}
-        return TraceTable(field, tab.M, values)
-    if path != "conv-of-canonical":
-        raise ValueError(f"unknown path {path!r}")
     R = field.q - 1
     _require_budget(_kernel_cost(R, N, N, R, [1] * spec.k), N, spec.k)
     unit = np.zeros(N, dtype=np.int64)
@@ -491,15 +480,19 @@ def canonical_trace(spec: HyperSpec, path: str = "conv-of-canonical") -> TraceTa
 def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
     """Pointwise comparison of the two canonical routes on the open locus.
 
-    Returns (agree, sign) where sign is the single global unit in {+1, -1}
-    making the conv-of-canonical table equal sign * trad-over-phi.
+    conv-of-canonical is canonical_trace; trad-over-phi is the traditional
+    table times the exact inverse of the Gauss-sum normalization, with
+    values in Q(zeta_{pN}).  Returns (agree, sign) where sign is the single
+    global unit in {+1, -1} making the conv-of-canonical table equal
+    sign * trad-over-phi.
     """
     M = spec.field.p * spec.N
-    t1 = canonical_trace(spec, "conv-of-canonical")
-    t2 = canonical_trace(spec, "trad-over-phi")
+    t1 = canonical_trace(spec)
+    trad = trad_trace_conv(spec)
+    pin = phi_inverse(spec.field, spec.N, spec.s_chi, spec.s_rho, spec.psi())
     sign = 0
     for code, v1 in t1.items():
-        v2 = t2.value_at(code)
+        v2 = trad.value_at(code) * pin
         a = v1.coerce(M)
         if a.is_zero() and v2.is_zero():
             continue

@@ -157,6 +157,17 @@ def test_verify_all_campaign(capsys, tmp_path):
     assert "campaign: PASS" in out
 
 
+def test_verify_all_keeps_reports_written_before_a_refusal(capsys, tmp_path):
+    # hyper-cross refuses q = 71 after build-v and gauss-suite have passed
+    outdir = tmp_path / "reports"
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"q = 71\noutdir = {outdir}\n")
+    code, _, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2
+    assert "Infeasible" in err
+    assert sorted(p.name for p in outdir.iterdir()) == ["00-build-v.json", "01-gauss-suite.json"]
+
+
 def test_verify_all_missing_config(capsys):
     code, _, err = run(capsys, "verify", "all", "--config", "/nonexistent/camp.txt")
     assert code == 2

@@ -19,11 +19,12 @@ from dworkbench.dwork import (
     count_points,
     eigentrace_all_t,
     eigentrace_charsum,
+    eigentrace_scan,
     fix_count_bruteforce,
     strata_sets,
     weil_check,
 )
-from dworkbench.errors import BadN, BadParams, BadT, Infeasible, UnsupportedN
+from dworkbench.errors import BadN, BadParams, BadT, Infeasible
 from dworkbench.finitefield import build_field
 from dworkbench.weights import build_v
 
@@ -80,21 +81,20 @@ def test_boundary_term_validation(f29):
 
 def test_trace_requires_smooth_nonzero_t(f29):
     v = build_v(2, 7)
-    with pytest.raises(BadT):
-        eigentrace_charsum(v, DworkFiber(f29, 7, 0))
     singular = next(t for t in range(2, 29) if not DworkFiber(f29, 7, t).is_smooth())
-    with pytest.raises(BadT):
-        eigentrace_charsum(v, DworkFiber(f29, 7, singular))
-    with pytest.raises(ValueError):
-        eigentrace_charsum(v, DworkFiber(f29, 7, 2), engine="magic")
+    for route in (eigentrace_charsum, eigentrace_scan):
+        with pytest.raises(BadT):
+            route(v, DworkFiber(f29, 7, 0))
+        with pytest.raises(BadT):
+            route(v, DworkFiber(f29, 7, singular))
 
 
 def test_engine_matches_defining_scan_n3(f7, f13):
     for f, t in ((f7, 3), (f7, 5), (f13, 2)):
         for exps in ((0, 0, 0), (0, 1, 2)):
             fib = DworkFiber(f, 3, t)
-            a = eigentrace_charsum(exps, fib, engine="state")
-            b = eigentrace_charsum(exps, fib, engine="scan")
+            a = eigentrace_charsum(exps, fib)
+            b = eigentrace_scan(exps, fib)
             assert a.value == b.value, (f.q, t, exps)
 
 
@@ -103,8 +103,8 @@ def test_engine_matches_defining_scan_n5():
     fib = DworkFiber(f11, 5, 2)
     assert fib.is_smooth()
     for exps in ((0, 0, 0, 0, 0), (0, 1, 4, 2, 3)):
-        a = eigentrace_charsum(exps, fib, engine="state")
-        b = eigentrace_charsum(exps, fib, engine="scan")
+        a = eigentrace_charsum(exps, fib)
+        b = eigentrace_scan(exps, fib)
         assert a.value == b.value
 
 
@@ -112,8 +112,8 @@ def test_engine_matches_defining_scan_n5():
 def test_engine_matches_defining_scan_n7(f29):
     fib = DworkFiber(f29, 7, 2)
     v = build_v(2, 7)
-    a = eigentrace_charsum(v, fib, engine="state")
-    b = eigentrace_charsum(v, fib, engine="scan")
+    a = eigentrace_charsum(v, fib)
+    b = eigentrace_scan(v, fib)
     assert a.value == b.value
 
 
@@ -148,6 +148,14 @@ def test_all_t_table_matches_single_calls(f13):
     for t in smooth:
         single = eigentrace_charsum(v, DworkFiber(f13, 3, t))
         assert table[t].value == single.value
+
+
+def test_all_t_fibers_share_the_label_data(f13):
+    # one strata dict and one hyperplane constant per label, not per fiber
+    table = eigentrace_all_t(f13, 3, (0, 0, 0))
+    assert len(table) == 9  # t^3 = 1 at t = 1, 3, 9
+    assert len({id(tr.strata) for tr in table.values()}) == 1
+    assert len({id(tr.hyperplane) for tr in table.values()}) == 1
 
 
 def test_weil_bound_holds(f29):
@@ -257,13 +265,17 @@ def test_state_budget_refuses_before_allocating(refused_peak):
 
 
 def test_fix_count_identity_element_is_point_count(f7):
-    fib = DworkFiber(f7, 3, 3)
-    assert fix_count_bruteforce(fib, GroupElement(3, (0, 0, 0))) == count_points(fib)
+    # every fiber, t = 0 and the singular ones included
+    counts = fix_count_bruteforce(f7, GroupElement(3, (0, 0, 0)))
+    assert counts.shape == (7,) and counts[3] == 9
+    assert counts.tolist() == [count_points(DworkFiber(f7, 3, t)) for t in range(7)]
 
 
 def test_fix_count_only_cubic(f29):
-    with pytest.raises(UnsupportedN):
-        fix_count_bruteforce(DworkFiber(f29, 7, 2), GroupElement(7, (0,) * 7))
+    with pytest.raises(BadParams):
+        fix_count_bruteforce(f29, GroupElement(7, (0,) * 7))
+    with pytest.raises(BadN):
+        fix_count_bruteforce(build_field(11), GroupElement(3, (0, 0, 0)))  # 3 does not divide 10
 
 
 _N3_EXPONENTS = [e for e in itertools.product(range(3), repeat=3) if sum(e) % 3 == 0]
@@ -285,7 +297,7 @@ def test_group_average_inversion(q, k, label):
     acc = CycloElem.zero(3)
     for g in _N3_GROUP:
         pair = sum(a * b for a, b in zip(label, g.exps))
-        acc = acc + root_of_unity(3, (-pair) % 3) * fix_count_bruteforce(fib, g)
+        acc = acc + root_of_unity(3, (-pair) % 3) * int(fix_count_bruteforce(f, g)[fib.t_code])
     pred = acc * Fraction(-1, 3)
     if len(set(label)) == 1:
         pred = pred + (1 + q)
@@ -337,12 +349,11 @@ def cubic7_points():
 def test_fix_count_matches_literal_fixed_points(f7, cubic7_points):
     E = build_field(7, 3)
     w = f7.generator ** 2  # a cube root of unity
-    for t in range(7):
-        fib = DworkFiber(f7, 3, t)
-        for exps in ((0, 0, 0), (0, 1, 2), (0, 2, 1), (1, 1, 1)):
-            g = GroupElement(3, exps)
-            zetas = [(w ** e).code for e in g.exps]
-            assert fix_count_bruteforce(fib, g) == _literal_fixed(E, 7, zetas, cubic7_points[t])
+    for exps in ((0, 0, 0), (0, 1, 2), (0, 2, 1), (1, 1, 1)):
+        g = GroupElement(3, exps)
+        zetas = [(w ** e).code for e in g.exps]
+        counts = fix_count_bruteforce(f7, g)
+        assert counts.tolist() == [_literal_fixed(E, 7, zetas, cubic7_points[t]) for t in range(7)], exps
 
 
 def _cubic_grid(E):
@@ -423,11 +434,12 @@ def test_fix_count_matches_the_grid_reference(q):
     f = build_field(q)
     grid = _cubic_grid(build_field(q, 3))
     assert len(_N3_EXPONENTS) == 9
-    for t in range(q):
-        fib = DworkFiber(f, 3, t)
-        for exps in _N3_EXPONENTS:
-            g = GroupElement(3, exps)
-            assert fix_count_bruteforce(fib, g) == _grid_fix_count(fib, g, grid), (q, t, exps)
+    for exps in _N3_EXPONENTS:
+        g = GroupElement(3, exps)
+        counts = fix_count_bruteforce(f, g)
+        assert len(counts) == q
+        for t in range(q):
+            assert counts[t] == _grid_fix_count(DworkFiber(f, 3, t), g, grid), (q, t, exps)
 
 
 @settings(max_examples=15, deadline=None)
@@ -441,8 +453,8 @@ def test_normalized_strata_match_scans(q, entries, t):
     fib = DworkFiber(build_field(q), 5, t % q or 1)
     if not fib.is_smooth():
         return
-    a = eigentrace_charsum(entries, fib, engine="state")
-    b = eigentrace_charsum(entries, fib, engine="scan")
+    a = eigentrace_charsum(entries, fib)
+    b = eigentrace_scan(entries, fib)
     assert a.torus == b.torus and a.strata == b.strata
 
 

@@ -43,7 +43,6 @@ def test_canonical_bytes_exclude_timing():
     a = CheckResult("demo", {"q": 7}, True, {}, [], 10, 0)
     b = CheckResult("demo", {"q": 7}, True, {}, [], 9999, 0)
     assert a.canonical_bytes() == b.canonical_bytes()
-    assert a.canonical_bytes(include_timing=True) != b.canonical_bytes(include_timing=True)
     # canonical form is valid compact json
     parsed = json.loads(a.canonical_bytes())
     assert "runtime_ms" not in parsed
@@ -58,6 +57,29 @@ def test_n3_validation_passes_and_corrupt_fails():
     assert good.ok
     bad = validate_n3(7, corrupt=True)
     assert not bad.ok
+
+
+def test_n3_makes_one_pass_per_label_and_group_element(monkeypatch):
+    # every t reads one eigentrace table per label and one fixed-point
+    # count per group element
+    from dworkbench import harness
+
+    calls = []
+    for name in ("fix_count_bruteforce", "eigentrace_all_t"):
+        def spy(*args, _name=name, _f=getattr(harness, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(harness, name, spy)
+    assert validate_n3(13).ok
+    assert sorted(calls) == ["eigentrace_all_t"] * 3 + ["fix_count_bruteforce"] * 3
+
+
+def test_n3_passes_at_q61():
+    res = validate_n3(61)
+    assert res.ok
+    assert [r["t"] for r in res.rows] == res.params["smooth_t"] and len(res.rows) == 57
+    assert all(r["ok"] for r in res.rows)
 
 
 def test_n3_bytes_repeat_in_process():
@@ -401,7 +423,7 @@ def test_ratio_table_forms_one_product_per_distinct_value(monkeypatch):
     n, N, q = 2, 7, 43
     field, v = build_field(q), build_v(n, N)
     ev = eigentrace_all_t(field, N, v)
-    can_table = canonical_trace(HyperSpec.from_label(field, v), path="conv-of-canonical")
+    can_table = canonical_trace(HyperSpec.from_label(field, v))
     values = [tr.value for tr in ev.values()]
     products = []
     direct = CycloElem.__mul__

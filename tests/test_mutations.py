@@ -1,0 +1,112 @@
+"""Mutation matrix of the Dwork layer: each corruption of the engine or of
+its N = 3 oracle fails exactly the named checks.
+
+Each case patches one function and runs validate_n3 at q = 7 and 13,
+katz_check at (2, 7, 29) and (2, 7, 43), and check_weil_duality() at the
+default campaign's parameters.  A case also shows that its mutation
+changes a value those checks read, so a passing check is a blind spot of
+that check, not a mutation that nothing sees.
+"""
+
+import pytest
+
+from dworkbench import dwork, harness
+from dworkbench.cyclotomic import root_of_unity
+from dworkbench.dwork import GroupElement
+from dworkbench.finitefield import build_field
+from dworkbench.weights import build_v
+
+CHECKS = {
+    "n3 q=7": lambda: harness.validate_n3(7),
+    "n3 q=13": lambda: harness.validate_n3(13),
+    "katz q=29": lambda: harness.katz_check(2, 7, 29).to_result(),
+    "katz q=43": lambda: harness.katz_check(2, 7, 43).to_result(),
+    "weil-duality": lambda: harness.check_weil_duality(),
+}
+DWORK = {"n3 q=7", "n3 q=13", "katz q=29", "katz q=43"}
+
+# both are lru_cached per field, and _line_hists reads _zech
+_CACHED = (dwork._zech, dwork._line_hists)
+
+
+def _clear_caches() -> None:
+    for f in _CACHED:
+        f.cache_clear()
+
+
+def _engine_values() -> list:
+    """The eigentraces that katz and weil-duality read at q = 29."""
+    return [tr.value for tr in dwork.eigentrace_all_t(build_field(29), 7, build_v(2, 7)).values()]
+
+
+def _fix_counts() -> list:
+    """The fixed-point counts that n3 reads at q = 7."""
+    f7 = build_field(7)
+    return [harness.fix_count_bruteforce(f7, GroupElement(3, e)).tolist() for e in harness._N3_LABELS]
+
+
+def _boundary_plus(delta):
+    def mutate(original):
+        return lambda field, N, *args: original(field, N, *args) + delta(N)
+
+    return mutate
+
+
+def _zech_shifted_at(i):
+    def mutate(original):
+        def zech(field):
+            z = original(field).copy()
+            z[i] = (z[i] + 1) % (field.q - 1)
+            return z
+
+        return zech
+
+    return mutate
+
+
+def _fix_count_bumped_at_3(original):
+    def fix(field, g):
+        counts = original(field, g)
+        counts[3] += 1
+        return counts
+
+    return fix
+
+
+CASES = [
+    # weil-duality misses a uniform + 1: its laws compare outputs of one engine
+    pytest.param(dwork, "boundary_term", _boundary_plus(lambda N: 1), _engine_values, DWORK, id="boundary_term+1"),
+    pytest.param(dwork, "boundary_term", _boundary_plus(lambda N: root_of_unity(N, 1)), _engine_values,
+                 DWORK | {"weil-duality"}, id="boundary_term+zeta_N"),
+    pytest.param(harness, "fix_count_bruteforce", _fix_count_bumped_at_3, _fix_counts, {"n3 q=7"},
+                 id="fix_count[3]+1"),
+    pytest.param(dwork, "_zech", _zech_shifted_at(2), _engine_values, DWORK, id="zech[2]+1"),
+    # at q = 7 this shift leaves every N = 3 eigentrace unchanged
+    pytest.param(dwork, "_zech", _zech_shifted_at(1), _engine_values,
+                 {"n3 q=13", "katz q=29", "katz q=43", "weil-duality"}, id="zech[1]+1"),
+]
+
+
+@pytest.fixture(scope="module")
+def clean():
+    _clear_caches()
+    return {name: run() for name, run in CHECKS.items()}
+
+
+def test_unpatched_checks_pass(clean):
+    assert [name for name, res in clean.items() if not res.ok] == []
+
+
+@pytest.mark.parametrize("module, name, mutate, probe, fails", CASES)
+def test_mutation_fails_exactly_the_named_checks(monkeypatch, clean, module, name, mutate, probe, fails):
+    assert all(res.ok for res in clean.values())
+    before = probe()
+    _clear_caches()
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    try:
+        assert probe() != before, "the mutation changes nothing the checks read"
+        failed = {check for check, run in CHECKS.items() if not run().ok}
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert failed == fails
