@@ -14,6 +14,8 @@ exponent-count vectors over Z/M (entry e counts zeta_M^e): `to_cyclo` turns
 one into an element, and `vanishes` decides whether one is zero in O(M
 omega(M)) steps, without the power basis.  An identity between products of
 such sums is then one vanishing test on the outer sums of their exponents.
+Both trace engines combine such vectors with the exact kernels `cconv`,
+`shift_sums` and `hist_conv`, and `exact_dtype` is the one width rule.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotAMultiple, TooLarge
 
@@ -37,6 +40,14 @@ _INT64_LIMIT = 1 << 63
 # traced peak and 10 MB kept, at 1 byte each), so the budget caps a
 # context's build near 0.9 GB.
 _CTX_BUDGET = 10 ** 8
+_BLOCK_CELLS = 1 << 20  # cells gathered per block of shift_sums or of an outer sum of exponents
+
+
+def exact_dtype(bound: int) -> type:
+    """The dtype of an exact computation whose values and partial sums are
+    proved at most bound in magnitude: int64 below 2^63, Python integers
+    (object) otherwise."""
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 def _prime_powers(M: int) -> list[tuple[int, int]]:
@@ -150,7 +161,7 @@ def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
     """Numerator vector of a * b reduced modulo Phi_M, exact: in int64 when
     every partial sum is proved below 2^63, in Python integers otherwise."""
     phi = ctx.phi
-    dt = np.int64 if _max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * ctx.pmax) < _INT64_LIMIT else object
+    dt = exact_dtype(_max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * ctx.pmax))
     conv = np.convolve(np.array(a, dtype=dt), np.array(b, dtype=dt))
     return (conv[:phi] + conv[phi:] @ ctx.powers[np.arange(phi, 2 * phi - 1) % ctx.M]).tolist()
 
@@ -158,7 +169,7 @@ def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
 def _combine(ctx: CycloCtx, coeffs: Sequence[int], exps: Sequence[int]) -> list[int]:
     """Numerator vector of sum_i coeffs[i] * z^exps[i], exact: in int64 when
     every partial sum is proved below 2^63, in Python integers otherwise."""
-    c = np.array(coeffs, dtype=np.int64 if _max_abs(coeffs) * len(coeffs) * ctx.pmax < _INT64_LIMIT else object)
+    c = np.array(coeffs, dtype=exact_dtype(_max_abs(coeffs) * len(coeffs) * ctx.pmax))
     nz = np.flatnonzero(c)
     return (c[nz] @ ctx.powers[np.asarray(exps, dtype=np.int64)[nz] % ctx.M]).tolist()
 
@@ -465,13 +476,82 @@ def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
         return np.ones(lead, dtype=bool)
     perm, shape = _crt_layout(M)
     steps = len(shape) // 2
-    big = max(int(c.max()), -int(c.min())) << (steps + 1) >= _INT64_LIMIT
-    x = c.astype(object if big else np.int64)[..., perm].reshape(lead + shape)
+    dt = exact_dtype(max(int(c.max()), -int(c.min())) << (steps + 1))
+    x = c.astype(dt)[..., perm].reshape(lead + shape)
     for ax in range(len(lead), x.ndim, 2):
         top = x.shape[ax] - 1
         head = (slice(None),) * ax
         x = x[head + (slice(0, top),)] - x[head + (slice(top, top + 1),)]
     return np.all(x.reshape(lead + (-1,)) == 0, axis=-1)
+
+
+# -- exact count-vector kernels -----------------------------------------------
+
+
+def cconv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cyclic convolution over Z/len(x), exact.
+
+    Every partial sum is at most sum|x| sum|y| in magnitude: when that and
+    both operands lie below 2^63, int64 np.convolve computes it exactly,
+    otherwise Python integers do.
+    """
+    L = len(x)
+    sx, sy = (sum(map(abs, v.tolist())) for v in (x, y))
+    dt = exact_dtype(max(sx, sy, sx * sy))
+    lin = np.convolve(x.astype(dt), y.astype(dt))
+    out = lin[:L].copy()
+    out[: L - 1] += lin[L:]
+    return out
+
+
+def shift_sums(T: np.ndarray, *shift_sets: tuple[np.ndarray, np.ndarray], row: int | None = None) -> np.ndarray:
+    """For each shift set (a, b): the table sum_k T[d - a_k, e - b_k] of the
+    (D, N) table T, cyclic in both axes, at every row d or at d = row alone;
+    shape (len(shift_sets), D or 1, N).
+
+    At one row, each shift gathers one row of T itself: the doubled table
+    would hold 4 D N cells.  At every row, all sets are served by one gather
+    of the distinct shifts from the doubled table, weighted by their
+    multiplicity in each set, a block of rows at a time.  The sums are taken
+    in T's dtype: the caller proves them in range (see exact_dtype) or
+    passes Python integers.
+    """
+    D, N = T.shape
+    if row is not None:
+        e = np.arange(N)
+        return np.stack([T[(row - a[:, None]) % D, (e - b[:, None]) % N].sum(axis=0) for a, b in shift_sets])[:, None]
+    cnt = np.stack([np.bincount((a % D) * N + b % N, minlength=D * N) for a, b in shift_sets])
+    key = np.flatnonzero(cnt.any(axis=0))
+    # window (i, j) of the doubled table is T[(d + i) % D, (e + j) % N]
+    ext = np.tile(T, (2, 2))
+    s0, s1 = ext.strides
+    W = as_strided(ext, (D + 1, N + 1, D, N), (s0, s1, s0, s1), writeable=False)
+    ka, kb, weights = D - key // N, N - key % N, cnt[:, key]
+    out = np.empty((len(shift_sets), D, N), dtype=np.result_type(cnt, T))
+    step = max(1, _BLOCK_CELLS // max(1, len(key) * N))
+    for lo in range(0, D, step):
+        G = W[ka, kb, lo : lo + step]
+        rows = G.shape[1]
+        out[:, lo : lo + rows] = (weights @ G.reshape(len(key), rows * N)).reshape(-1, rows, N)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _circulant(N: int, L: int) -> np.ndarray:
+    """idx[j, e] = (e - (L/N) j) mod L: P[idx] stacks roll(P, (L/N) j) over j."""
+    idx = (np.arange(L)[None, :] - (L // N) * np.arange(N)[:, None]) % L
+    idx.setflags(write=False)  # shared by every caller through the cache
+    return idx
+
+
+def hist_conv(P: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Rows sum_j H[r, j] roll(P, (L/N) j) for an L-vector P and an (R, N)
+    histogram H: P convolved over Z/L with each row of H placed at the
+    multiples of L/N, by one circulant gather.  The sums are taken in the
+    operands' dtype: the caller proves them in range (see exact_dtype) or
+    passes Python integers.
+    """
+    return H @ P[_circulant(H.shape[1], len(P))]
 
 
 def common(a: CycloElem, b: CycloElem) -> tuple[CycloElem, CycloElem]:

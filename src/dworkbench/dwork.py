@@ -14,18 +14,19 @@ weight e mod N), one unit at a time.  F_q^x scales tuples coordinatewise,
 and scaling by g^l is a bijection that maps (sigma, d, e) to
 (g^l sigma, d + m l, e + V l), V being the weight sum so far.  So the two
 slices T0 = S[sigma = 0] and T1 = S[sigma = 1] determine the whole state:
-S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one gather of
-shifted copies of T1, with the shifts given by Zech logarithms
+S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one
+`cyclotomic.shift_sums` of T1 over two shift sets given by Zech logarithms
 z_j = dlog(1 + g^j) (see _orbit_step); it costs (q-1)^2 N cell updates
 against q (q-1)^2 N for the full state.  The torus stratum reads its rows
 off both slices, a boundary stratum reads the slice sigma = -1.  Cells are
-int64, normalised after each step and guarded against overflow.
+int64, normalised after each step, and a step that could leave int64 is
+refused (see _check_int64).
 
 A boundary stratum tracks no dlog sum, so its slices are single rows over
 Z/N and each step is a length-N cyclic convolution of T1 with two shift
-histograms that depend only on (q, N, V mod N, w): one circulant gather of
-T1 and an int64 product with the cached histograms (see _line_step).  A
-boundary stratum depends only on the multiset of its weights, so each
+histograms that depend only on (q, N, V mod N, w): one
+`cyclotomic.hist_conv` of T1 with the cached histograms (see _line_step).
+A boundary stratum depends only on the multiset of its weights, so each
 distinct multiset of a label is evaluated once and shared by its
 coordinate sets (see _boundary_strata).
 """
@@ -38,9 +39,8 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import _INT64_LIMIT, CycloElem, to_cyclo
+from .cyclotomic import CycloElem, exact_dtype, hist_conv, shift_sums, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible
 from .finitefield import FqField, build_field
 from .weights import WeightVector
@@ -126,14 +126,14 @@ class EigenTrace:
 
     __slots__ = ("fiber", "entries", "torus", "strata", "hyperplane", "value")
 
-    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict, hyperplane: CycloElem, boundary: CycloElem):
-        """strata, hyperplane and boundary (the strata's sum) are the label's, shared by every fiber."""
+    def __init__(self, fiber: DworkFiber, entries: tuple[int, ...], torus: CycloElem, strata: dict, hyperplane: CycloElem, value: CycloElem):
+        """value = torus + hyperplane + the strata's sum; all but the fiber may be shared."""
         self.fiber = fiber
         self.entries = entries
         self.torus = torus
         self.strata = strata
         self.hyperplane = hyperplane
-        self.value = torus + hyperplane + boundary
+        self.value = value
 
     def to_json(self) -> dict:
         strata = {
@@ -166,8 +166,9 @@ def strata_sets(entries: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _check_int64(bound: int, what: str) -> None:
-    """Refuse a step whose int64 cells could reach 2^63 in magnitude."""
-    if bound >= _INT64_LIMIT:
+    """Refuse a step whose int64 cells could reach 2^63 in magnitude (the
+    cells are nonnegative, so no partial sum exceeds a result)."""
+    if exact_dtype(bound) is object:
         raise Infeasible(f"{what}: cell bound {bound} exceeds the int64 range")
 
 
@@ -197,24 +198,6 @@ def _state_max(T0: np.ndarray, T1: np.ndarray) -> int:
     return max(int(T0.max()), int(T1.max()))
 
 
-def _shift_sums(T: np.ndarray, *shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """For each shift set (a, b): sum_k T[d - a_k, e - b_k], cyclic in both axes.
-
-    All sets are served by one gather of the distinct shifts, weighted by
-    their multiplicity in each set.  The cells are nonnegative, so no
-    partial sum exceeds a result, which the callers' guards keep below 2^63.
-    """
-    D, N = T.shape
-    cnt = np.stack([np.bincount((a % D) * N + b % N, minlength=D * N) for a, b in shifts])
-    key = np.flatnonzero(cnt.any(axis=0))
-    # window (i, j) of the doubled table is T[(d + i) % D, (e + j) % N]
-    ext = np.tile(T, (2, 2))
-    s0, s1 = ext.strides
-    W = as_strided(ext, (D + 1, N + 1, D, N), (s0, s1, s0, s1), writeable=False)
-    G = W[D - key // N, N - key % N].reshape(len(key), D * N)
-    return (cnt[:, key] @ G).reshape(len(shifts), D, N)
-
-
 def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Append one unit of weight w to m-tuples of units of weight sum V.
 
@@ -234,19 +217,18 @@ def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int
     k = np.arange(Qm1)
     kh = (k + Qm1 // 2) % Qm1
     jk = zech[kh]  # -1 at k = 0, which the T1' sum leaves out
-    to1, to0 = _shift_sums(T1, ((k + m * jk)[1:], (w * k + V * jk)[1:]), (k + m * kh, w * k + V * kh))
+    to1, to0 = shift_sums(T1, ((k + m * jk)[1:], (w * k + V * jk)[1:]), (k + m * kh, w * k + V * kh))
     return _normalize(to0), _normalize(T0 + to1)
 
 
 @lru_cache(maxsize=None)
-def _line_hists(field: FqField, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _line_hists(field: FqField, N: int) -> np.ndarray:
     """Shift histograms of _orbit_step without a dlog axis, for every (V, w).
 
     With m = 0 the shifts of _orbit_step act on the weight axis alone:
     hist[V, w, 0, s] counts k != 0 with w k + V j_k = s mod N (the T1'
     sum), hist[V, w, 1, s] counts k with w k + V (k + h) = s (the T0' sum).
-    Each row sums to at most q - 1.  circ[s, e] = (e - s) mod N, so
-    T1[circ] is the circulant whose product with a histogram convolves.
+    Each row sums to at most q - 1.
     """
     Qm1 = field.q - 1
     k = np.arange(Qm1)
@@ -258,21 +240,15 @@ def _line_hists(field: FqField, N: int) -> tuple[np.ndarray, np.ndarray]:
     to0 = cell + N + (w * k + V * kh) % N
     bins = np.concatenate([to1[..., 1:].ravel(), to0.ravel()])
     hist = np.bincount(bins, minlength=2 * N ** 3).reshape(N, N, 2, N)
-    circ = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    for a in (hist, circ):
-        a.setflags(write=False)
-    return hist, circ
+    hist.setflags(write=False)
+    return hist
 
 
-def _line_step(T0: np.ndarray, T1: np.ndarray, hists: tuple[np.ndarray, np.ndarray], V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """_orbit_step with m = 0 on slices of length N, by one circulant gather.
-
-    hists is _line_hists of the field; the cells are nonnegative, so no
-    partial sum exceeds a result, which the caller's guard keeps below 2^63.
-    """
-    hist, circ = hists
-    N = len(circ)
-    to1, to0 = hist[V % N, w % N] @ T1[circ]
+def _line_step(T0: np.ndarray, T1: np.ndarray, hist: np.ndarray, V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """_orbit_step with m = 0 on slices of length N, by one circulant gather:
+    hist is _line_hists of the field, and T1 convolves with its (V, w) rows."""
+    N = len(T1)
+    to1, to0 = hist_conv(T1, hist[V % N, w % N])
     return _normalize(to0), _normalize(T0 + to1)
 
 
@@ -301,7 +277,7 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     elif i0 not in Z:
         raise BadParams("pinned index must lie in the stratum")
     q = field.q
-    hists = _line_hists(field, N)
+    hist = _line_hists(field, N)
     T0 = np.zeros(N, dtype=np.int64)
     T0[0] = 1  # the empty tuple: sum 0, exponent 0
     T1 = np.zeros_like(T0)
@@ -312,7 +288,7 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
         # each histogram row sums to at most q - 1
         _check_int64((q - 1) * _state_max(T0, T1), "boundary stratum")
         w = (entries[i] - a) % N
-        T0, T1 = _line_step(T0, T1, hists, V, w)
+        T0, T1 = _line_step(T0, T1, hist, V, w)
         V += w
     h = (q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
     return -to_cyclo(T1[(np.arange(N) - V * h) % N].tolist(), N)
@@ -375,7 +351,7 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarr
         V += w
     _check_int64(q * _state_max(T0, T1), "torus aggregation")
     j = np.flatnonzero(zech >= 0)
-    G = T0 + _shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]
+    G = T0 + shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]
     return G[-np.arange(Qm1) % Qm1]
 
 
@@ -464,19 +440,24 @@ def _hyperplane(q: int, N: int, entries: Sequence[int]) -> CycloElem:
 def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") -> dict[int, EigenTrace]:
     """Exact Frobenius traces on the labelled eigenspace of every smooth
     fiber t != 0: one torus aggregation, one set of strata and one
-    hyperplane constant per label, shared by every fiber."""
+    hyperplane constant per label, shared by every fiber, and one torus
+    value per torus row, shared by the fibers that read it."""
     entries = _entries_of(v, N)
     H = _torus_aggregate(field, N, entries)
     strata = _boundary_strata(field, N, entries)
     hyperplane = _hyperplane(field.q, N, entries)
-    boundary = sum(strata.values(), CycloElem.zero(N))
+    const = hyperplane + sum(strata.values(), CycloElem.zero(N))
+    by_row: dict[int, tuple[CycloElem, CycloElem]] = {}  # torus row -> (torus, value)
     out: dict[int, EigenTrace] = {}
     for t_code in range(1, field.q):
         fiber = DworkFiber(field, N, t_code)
         if not fiber.is_smooth():
             continue
-        torus = -to_cyclo(H[_torus_row(field, N, t_code)].tolist(), N)
-        out[t_code] = EigenTrace(fiber, entries, torus, strata, hyperplane, boundary)
+        r = _torus_row(field, N, t_code)
+        if r not in by_row:
+            torus = -to_cyclo(H[r].tolist(), N)
+            by_row[r] = torus, torus + const
+        out[t_code] = EigenTrace(fiber, entries, by_row[r][0], strata, hyperplane, by_row[r][1])
     return out
 
 
@@ -495,7 +476,7 @@ def eigentrace_scan(v: "WeightVector | Sequence[int]", fiber: DworkFiber) -> Eig
     torus = _torus_scan(field, N, entries, fiber.t_code)
     strata = {Z: _boundary_scan(field, N, entries, Z) for Z in strata_sets(entries)}
     hyperplane = _hyperplane(field.q, N, entries)
-    return EigenTrace(fiber, entries, torus, strata, hyperplane, sum(strata.values(), CycloElem.zero(N)))
+    return EigenTrace(fiber, entries, torus, strata, hyperplane, torus + hyperplane + sum(strata.values(), CycloElem.zero(N)))
 
 
 def _nonnegative_everywhere(x: CycloElem) -> bool:

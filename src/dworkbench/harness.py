@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import operator
 import os
 import random
 import time
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .characters import AddChar, MultChar, gauss_exponents, jacobi_exponents
-from .cyclotomic import CycloElem, ctx_for, exponent_counts, root_of_unity, to_cyclo, vanishes
+from .cyclotomic import CycloElem, common, ctx_for, exponent_counts, root_of_unity, to_cyclo, vanishes
 from .dwork import (
     DworkFiber,
     GroupElement,
@@ -372,11 +372,10 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
     field = build_field(q)
     v = build_v(n, N)
     chi_set, _rho = hyper_data(v)
-    prod: CycloElem | None = None
+    prod = CycloElem.one(1)
     for a in sorted(chi_set.counts().elements()):
-        sq = lambda_can(field, N, a, n) ** 2
-        prod = sq if prod is None else _mul_lifted(prod, sq)
-    phi = _mul_lifted(lam, prod)
+        prod = operator.mul(*common(prod, lambda_can(field, N, a, n) ** 2))
+    phi = operator.mul(*common(lam, prod))
     psi2 = phi ** n * (q ** (n * (n - 1) // 2))
     target = q ** (n * (N - 2))
     weight_ok = psi2 * psi2.conjugate() == target
@@ -393,11 +392,6 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
         runtime_ms=int((time.monotonic() - t0) * 1000),
         seed=0,
     )
-
-
-def _mul_lifted(a: CycloElem, b: CycloElem) -> CycloElem:
-    M = math.lcm(a.M, b.M)
-    return a.coerce(M) * b.coerce(M)
 
 
 # -- criterion runners ------------------------------------------------------

@@ -8,11 +8,11 @@ so cross-algorithm equality checks are integer comparisons.
 
 A rank-1 table is never stored whole.  Its rows over u = g^d are one base
 row, a literal count over the units of the field, shifted by p s[d] (the
-substitution w = y(u-1)), plus the u = 1 row.  One small exact kernel then
-serves every convolution route: a histogram of summed shifts over
-(Z/q-1) x (Z/N) from one-hot tables, cyclic convolution of base rows over
-Z/pN, and the histogram applied to the convolved base as shifts by
-multiples of p.
+substitution w = y(u-1)), plus the u = 1 row.  Every convolution route then
+runs on the exact kernels of `cyclotomic`: a histogram of summed shifts
+over (Z/q-1) x (Z/N) folded from one-hot tables (`shift_sums`), cyclic
+convolution of base rows over Z/pN (`cconv`), and the histogram applied to
+the convolved base as shifts by multiples of p (`hist_conv`).
 
 The Mellin route shares no code with the rank-1 tables.  Each factor's
 Mellin coefficient is a product of two Gauss sums, whose terms
@@ -46,7 +46,7 @@ from .characters import (
     phi_inverse,
     teich_char,
 )
-from .cyclotomic import _INT64_LIMIT, CycloElem, ctx_for, exponent_counts, to_cyclo, vanishes
+from .cyclotomic import _BLOCK_CELLS, CycloElem, cconv, ctx_for, exact_dtype, exponent_counts, hist_conv, shift_sums, to_cyclo, vanishes
 from .errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
 from .weights import WeightVector, hyper_data
@@ -56,7 +56,6 @@ _NAIVE_CELLS = 1 << 15  # (t, tuple) cells per chunk of trad_trace_naive
 # cells gathered plus multiply-adds in one _trace_rows or mellin_rows call:
 # seconds of numpy work
 _KERNEL_BUDGET = 10 ** 9
-_BLOCK_CELLS = 1 << 20  # cells gathered per block of a histogram fold or Mellin outer sum
 
 
 class HyperSpec:
@@ -115,31 +114,26 @@ class HyperSpec:
 
 
 class TraceTable:
-    """Map from field points to trace values, absent on the dropped locus."""
+    """Map from the field points t != 0, 1 to trace values."""
 
-    __slots__ = ("field", "M", "_all", "absent")
+    __slots__ = ("field", "M", "_values")
 
-    def __init__(self, field: FqField, M: int, values: dict, absent: frozenset[int] = frozenset((0, 1))):
+    def __init__(self, field: FqField, M: int, values: dict):
         self.field = field
         self.M = M
-        self._all = values  # includes internal rows the public API hides
-        self.absent = absent
+        self._values = values
 
     def value_at(self, t):
         code = t.code if hasattr(t, "code") else int(t) % self.field.q
-        if code in self.absent:
+        if code not in self._values:
             raise BadT(f"trace undefined at t = {code}")
-        if code not in self._all:
-            raise BadT(f"no value stored at t = {code}")
-        return self._all[code]
+        return self._values[code]
 
     def items(self):
-        for code in sorted(self._all):
-            if code not in self.absent:
-                yield code, self._all[code]
+        return sorted(self._values.items())
 
     def __len__(self) -> int:
-        return sum(1 for c in self._all if c not in self.absent)
+        return len(self._values)
 
 
 # -- rank-1 tables: one base row and its shifts -----------------------------
@@ -180,7 +174,7 @@ def _rank1_canon_shifts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
     return s
 
 
-# -- the kernel: one-hot shift tables over (Z/R) x (Z/N), base rows over Z/L -
+# -- rank-1 products: one-hot shift tables over (Z/R) x (Z/N), base rows over Z/L
 
 
 def _kernel_cost(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> int:
@@ -203,90 +197,47 @@ def _require_budget(cost: int, L: int, k: int) -> None:
         raise Infeasible(f"kernel cost {cost} exceeds budget {_KERNEL_BUDGET} (L = {L}, k = {k})")
 
 
-def _abs_sum(v: np.ndarray) -> int:
-    return sum(map(abs, v.tolist()))
-
-
-def _cconv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cyclic convolution over Z/len(x), exact.
-
-    Every partial sum is at most sum|x| sum|y| in magnitude: when that and
-    both operands lie below 2^63, int64 np.convolve computes it exactly,
-    otherwise Python integers do.
-    """
-    L = len(x)
-    sx, sy = _abs_sum(x), _abs_sum(y)
-    dtype = np.int64 if max(sx, sy, sx * sy) < _INT64_LIMIT else object
-    lin = np.convolve(x.astype(dtype), y.astype(dtype))
-    out = lin[:L].copy()
-    out[: L - 1] += lin[L:]
-    return out
-
-
-def _fold(H: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows of H convolved with the one-hot table {(d, s[d]) : d != 0}."""
-    R, N = H.shape
-    d = np.arange(1, R)
-    flat = H.ravel()
-    cols = (np.arange(N)[:, None] - s[None, 1:]) % N
-    out = np.empty((len(rows), N), dtype=H.dtype)
-    block = max(1, _BLOCK_CELLS // max(1, (R - 1) * N))
-    for lo in range(0, len(rows), block):
-        src = (rows[lo : lo + block, None] - d[None, :]) % R * N
-        out[lo : lo + block] = flat[src[:, None, :] + cols[None]].sum(axis=2)
-    return out
-
-
-def _apply_hist(P: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Rows sum_j H[r, j] roll(P, (L/N) j): P convolved over Z/L with each
-    histogram row placed at the multiples of L/N, exact.
-
-    Every entry and partial sum is at most max|P| times a row sum of H (H
-    counts, so nonnegative), each taken as at least 1: int64 when that lies
-    below 2^63, Python integers above.
-    """
-    L, N = len(P), H.shape[1]
-    bound = max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max()))
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    shifted = np.stack([np.roll(P, (L // N) * j) for j in range(N)]).astype(dtype)
-    return H.astype(dtype) @ shifted
-
-
-def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, rows: np.ndarray) -> np.ndarray:
-    """Convolution over (Z/R) x (Z/N) of one-hot shift tables, at some rows.
+def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = None) -> np.ndarray:
+    """Convolution over (Z/R) x (Z/N) of one-hot shift tables, at every row
+    or at row alone (shape (1, N)).
 
     Factor i has a single 1 at (d, shifts[i][d]) in every row d != 0, so
     out[x, j] counts the tuples (d_1..d_k) of nonzero rows with sum d_i = x
     and sum shifts[i][d_i] = j.  No factors give the unit, 1 at (0, 0).  The
-    counts sum to (R-1)^k: int64 below 2^63, Python integers above.
+    counts are nonnegative and sum to (R-1)^k, which bounds every partial
+    sum of the folds.
     """
-    dtype = np.int64 if (R - 1) ** len(shifts) < _INT64_LIMIT else object
-    H = np.zeros((R, N), dtype=dtype)
-    if not shifts:
+    H = np.zeros((R, N), dtype=exact_dtype((R - 1) ** len(shifts)))
+    d = np.arange(1, R)
+    if shifts:
+        H[d, shifts[0][1:]] = 1
+    else:
         H[0, 0] = 1
-        return H[rows]
-    H[np.arange(1, R), shifts[0][1:]] = 1
-    if len(shifts) == 1:
-        return H[rows]
+    if len(shifts) < 2:
+        return H if row is None else H[row : row + 1]
     for s in shifts[1:-1]:
-        H = _fold(H, s, np.arange(R))
-    return _fold(H, shifts[-1], rows)
+        H = shift_sums(H, (d, s[1:]))[0]
+    return shift_sums(H, (d, shifts[-1][1:]), row=row)[0]
 
 
-def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, rows: np.ndarray) -> np.ndarray:
-    """Exponent counts of (-1)^(k-1) T_1 * ... * T_k at the given rows.
+def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, row: int | None = None) -> np.ndarray:
+    """Exponent counts of (-1)^(k-1) T_1 * ... * T_k at every row, or at row
+    alone (shape (1, L)).
 
     T_i is a sum of terms (base, shifts), each an L-vector and an R-vector:
     row d of a term is sum_j [shifts[d] = j] roll(base, (L/N) j) over d != 0,
     and shifts None is the unit term, base alone at row 0.  The product of
     one term per factor is the convolution of their bases over Z/L times the
-    histogram of their shifts (_shift_hist), applied as shifts (_apply_hist).
+    histogram of their shifts (_shift_hist), applied as shifts (hist_conv).
     """
     acc = None
     for terms in itertools.product(*tables):
-        P = functools.reduce(_cconv, [base for base, _ in terms])
-        H = _shift_hist([s for _, s in terms if s is not None], R, N, rows)
-        part = _apply_hist(P, H)
+        P = functools.reduce(cconv, [base for base, _ in terms])
+        H = _shift_hist([s for _, s in terms if s is not None], R, N, row)
+        # every entry and partial sum is at most max|P| times a row sum of H
+        # (H counts, so nonnegative), each taken as at least 1
+        dt = exact_dtype(max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max())))
+        part = hist_conv(P.astype(dt), H.astype(dt))
         acc = part if acc is None else acc.astype(object) + part
     return acc if len(tables) % 2 else -acc
 
@@ -382,8 +333,7 @@ def _trad_rows(spec: HyperSpec, m: int, t_code: int | None = None) -> tuple[FqFi
     for a, b in zip(spec.s_chi, spec.s_rho):
         base, s, row0 = _rank1_trad(E, N, (a * sh) % N, (b * sh) % N, spec.psi_c)
         tables.append([(-base, s), (row0, None)] if row0.any() else [(-base, s)])
-    rows = np.arange(R) if t_code is None else np.array([E.DLOG[t_code]])
-    return E, _trace_rows(tables, R, N, rows)
+    return E, _trace_rows(tables, R, N, None if t_code is None else int(E.DLOG[t_code]))
 
 
 def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
@@ -395,9 +345,7 @@ def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
     L = _trad_budget(spec, E_degree, spec.field.q ** E_degree - 1)
     ctx_for(L)
     E, C = _trad_rows(spec, E_degree)
-    values = {int(E.EXP[d]): to_cyclo(C[d].tolist(), L) for d in range(E.q - 1)}
-    values[0] = CycloElem.zero(L)
-    return TraceTable(E, L, values)
+    return TraceTable(E, L, {int(E.EXP[d]): to_cyclo(C[d].tolist(), L) for d in range(1, E.q - 1)})
 
 
 def mellin_rows(spec: HyperSpec) -> np.ndarray:
@@ -433,11 +381,10 @@ def mellin_rows(spec: HyperSpec) -> np.ndarray:
         F = np.concatenate([
             exponent_counts(g[lo : lo + step, :, None] + gbar[lo : lo + step, None, :], M) for lo in range(0, R, step)
         ])
-        V = F if V is None else np.stack([_cconv(x, y) for x, y in zip(V, F)])
+        V = F if V is None else np.stack([cconv(x, y) for x, y in zip(V, F)])
     # row d sums the windows V[j, s : s + M] of V twice over, s = p (j d mod R);
     # each V[j] has (q-1)^(2k) terms, so every cell stays below (q-1)^(2k+1)
-    dtype = np.int64 if R ** (2 * k + 1) < _INT64_LIMIT else object
-    win = sliding_window_view(np.concatenate([V, V], axis=1).astype(dtype), M, axis=1)
+    win = sliding_window_view(np.concatenate([V, V], axis=1).astype(exact_dtype(R ** (2 * k + 1))), M, axis=1)
     s = p * (np.outer(j, j) % R)
     return -np.stack([win[j, s[:, d]].sum(axis=0) for d in range(R)])
 
@@ -467,14 +414,12 @@ def canonical_trace(spec: HyperSpec) -> TraceTable:
     unit = np.zeros(N, dtype=np.int64)
     unit[0] = 1
     tables = [[(unit, _rank1_canon_shifts(field, N, a, b))] for a, b in zip(spec.s_chi, spec.s_rho)]
-    C = _trace_rows(tables, R, N, np.arange(R))
+    C = _trace_rows(tables, R, N)
     lam = CycloElem.one(N)
     for a, b in zip(spec.s_chi, spec.s_rho):
         lam = lam * grossen_value(field, N, a, b)
     lam_inv = lam.invert()
-    values = {int(field.EXP[d]): to_cyclo(C[d].tolist(), N) * lam_inv for d in range(R)}
-    values[0] = CycloElem.zero(N)
-    return TraceTable(field, N, values)
+    return TraceTable(field, N, {int(field.EXP[d]): to_cyclo(C[d].tolist(), N) * lam_inv for d in range(1, R)})
 
 
 def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
@@ -520,8 +465,7 @@ def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
 def _combo(*terms: tuple[int, np.ndarray]) -> np.ndarray:
     """sum c v over the (c, v) terms, exact: int64 when sum |c| max|v| lies
     below 2^63, Python integers otherwise."""
-    bound = sum(abs(c) * max(1, int(v.max()), -int(v.min())) for c, v in terms)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    dtype = exact_dtype(sum(abs(c) * max(1, int(v.max()), -int(v.min())) for c, v in terms))
     return sum(c * v.astype(dtype) for c, v in terms)
 
 
@@ -547,7 +491,7 @@ def _det_budget(spec: HyperSpec) -> int:
 
 def _det_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     """Exponent counts over Z/L of det_trad at t, from one gauss_exponents
-    call: the k^2 sums pair by outer sums and the pairs join by _cconv; the
+    call: the k^2 sums pair by outer sums and the pairs join by cconv; the
     sign (-1)^(k^2) and q^(k(k-1)/2) are an integer factor, and the chi(-1)
     factor and the Kummer twists are shifts by multiples of p."""
     f, N, k = spec.field, spec.N, spec.k
@@ -558,7 +502,7 @@ def _det_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     vecs = list(exponent_counts(G[0 : 2 * half : 2, :, None] + G[1 : 2 * half : 2, None, :], L))
     if k % 2:
         vecs.append(exponent_counts(G[-1:], L)[0])
-    D = functools.reduce(_cconv, [functools.reduce(_cconv, vecs)] * f.m)
+    D = functools.reduce(cconv, [functools.reduce(cconv, vecs)] * f.m)
     sa, sb = sum(spec.s_chi) % N, sum(spec.s_rho) % N
     DLOG = f.DLOG
     # prod chi((-1)^(k-1)) = zeta_N^(sa dlog(-1)) for even k, once per power
@@ -590,10 +534,10 @@ def _newton_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     ps = [_trad_rows(spec, m, t_code)[1][0] for m in range(1, spec.k + 1)]
     if spec.k == 1:
         return ps[0]
-    p11 = _cconv(ps[0], ps[0])
+    p11 = cconv(ps[0], ps[0])
     if spec.k == 2:
         return _combo((1, p11), (-1, ps[1]))
-    return _combo((1, _cconv(p11, ps[0])), (-3, _cconv(ps[0], ps[1])), (2, ps[2]))
+    return _combo((1, cconv(p11, ps[0])), (-3, cconv(ps[0], ps[1])), (2, ps[2]))
 
 
 def det_trad(spec: HyperSpec, t) -> CycloElem:

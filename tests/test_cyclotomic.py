@@ -16,7 +16,9 @@ from dworkbench.cyclotomic import (
     cyclotomic_poly,
     euler_phi,
     exponent_counts,
+    hist_conv,
     root_of_unity,
+    shift_sums,
     to_cyclo,
     vanishes,
 )
@@ -395,3 +397,66 @@ def test_to_json_matches_fraction_rendering(M, num, den):
     a = cyclotomic._make(M, num[: euler_phi(M)], den)
     want = [[str(f.numerator), str(f.denominator)] for f in a.coeffs]
     assert a.to_json() == {"M": M, "coeffs": want}
+
+
+# -- exact count-vector kernels ---------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda N: st.tuples(
+    st.just(N),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.lists(st.integers(0, 1 << 62), min_size=N, max_size=N), min_size=1, max_size=3),
+)), st.lists(st.integers(-(1 << 70), 1 << 70), min_size=12, max_size=12), st.booleans())
+def test_hist_conv_matches_loop(shape, vals, small):
+    N, c, H = shape
+    L = N * c
+    P = [v >> 62 if small else v for v in vals[:L]]  # small: sums in int64 range
+    if small:
+        H = [[h >> 56 for h in row] for row in H]
+    want = [[sum(H[r][j] * P[(e - c * j) % L] for j in range(N)) for e in range(L)] for r in range(len(H))]
+    assert hist_conv(np.array(P, dtype=object), np.array(H, dtype=object)).tolist() == want
+    if small:  # computed in the operands' dtype
+        got = hist_conv(np.array(P, dtype=np.int64), np.array(H, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def _shift_sums_reference(T, sets):
+    D, N = len(T), len(T[0])
+    return [
+        [[sum(T[(d - a) % D][(e - b) % N] for a, b in zip(A, B)) for e in range(N)] for d in range(D)]
+        for A, B in sets
+    ]
+
+
+@st.composite
+def _shift_sums_case(draw):
+    D = draw(st.integers(min_value=1, max_value=6))
+    N = draw(st.integers(min_value=1, max_value=5))
+    big = draw(st.booleans())  # Python-integer cells, past int64
+    cell = st.integers(-(1 << 70), 1 << 70) if big else st.integers(-1000, 1000)
+    T = draw(st.lists(st.lists(cell, min_size=N, max_size=N), min_size=D, max_size=D))
+    sets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=0, max_value=8))
+        shift = st.lists(st.integers(-12, 12), min_size=n, max_size=n)  # repeats modulo D and N
+        sets.append((draw(shift), draw(shift)))
+    row = draw(st.none() | st.integers(0, D - 1))
+    block = draw(st.sampled_from([1 << 20, 1, 7]))  # 1 and 7 force several row blocks
+    return T, sets, row, block, big
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shift_sums_case())
+@example(case=([[1, 2], [3, 4], [5, 6]], [([1, 1, 4, -2], [0, 0, 2, 1]), ([], [])], None, 1, False))
+@example(case=([[1 << 70, -3]], [([0, 0], [1, 1])], 0, 1, True))
+def test_shift_sums_matches_loop(case):
+    T, sets, row, block, big = case
+    table = np.array(T, dtype=object if big else np.int64)
+    arrays = [(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in sets]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_BLOCK_CELLS", block)
+        got = shift_sums(table, *arrays, row=row)
+    want = _shift_sums_reference(T, sets)
+    assert got.dtype == table.dtype
+    assert got.tolist() == (want if row is None else [w[row : row + 1] for w in want])

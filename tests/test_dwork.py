@@ -459,14 +459,15 @@ def test_normalized_strata_match_scans(q, entries, t):
 
 
 def test_int64_guard_refuses(monkeypatch, f29):
-    # with the limit lowered, the guards fire some steps into each engine
-    from dworkbench import dwork
+    # with the limit of exact_dtype lowered, the guards fire some steps into
+    # each engine
+    from dworkbench import cyclotomic, dwork
 
     v = build_v(2, 7)
     Z = max(strata_sets(v.entries), key=len)
     boundary_term(f29, 7, v.entries, Z)
     dwork._torus_aggregate(f29, 7, v.entries)
-    monkeypatch.setattr(dwork, "_INT64_LIMIT", 1000)
+    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 1000)
     with pytest.raises(Infeasible):
         boundary_term(f29, 7, v.entries, Z)
     with pytest.raises(Infeasible):

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import tracemalloc
 
@@ -15,7 +16,6 @@ from dworkbench.harness import (
     CampaignConfig,
     CheckResult,
     _control_label,
-    _mul_lifted,
     check_build_v,
     check_det_hcan,
     check_det_oracle,
@@ -341,8 +341,8 @@ def _gauss_suite_by_products(qs, seed=0, sample=150):
         gcache = {j: gauss_sum(psi, MultChar(field, j)) for j in set(x for pr in pairs for x in pr) | {(a + b) % (q - 1) for a, b in pairs}}
         for a, b in pairs:
             J = jacobi_sum(MultChar(field, a), MultChar(field, b))
-            lhs = _mul_lifted(J, gcache[(a + b) % (q - 1)])
-            rhs = _mul_lifted(gcache[a], gcache[b])
+            lhs = operator.mul(*common(J, gcache[(a + b) % (q - 1)]))
+            rhs = operator.mul(*common(gcache[a], gcache[b]))
             la, rb = common(lhs, rhs)
             if la != rb:
                 jac_ok = False

@@ -9,15 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworkbench.characters import gauss_sum, kummer_trace, phi_inverse, teich_char
-from dworkbench.cyclotomic import CycloElem, common, to_cyclo
+from dworkbench.cyclotomic import CycloElem, cconv, common, to_cyclo
 from dworkbench import hypergeometric
 from dworkbench.errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field
 from dworkbench.hypergeometric import (
     HyperSpec,
     _KERNEL_BUDGET,
-    _apply_hist,
-    _cconv,
     _det_budget,
     _kernel_cost,
     _rank1_trad,
@@ -363,10 +361,10 @@ def test_cconv_matches_triple_loop(xy, small):
     x, y = xy
     if small:  # the int64 path
         x, y = [v >> 60 for v in x], [v >> 60 for v in y]
-    got = _cconv(np.array(x, dtype=object), np.array(y, dtype=object))
+    got = cconv(np.array(x, dtype=object), np.array(y, dtype=object))
     assert got.tolist() == _conv_reference(x, y)
     if small:
-        assert _cconv(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)).tolist() == _conv_reference(x, y)
+        assert cconv(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)).tolist() == _conv_reference(x, y)
 
 
 def test_cconv_exact_past_int64():
@@ -374,27 +372,7 @@ def test_cconv_exact_past_int64():
     x = np.array([(1 << 40) + 1, 3, -(1 << 40)], dtype=np.int64)
     y = np.array([(1 << 30) - 1, -(1 << 30), 7], dtype=np.int64)
     assert (1 << 40) * (1 << 30) * 4 > 1 << 63
-    assert _cconv(x, y).tolist() == _conv_reference(x.tolist(), y.tolist())
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda N: st.tuples(
-    st.just(N),
-    st.integers(min_value=1, max_value=3),
-    st.lists(st.lists(st.integers(0, 1 << 62), min_size=N, max_size=N), min_size=1, max_size=3),
-)), st.lists(st.integers(-(1 << 70), 1 << 70), min_size=12, max_size=12), st.booleans())
-@example(shape=(1, 1, [[0]]), vals=[1 << 63] + [0] * 11, small=False)  # an empty row must not pick int64
-def test_apply_hist_matches_loop(shape, vals, small):
-    N, c, H = shape
-    L = N * c
-    P = [v >> 62 if small else v for v in vals[:L]]  # small: the int64 path
-    if small:
-        H = [[h >> 56 for h in row] for row in H]
-    want = [[sum(H[r][j] * P[(e - c * j) % L] for j in range(N)) for e in range(L)] for r in range(len(H))]
-    got = _apply_hist(np.array(P, dtype=object), np.array(H, dtype=object))
-    assert got.tolist() == want
-    if small:
-        assert got.dtype == np.int64
+    assert cconv(x, y).tolist() == _conv_reference(x.tolist(), y.tolist())
 
 
 def _hist_reference(shifts, R, N):
@@ -414,16 +392,16 @@ def _hist_case(draw):
     N = draw(st.integers(min_value=1, max_value=5))
     k = draw(st.integers(min_value=0, max_value=3))
     shifts = [np.array(draw(st.lists(st.integers(0, N - 1), min_size=R, max_size=R)), dtype=np.int64) for _ in range(k)]
-    rows = draw(st.lists(st.integers(0, R - 1), min_size=1, max_size=R))
-    return shifts, R, N, np.array(rows, dtype=np.int64)
+    row = draw(st.none() | st.integers(0, R - 1))
+    return shifts, R, N, row
 
 
 @settings(max_examples=120, deadline=None)
 @given(_hist_case())
 def test_shift_hist_matches_loop(case):
-    shifts, R, N, rows = case
+    shifts, R, N, row = case
     want = _hist_reference(shifts, R, N)
-    assert _shift_hist(shifts, R, N, rows).tolist() == [want[r] for r in rows]
+    assert _shift_hist(shifts, R, N, row).tolist() == (want if row is None else [want[row]])
 
 
 def _dense(terms, R, N, L):
@@ -466,7 +444,26 @@ def test_trace_rows_match_dense_convolution(case):
         for d1, d2, e1, e2 in itertools.product(range(R), range(R), range(L), range(L)):
             out[(d1 + d2) % R][(e1 + e2) % L] -= acc[d1][e1] * B[d2][e2]
         acc = out
-    assert _trace_rows(tables, R, N, np.arange(R)).tolist() == acc
+    assert _trace_rows(tables, R, N).tolist() == acc
+
+
+@pytest.mark.parametrize("b, dtype", [((1 << 31) - 1, np.int64), (1 << 31, object)])
+def test_trace_rows_take_int64_exactly_when_proved_in_range(b, dtype):
+    # hist_conv sums in its operands' dtype and _trace_rows picks it: int64
+    # while max|P| times the largest row sum of H is below 2^63.  Over
+    # R = 3, N = 1, two one-hot factors give row sums (2, 1, 1), and the
+    # convolved base P is 2^31 b
+    s = np.zeros(3, dtype=np.int64)
+    got = _trace_rows([[(np.array([1 << 31]), s)], [(np.array([b]), s)]], 3, 1)
+    assert got.dtype == dtype
+    assert got.tolist() == [[-(2 << 31) * b], [-(1 << 31) * b], [-(1 << 31) * b]]
+
+
+def test_trace_rows_empty_histogram_keeps_python_integers():
+    # an all-zero histogram still counts as 1 in the bound, so an entry of
+    # 2^63 is never cast to int64
+    got = _trace_rows([[(np.array([1 << 63], dtype=object), np.zeros(1, dtype=np.int64))]], 1, 1)
+    assert got.dtype == object and got.tolist() == [[0]]
 
 
 def test_conv_equals_naive_chi_equals_rho(f7):

@@ -43,6 +43,18 @@ def test_verdict_modules_use_no_float_embeddings(name):
     assert not found, f"{name} references {found}"
 
 
+def test_exact_kernels_live_in_cyclotomic():
+    # the convolutions of count vectors and the int64-or-Python-integers rule
+    # have one home: every other module calls cyclotomic's kernels and
+    # exact_dtype
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = sorted({"convolve", "as_strided", "_INT64_LIMIT"} & _references(ast.parse(path.read_text())).keys())
+        if hits and path.name != "cyclotomic.py":
+            found[path.name] = hits
+    assert not found, f"kernel internals outside cyclotomic.py: {found}"
+
+
 def _docstrings(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):

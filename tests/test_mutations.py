@@ -1,22 +1,29 @@
-"""Mutation matrix of the Dwork layer: each corruption of the engine or of
-its N = 3 oracle fails exactly the named checks.
+"""Mutation matrix of the Dwork layer and of the exact kernels both engines
+share: each corruption fails exactly the named checks.
 
-Each case patches one function and runs validate_n3 at q = 7 and 13,
-katz_check at (2, 7, 29) and (2, 7, 43), and check_weil_duality() at the
-default campaign's parameters.  A case also shows that its mutation
-changes a value those checks read, so a passing check is a blind spot of
-that check, not a mutation that nothing sees.
+Each case patches one function, in every module that binds it, and runs
+hyper-cross, canonical-paths, det-oracle and det-hcan, validate_n3 at
+q = 7 and 13, katz_check at (2, 7, 29) and (2, 7, 43), and
+check_weil_duality(), all at the default campaign's parameters.  A case
+also shows that its mutation changes a value those checks read, so a
+passing check is a blind spot of that check, not a mutation that nothing
+sees.
 """
 
 import pytest
 
-from dworkbench import dwork, harness
+from dworkbench import dwork, harness, hypergeometric
 from dworkbench.cyclotomic import root_of_unity
 from dworkbench.dwork import GroupElement
 from dworkbench.finitefield import build_field
+from dworkbench.hypergeometric import HyperSpec
 from dworkbench.weights import build_v
 
 CHECKS = {
+    "hyper-cross": lambda: harness.check_hyper_cross(),
+    "canonical-paths": lambda: harness.check_canonical_paths(),
+    "det-oracle": lambda: harness.check_det_oracle(),
+    "det-hcan": lambda: harness.check_det_hcan(),
     "n3 q=7": lambda: harness.validate_n3(7),
     "n3 q=13": lambda: harness.validate_n3(13),
     "katz q=29": lambda: harness.katz_check(2, 7, 29).to_result(),
@@ -43,6 +50,24 @@ def _fix_counts() -> list:
     """The fixed-point counts that n3 reads at q = 7."""
     f7 = build_field(7)
     return [harness.fix_count_bruteforce(f7, GroupElement(3, e)).tolist() for e in harness._N3_LABELS]
+
+
+def _kernel_values() -> tuple:
+    """Both engines' outputs at q = 29: the eigentraces, and the traditional
+    trace rows that hyper-cross reads (every t but 1, the row d = 0)."""
+    spec = HyperSpec.from_label(build_field(29), build_v(2, 7))
+    return _engine_values(), hypergeometric._trad_rows(spec, 1)[1][1:].tolist()
+
+
+def _first_column_plus_1(original):
+    """Add 1 to the first entry of every row of the kernel's output."""
+
+    def kernel(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out[..., 0] += 1
+        return out
+
+    return kernel
 
 
 def _boundary_plus(delta):
@@ -73,17 +98,28 @@ def _fix_count_bumped_at_3(original):
     return fix
 
 
+BOTH = (dwork, hypergeometric)  # the engines that bind the shared kernels
+
 CASES = [
     # weil-duality misses a uniform + 1: its laws compare outputs of one engine
-    pytest.param(dwork, "boundary_term", _boundary_plus(lambda N: 1), _engine_values, DWORK, id="boundary_term+1"),
-    pytest.param(dwork, "boundary_term", _boundary_plus(lambda N: root_of_unity(N, 1)), _engine_values,
+    pytest.param((dwork,), "boundary_term", _boundary_plus(lambda N: 1), _engine_values, DWORK, id="boundary_term+1"),
+    pytest.param((dwork,), "boundary_term", _boundary_plus(lambda N: root_of_unity(N, 1)), _engine_values,
                  DWORK | {"weil-duality"}, id="boundary_term+zeta_N"),
-    pytest.param(harness, "fix_count_bruteforce", _fix_count_bumped_at_3, _fix_counts, {"n3 q=7"},
+    pytest.param((harness,), "fix_count_bruteforce", _fix_count_bumped_at_3, _fix_counts, {"n3 q=7"},
                  id="fix_count[3]+1"),
-    pytest.param(dwork, "_zech", _zech_shifted_at(2), _engine_values, DWORK, id="zech[2]+1"),
+    pytest.param((dwork,), "_zech", _zech_shifted_at(2), _engine_values, DWORK, id="zech[2]+1"),
     # at q = 7 this shift leaves every N = 3 eigentrace unchanged
-    pytest.param(dwork, "_zech", _zech_shifted_at(1), _engine_values,
+    pytest.param((dwork,), "_zech", _zech_shifted_at(1), _engine_values,
                  {"n3 q=13", "katz q=29", "katz q=43", "weil-duality"}, id="zech[1]+1"),
+    # each shared kernel fails an independent reference on every side it
+    # serves: n3 (fixed points) on the Dwork side, hyper-cross (the naive
+    # route) on the traditional one
+    pytest.param(BOTH, "shift_sums", _first_column_plus_1, _kernel_values,
+                 DWORK | {"hyper-cross", "det-oracle", "weil-duality"}, id="shift_sums+1"),
+    pytest.param(BOTH, "hist_conv", _first_column_plus_1, _kernel_values,
+                 DWORK | {"hyper-cross", "canonical-paths", "det-oracle"}, id="hist_conv+1"),
+    pytest.param((hypergeometric,), "cconv", _first_column_plus_1, _kernel_values,
+                 {"hyper-cross", "canonical-paths", "det-oracle", "det-hcan", "katz q=29", "katz q=43"}, id="cconv+1"),
 ]
 
 
@@ -97,12 +133,13 @@ def test_unpatched_checks_pass(clean):
     assert [name for name, res in clean.items() if not res.ok] == []
 
 
-@pytest.mark.parametrize("module, name, mutate, probe, fails", CASES)
-def test_mutation_fails_exactly_the_named_checks(monkeypatch, clean, module, name, mutate, probe, fails):
+@pytest.mark.parametrize("modules, name, mutate, probe, fails", CASES)
+def test_mutation_fails_exactly_the_named_checks(monkeypatch, clean, modules, name, mutate, probe, fails):
     assert all(res.ok for res in clean.values())
     before = probe()
     _clear_caches()
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    for module in modules:
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     try:
         assert probe() != before, "the mutation changes nothing the checks read"
         failed = {check for check, run in CHECKS.items() if not run().ok}
