@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotAMultiple, TooLarge
 
@@ -40,7 +40,7 @@ _INT64_LIMIT = 1 << 63
 # traced peak and 10 MB kept, at 1 byte each), so the budget caps a
 # context's build near 0.9 GB.
 _CTX_BUDGET = 10 ** 8
-_BLOCK_CELLS = 1 << 20  # cells gathered per block of shift_sums or of an outer sum of exponents
+_BLOCK_CELLS = 1 << 16  # cells gathered per block of shift_sums or of an outer sum of exponents
 
 
 def exact_dtype(bound: int) -> type:
@@ -510,29 +510,23 @@ def shift_sums(T: np.ndarray, *shift_sets: tuple[np.ndarray, np.ndarray], row: i
     shape (len(shift_sets), D or 1, N).
 
     At one row, each shift gathers one row of T itself: the doubled table
-    would hold 4 D N cells.  At every row, all sets are served by one gather
-    of the distinct shifts from the doubled table, weighted by their
-    multiplicity in each set, a block of rows at a time.  The sums are taken
-    in T's dtype: the caller proves them in range (see exact_dtype) or
-    passes Python integers.
+    would hold 4 D N cells.  At every row, each shift names one (D, N)
+    window of the doubled table, and a set's sum adds its windows, repeats
+    included, gathered a block of at most _BLOCK_CELLS cells (and at least
+    one window) at a time.  The sums are taken in T's dtype: the caller
+    proves them in range (see exact_dtype) or passes Python integers.
     """
     D, N = T.shape
     if row is not None:
         e = np.arange(N)
         return np.stack([T[(row - a[:, None]) % D, (e - b[:, None]) % N].sum(axis=0) for a, b in shift_sets])[:, None]
-    cnt = np.stack([np.bincount((a % D) * N + b % N, minlength=D * N) for a, b in shift_sets])
-    key = np.flatnonzero(cnt.any(axis=0))
     # window (i, j) of the doubled table is T[(d + i) % D, (e + j) % N]
-    ext = np.tile(T, (2, 2))
-    s0, s1 = ext.strides
-    W = as_strided(ext, (D + 1, N + 1, D, N), (s0, s1, s0, s1), writeable=False)
-    ka, kb, weights = D - key // N, N - key % N, cnt[:, key]
-    out = np.empty((len(shift_sets), D, N), dtype=np.result_type(cnt, T))
-    step = max(1, _BLOCK_CELLS // max(1, len(key) * N))
-    for lo in range(0, D, step):
-        G = W[ka, kb, lo : lo + step]
-        rows = G.shape[1]
-        out[:, lo : lo + rows] = (weights @ G.reshape(len(key), rows * N)).reshape(-1, rows, N)
+    W = sliding_window_view(np.tile(T, (2, 2)), (D, N))
+    out = np.zeros((len(shift_sets), D, N), dtype=T.dtype)
+    step = max(1, _BLOCK_CELLS // (D * N))  # windows per gather
+    for acc, (a, b) in zip(out, shift_sets):
+        for lo in range(0, len(a), step):
+            acc += W[-a[lo : lo + step] % D, -b[lo : lo + step] % N].sum(axis=0)
     return out
 
 
@@ -545,13 +539,13 @@ def _circulant(N: int, L: int) -> np.ndarray:
 
 
 def hist_conv(P: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Rows sum_j H[r, j] roll(P, (L/N) j) for an L-vector P and an (R, N)
-    histogram H: P convolved over Z/L with each row of H placed at the
-    multiples of L/N, by one circulant gather.  The sums are taken in the
-    operands' dtype: the caller proves them in range (see exact_dtype) or
-    passes Python integers.
+    """Rows sum_j H[..., r, j] roll(P, (L/N) j) for L-vectors P and (R, N)
+    histograms H, batch axes leading: P convolved over Z/L with each row of
+    H placed at the multiples of L/N, by one circulant gather.  The sums
+    are taken in the operands' dtype: the caller proves them in range (see
+    exact_dtype) or passes Python integers.
     """
-    return H @ P[_circulant(H.shape[1], len(P))]
+    return H @ P[..., _circulant(H.shape[-1], P.shape[-1])]
 
 
 def common(a: CycloElem, b: CycloElem) -> tuple[CycloElem, CycloElem]:

@@ -16,19 +16,18 @@ and scaling by g^l is a bijection that maps (sigma, d, e) to
 slices T0 = S[sigma = 0] and T1 = S[sigma = 1] determine the whole state:
 S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one
 `cyclotomic.shift_sums` of T1 over two shift sets given by Zech logarithms
-z_j = dlog(1 + g^j) (see _orbit_step); it costs (q-1)^2 N cell updates
-against q (q-1)^2 N for the full state.  The torus stratum reads its rows
-off both slices, a boundary stratum reads the slice sigma = -1.  Cells are
-int64, normalised after each step, and a step that could leave int64 is
-refused (see _check_int64).
+z_j = dlog(1 + g^j) (see _orbit_step): (q-1)^2 N cell updates, against
+q (q-1)^2 N for the full state, gathered a block of windows at a time.
+The torus stratum reads its rows off both slices, a boundary stratum reads
+the slice sigma = -1.  Cells are int64, normalised after each step, and a
+step that could leave int64 is refused (see _check_int64).
 
-A boundary stratum tracks no dlog sum, so its slices are single rows over
-Z/N and each step is a length-N cyclic convolution of T1 with two shift
-histograms that depend only on (q, N, V mod N, w): one
-`cyclotomic.hist_conv` of T1 with the cached histograms (see _line_step).
-A boundary stratum depends only on the multiset of its weights, so each
-distinct multiset of a label is evaluated once and shared by its
-coordinate sets (see _boundary_strata).
+A boundary stratum tracks no dlog sum, so its slices are rows over Z/N and
+each step is a length-N cyclic convolution of T1 with two cached shift
+histograms of (q, N, V mod N, w).  It depends only on the multiset of its
+weights, so a label's distinct multisets are stepped together, as the rows
+of one batch with one `cyclotomic.hist_conv` per depth (see
+boundary_terms), and shared by their coordinate sets (see _boundary_strata).
 """
 
 from __future__ import annotations
@@ -244,12 +243,36 @@ def _line_hists(field: FqField, N: int) -> np.ndarray:
     return hist
 
 
-def _line_step(T0: np.ndarray, T1: np.ndarray, hist: np.ndarray, V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """_orbit_step with m = 0 on slices of length N, by one circulant gather:
-    hist is _line_hists of the field, and T1 convolves with its (V, w) rows."""
-    N = len(T1)
-    to1, to0 = hist_conv(T1, hist[V % N, w % N])
-    return _normalize(to0), _normalize(T0 + to1)
+def _line_step(T0: np.ndarray, T1: np.ndarray, hist: np.ndarray, V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_orbit_step with m = 0 on (K, N) slices, row i of weight sum V[i]
+    taking a unit of weight w[i]: each row of T1 convolves with its own
+    (V, w) rows of hist, _line_hists of the field, in one circulant gather."""
+    N = T1.shape[-1]
+    to = hist_conv(T1, hist[V % N, w % N])
+    return _normalize(to[:, 1]), _normalize(T0 + to[:, 0])
+
+
+def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> list[CycloElem]:
+    """Boundary stratum values, one per weight sequence, stepped as one batch.
+
+    Row i counts the tuples of units with weights seqs[i] and sum -1 by
+    total weight, stepped without a dlog axis on (K, N) slices in the order
+    of seqs[i], one _line_step per depth over the rows still active; the
+    slice sigma = -1 = g^h is read as T1[e - V h].  The int64 guard reads
+    the active rows' largest cell: it fires where a row's own guard would.
+    """
+    T0 = np.eye(1, N, dtype=np.int64).repeat(len(seqs), axis=0)  # the empty tuple: sum 0, exponent 0
+    T1 = np.zeros_like(T0)
+    V = np.zeros(len(seqs), dtype=np.int64)
+    for d in range(max(map(len, seqs), default=0)):
+        act = np.array([len(seq) > d for seq in seqs])
+        w = np.array([seq[d] for seq in seqs if len(seq) > d])
+        # each histogram row sums to at most q - 1
+        _check_int64((field.q - 1) * _state_max(T0[act], T1[act]), "boundary stratum")
+        T0[act], T1[act] = _line_step(T0[act], T1[act], _line_hists(field, N), V[act], w)
+        V[act] += w
+    h = (field.q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
+    return [-to_cyclo(T1[r, (np.arange(N) - V[r] * h) % N].tolist(), N) for r in range(len(seqs))]
 
 
 def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[int], i0: int | None = None) -> CycloElem:
@@ -258,17 +281,13 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
     The weight is the residue character with exponents v_i - a, a being the
     constant value off Z; the pinned index i0 defaults to min(Z), and for
     labels with zero residue sum the value is independent of the choice.
-    With the pinned unit equal to 1,
-    the stratum counts tuples of the other units of Z with sum -1: the
-    orbit steps run over Z minus i0 without a dlog axis, each a length-N
-    circulant step (_line_step), and the slice sigma = -1 = g^h is read as
-    T1[e - V h].
+    With the pinned unit 1, it counts tuples of the other units of Z with sum
+    -1: the boundary_terms row of the weights (v_i - a) mod N over Z minus i0.
     """
     Z = tuple(sorted(Z))
     if not (2 <= len(Z) <= N - 1):
         raise BadParams("stratum must omit something and keep two coordinates")
-    comp = [i for i in range(N) if i not in Z]
-    vals = {entries[i] % N for i in comp}
+    vals = {entries[i] % N for i in range(N) if i not in Z}
     if len(vals) != 1:
         raise BadParams("label not constant off the stratum")
     a = vals.pop()
@@ -276,44 +295,26 @@ def boundary_term(field: FqField, N: int, entries: Sequence[int], Z: Sequence[in
         i0 = Z[0]
     elif i0 not in Z:
         raise BadParams("pinned index must lie in the stratum")
-    q = field.q
-    hist = _line_hists(field, N)
-    T0 = np.zeros(N, dtype=np.int64)
-    T0[0] = 1  # the empty tuple: sum 0, exponent 0
-    T1 = np.zeros_like(T0)
-    V = 0
-    for i in Z:
-        if i == i0:
-            continue
-        # each histogram row sums to at most q - 1
-        _check_int64((q - 1) * _state_max(T0, T1), "boundary stratum")
-        w = (entries[i] - a) % N
-        T0, T1 = _line_step(T0, T1, hist, V, w)
-        V += w
-    h = (q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
-    return -to_cyclo(T1[(np.arange(N) - V * h) % N].tolist(), N)
+    return boundary_terms(field, N, [[(entries[i] - a) % N for i in Z if i != i0]])[0]
 
 
 def _boundary_strata(field: FqField, N: int, entries: Sequence[int]) -> dict[tuple[int, ...], CycloElem]:
-    """Every boundary stratum of a label, one boundary_term per weight multiset.
+    """Every boundary stratum of a label, one batch row per weight multiset.
 
     boundary_term at its default anchor reads only the weights
     (v_i - a) mod N over Z minus min(Z): the pinned unit is 1, V and the
     readout shift depend on their sum, and the tuple count does not change
     when slots are permuted together with their weights.  So strata with
-    the same sorted weight tuple share one value, for any residue sum.
-    The terms' circulant steps all read one histogram table per (field, N),
-    shared across strata and labels (see _line_hists).
+    the same sorted weight tuple share one value, for any residue sum; each
+    tuple is stepped in the order of the first stratum that has it.
     """
-    values: dict[tuple[int, ...], CycloElem] = {}
-    strata = {}
+    seqs = {}
     for Z in strata_sets(entries):
-        a = entries[min(set(range(N)) - set(Z))] % N
-        key = tuple(sorted((entries[i] - a) % N for i in Z[1:]))
-        if key not in values:
-            values[key] = boundary_term(field, N, entries, Z)
-        strata[Z] = values[key]
-    return strata
+        a = entries[min(set(range(N)) - set(Z))]
+        seqs[Z] = [(entries[i] - a) % N for i in Z[1:]]
+    first = {tuple(sorted(seq)): seq for seq in reversed(seqs.values())}  # the first stratum's order wins
+    values = dict(zip(first, boundary_terms(field, N, list(first.values()))))
+    return {Z: values[tuple(sorted(seq))] for Z, seq in seqs.items()}
 
 
 # -- torus stratum, scaling-orbit engine ------------------------------------
@@ -573,6 +574,16 @@ def _one_plus(E: FqField, codes: np.ndarray) -> np.ndarray:
     return codes + 1 - E.p * (codes % E.p == E.p - 1)
 
 
+def _fixed_values(E: FqField, c: int) -> np.ndarray:
+    """Codes of zero and of the units x of E = F_{q^3}, q = E.p, with
+    (q - 1) dlog x = c mod q^3 - 1 = (q - 1)(q^2 + q + 1), in increasing
+    dlog: dlog x = c / (q - 1) + k (q^2 + q + 1) for k < q - 1 when q - 1
+    divides c, and no unit otherwise."""
+    q, c = E.p, c % (E.q - 1)
+    k = np.arange(q - 1 if c % (q - 1) == 0 else 0, dtype=np.int64)
+    return np.concatenate(([0], E.EXP[c // (q - 1) + (q * q + q + 1) * k]))
+
+
 def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
     """Points of each cubic fiber fixed by the scaled Frobenius, counted
     projectively over the cubic extension E: counts[t] for every t in F_q.
@@ -581,14 +592,13 @@ def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
     point exactly when zeta_i c_i^q = lambda c_i for one lambda, that is,
     when dlog zeta_i + (q - 1) dlog c_i agrees over the nonzero coordinates.
     The condition is coordinatewise and free of t: scale the leading nonzero
-    coordinate to 1, so lambda = zeta_lead, and one scan of E^x gives the
-    units each later coordinate may take (q - 1 of them; zero is always
-    allowed).  The fixed points of P^2(E) are the representatives
-    (1 : y : z) and (0 : 1 : z) built from those values, and each is
-    bucketed by the fibers x^3 + y^3 + z^3 = 3t xyz it lies on: (1 : y : z)
-    with yz != 0 on the one fiber with 3t = (1 + y^3 + z^3) / (yz), when that
-    is an F_q constant; the others on every fiber when the sum vanishes.
-    About q^2 tests after O(q^3) scans.
+    coordinate to 1, so lambda = zeta_lead, and _fixed_values lists the
+    values each later coordinate may take (q - 1 units, and zero).  The
+    fixed points of P^2(E) are the representatives (1 : y : z) and
+    (0 : 1 : z) built from those values, and each is bucketed by the fibers
+    x^3 + y^3 + z^3 = 3t xyz it lies on: (1 : y : z) with yz != 0 on the one
+    fiber with 3t = (1 + y^3 + z^3) / (yz), when that is an F_q constant;
+    the others on every fiber when the sum vanishes.  About q^2 tests.
     """
     if g.N != 3:
         raise BadParams("group element degree mismatch")
@@ -599,20 +609,15 @@ def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
     Qe = E.q - 1
     w = field.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
     dz = [int(E.DLOG[(w ** e).code]) for e in g.exps]
-    d = np.arange(Qe, dtype=np.int64)
-
-    def fixed_values(i: int, lead: int) -> np.ndarray:
-        """Codes c with zeta_i c^q = zeta_lead c."""
-        return np.concatenate(([0], E.EXP[(dz[i] + (q - 1) * d) % Qe == dz[lead]]))
 
     def cubes(c: np.ndarray) -> np.ndarray:
         return np.where(c == 0, 0, E.EXP[(3 * E.DLOG[c]) % Qe])
 
-    ys, zs = fixed_values(1, 0), fixed_values(2, 0)
+    ys, zs = _fixed_values(E, dz[0] - dz[1]), _fixed_values(E, dz[0] - dz[2])
     lhs = E.add_codes(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
     yz = E.mul_codes(ys[:, None], zs[None, :])
     c3t = E.mul_codes(lhs, E.EXP[-E.DLOG[yz] % Qe])  # lhs / yz where yz != 0
     one = (yz != 0) & (c3t < q)  # the F_q constants are the codes below q
     counts = np.bincount(c3t[one] * pow(3, -1, q) % q, minlength=q)
-    at_infinity = _one_plus(E, cubes(fixed_values(2, 1))) == 0  # (0 : 1 : z): 1 + z^3 = 0
+    at_infinity = _one_plus(E, cubes(_fixed_values(E, dz[1] - dz[2]))) == 0  # (0 : 1 : z): 1 + z^3 = 0
     return counts + np.count_nonzero((yz == 0) & (lhs == 0)) + np.count_nonzero(at_infinity)

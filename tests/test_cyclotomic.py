@@ -414,8 +414,16 @@ def test_hist_conv_matches_loop(shape, vals, small):
     P = [v >> 62 if small else v for v in vals[:L]]  # small: sums in int64 range
     if small:
         H = [[h >> 56 for h in row] for row in H]
-    want = [[sum(H[r][j] * P[(e - c * j) % L] for j in range(N)) for e in range(L)] for r in range(len(H))]
+
+    def loop(P, H):
+        return [[sum(H[r][j] * P[(e - c * j) % L] for j in range(N)) for e in range(L)] for r in range(len(H))]
+
+    want = loop(P, H)
     assert hist_conv(np.array(P, dtype=object), np.array(H, dtype=object)).tolist() == want
+    # a leading batch axis: each P row with its own histogram
+    batch = [(P, H), (P[::-1], H[::-1])]
+    got = hist_conv(np.array([p for p, _ in batch], dtype=object), np.array([h for _, h in batch], dtype=object))
+    assert got.tolist() == [loop(p, h) for p, h in batch]
     if small:  # computed in the operands' dtype
         got = hist_conv(np.array(P, dtype=np.int64), np.array(H, dtype=np.int64))
         assert got.dtype == np.int64 and got.tolist() == want
@@ -442,7 +450,7 @@ def _shift_sums_case(draw):
         shift = st.lists(st.integers(-12, 12), min_size=n, max_size=n)  # repeats modulo D and N
         sets.append((draw(shift), draw(shift)))
     row = draw(st.none() | st.integers(0, D - 1))
-    block = draw(st.sampled_from([1 << 20, 1, 7]))  # 1 and 7 force several row blocks
+    block = draw(st.sampled_from([1 << 20, 1, 7]))  # 1 and 7 force several window blocks
     return T, sets, row, block, big
 
 

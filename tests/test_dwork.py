@@ -428,6 +428,26 @@ def test_grid_reference_points_match_literal_enumeration(f7, cubic7_points):
         assert len(got) == len(set(got)) and set(got) == cubic7_points[t]
 
 
+@pytest.mark.parametrize("q", [7, 13, 19, 31])
+def test_fixed_values_match_the_scan(q):
+    # the listed solutions of (q - 1) d = c mod q^3 - 1 equal a scan of
+    # every unit of E, in the same order, for every pair of coordinates of
+    # all nine exponent vectors
+    from dworkbench.dwork import _fixed_values
+
+    E = build_field(q, 3)
+    Qe = E.q - 1
+    d = np.arange(Qe, dtype=np.int64)
+    w = build_field(q).generator ** ((q - 1) // 3)
+    for exps in _N3_EXPONENTS:
+        dz = [int(E.DLOG[(w ** e).code]) for e in exps]
+        for i, lead in ((1, 0), (2, 0), (2, 1)):
+            scan = E.EXP[(dz[i] + (q - 1) * d) % Qe == dz[lead]]
+            assert len(scan) == q - 1
+            assert np.array_equal(_fixed_values(E, dz[lead] - dz[i]), [0, *scan]), (q, exps, i, lead)
+    assert _fixed_values(E, 1).tolist() == [0]  # q - 1 does not divide 1
+
+
 @pytest.mark.parametrize("q", [7, 13])
 def test_fix_count_matches_the_grid_reference(q):
     # every t, singular fibers and t = 0 included, and all nine exponent vectors
@@ -525,40 +545,85 @@ def test_boundary_strata_equal_direct_terms(Nq, data, zero_sum):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(3, 7), (5, 11), (7, 29), (9, 37), (11, 67), (17, 103)]), st.data())
 def test_line_step_matches_general_orbit_step(Nq, data):
-    # the boundary step is _orbit_step without a dlog axis, exactly, on
-    # cells up to the largest the int64 guard lets through
+    # each row of the batched boundary step is _orbit_step without a dlog
+    # axis, exactly, on cells up to the largest the int64 guard lets through
     from dworkbench.dwork import _line_hists, _line_step, _orbit_step, _zech
 
     N, q = Nq
     f = build_field(q)
+    K = data.draw(st.integers(1, 4))
     top = ((1 << 63) - 1) // (q - 1)
-    cells = st.lists(st.integers(0, top), min_size=N, max_size=N)
+    cells = st.lists(st.lists(st.integers(0, top), min_size=N, max_size=N), min_size=K, max_size=K)
     T0, T1 = (np.array(data.draw(cells), dtype=np.int64) for _ in range(2))
-    V = data.draw(st.integers(0, 3 * N))
-    w = data.draw(st.integers(0, N - 1))
-    got = _line_step(T0.copy(), T1.copy(), _line_hists(f, N), V, w)
-    want = _orbit_step(T0[None].copy(), T1[None].copy(), _zech(f), 0, V, w)
-    for g, x in zip(got, want):
-        assert g.dtype == np.int64 and np.array_equal(g, x[0]), (q, N, V, w)
+    V = data.draw(st.lists(st.integers(0, 3 * N), min_size=K, max_size=K))
+    w = data.draw(st.lists(st.integers(0, N - 1), min_size=K, max_size=K))
+    got = _line_step(T0.copy(), T1.copy(), _line_hists(f, N), np.array(V), np.array(w))
+    assert all(g.dtype == np.int64 and g.shape == (K, N) for g in got)
+    for i in range(K):
+        want = _orbit_step(T0[i][None].copy(), T1[i][None].copy(), _zech(f), 0, V[i], w[i])
+        for g, x in zip(got, want):
+            assert np.array_equal(g[i], x[0]), (q, N, V[i], w[i])
 
 
 def test_boundary_strata_one_term_per_weight_multiset(monkeypatch):
-    # 131 strata of the (6, 11) label over F_67 share 11 weight multisets
+    # 131 strata of the (6, 11) label over F_67 share 11 weight multisets,
+    # stepped as one batch
     from dworkbench import dwork
 
     calls = []
-    direct = dwork.boundary_term
+    direct = dwork.boundary_terms
 
-    def counted(*args):
-        calls.append(args[3])
-        return direct(*args)
+    def counted(field, N, seqs):
+        calls.append([tuple(sorted(seq)) for seq in seqs])
+        return direct(field, N, seqs)
 
-    monkeypatch.setattr(dwork, "boundary_term", counted)
+    monkeypatch.setattr(dwork, "boundary_terms", counted)
     v = build_v(6, 11)
     table = eigentrace_all_t(build_field(67), 11, v)
     assert len(strata_sets(v.entries)) == 131
-    assert len(calls) == len(set(calls)) == 11
+    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 11
     assert all(len(tr.strata) == 131 for tr in table.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=4), st.integers(10, 10 ** 9))
+@example([[0, 0, 0], [1, 2, 3, 4, 5]], 10 ** 4)  # the finished row's cells pass the limit
+def test_boundary_batch_guard_fires_where_a_row_would(seqs, limit):
+    # rows of one batch step as they would alone, and the int64 guard reads
+    # only the rows still active: a row that has finished never refuses
+    from dworkbench import cyclotomic, dwork
+
+    f = build_field(29)
+    assert dwork.boundary_terms(f, 7, seqs) == [dwork.boundary_terms(f, 7, [seq])[0] for seq in seqs]
+
+    def refused(rows):
+        try:
+            dwork.boundary_terms(f, 7, rows)
+        except Infeasible:
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_INT64_LIMIT", limit)
+        assert refused(seqs) == any(refused([seq]) for seq in seqs)
+
+
+def test_torus_aggregate_peak_memory():
+    # the shift sums gather a block of windows at a time, never every
+    # distinct shift of T1 at once (2.8 MiB at this size)
+    import tracemalloc
+
+    from dworkbench.dwork import _torus_aggregate
+
+    f = build_field(103)
+    entries = build_v(4, 17).entries
+    tracemalloc.start()
+    try:
+        _torus_aggregate(f, 17, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("q, count", [(11, None), (31, 3), (41, 2), (61, 1)])

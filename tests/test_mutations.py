@@ -1,18 +1,22 @@
-"""Mutation matrix of the Dwork layer and of the exact kernels both engines
-share: each corruption fails exactly the named checks.
+"""Mutation matrix of the Dwork layer, of the character layer and of the
+exact kernels both engines share: each corruption fails exactly the named
+checks.
 
 Each case patches one function, in every module that binds it, and runs
-hyper-cross, canonical-paths, det-oracle and det-hcan, validate_n3 at
-q = 7 and 13, katz_check at (2, 7, 29) and (2, 7, 43), and
-check_weil_duality(), all at the default campaign's parameters.  A case
-also shows that its mutation changes a value those checks read, so a
-passing check is a blind spot of that check, not a mutation that nothing
-sees.
+gauss-suite, hyper-cross, canonical-paths, det-oracle and det-hcan,
+validate_n3 at q = 7 and 13, katz_check at (2, 7, 29) and (2, 7, 43),
+check_weil_duality() and signs, all at the default campaign's parameters.
+A case also shows that its mutation changes a value those checks read, so
+a passing check is a blind spot of that check, not a mutation that
+nothing sees.
 """
+
+import random
 
 import pytest
 
-from dworkbench import dwork, harness, hypergeometric
+from dworkbench import characters, dwork, harness, hypergeometric, pairings
+from dworkbench.characters import AddChar, MultChar
 from dworkbench.cyclotomic import root_of_unity
 from dworkbench.dwork import GroupElement
 from dworkbench.finitefield import build_field
@@ -20,6 +24,7 @@ from dworkbench.hypergeometric import HyperSpec
 from dworkbench.weights import build_v
 
 CHECKS = {
+    "gauss-suite": lambda: harness.check_gauss_suite(),
     "hyper-cross": lambda: harness.check_hyper_cross(),
     "canonical-paths": lambda: harness.check_canonical_paths(),
     "det-oracle": lambda: harness.check_det_oracle(),
@@ -29,6 +34,7 @@ CHECKS = {
     "katz q=29": lambda: harness.katz_check(2, 7, 29).to_result(),
     "katz q=43": lambda: harness.katz_check(2, 7, 43).to_result(),
     "weil-duality": lambda: harness.check_weil_duality(),
+    "signs": lambda: harness.check_signs(),
 }
 DWORK = {"n3 q=7", "n3 q=13", "katz q=29", "katz q=43"}
 
@@ -59,6 +65,24 @@ def _kernel_values() -> tuple:
     return _engine_values(), hypergeometric._trad_rows(spec, 1)[1][1:].tolist()
 
 
+def _gauss_terms() -> list:
+    """Gauss sum terms at q = 7 over Z/42, as gauss-suite lists them."""
+    f7 = build_field(7)
+    return harness.gauss_exponents(AddChar(f7), [MultChar(f7, j) for j in range(6)], 42).tolist()
+
+
+def _canonical_values() -> list:
+    """The canonical trace table that canonical-paths reads at q = 29."""
+    spec = HyperSpec.from_label(build_field(29), build_v(2, 7))
+    return hypergeometric.canonical_trace(spec).items()
+
+
+def _signs_at_13() -> list:
+    """Plain self-dual signs of random examples at l = 13."""
+    rng = random.Random(13)
+    return [harness.sd_sign(pairings.random_sd_example(13, rng)[0]) for _ in range(20)]
+
+
 def _first_column_plus_1(original):
     """Add 1 to the first entry of every row of the kernel's output."""
 
@@ -72,9 +96,32 @@ def _first_column_plus_1(original):
 
 def _boundary_plus(delta):
     def mutate(original):
-        return lambda field, N, *args: original(field, N, *args) + delta(N)
+        return lambda field, N, seqs: [x + delta(N) for x in original(field, N, seqs)]
 
     return mutate
+
+
+def _first_term_shifted(original):
+    """Shift the first term of every Gauss sum by one step of Z/M."""
+
+    def exponents(psi, chis, M):
+        out = original(psi, chis, M)
+        out[:, 0] = (out[:, 0] + 1) % M
+        return out
+
+    return exponents
+
+
+def _grossen_times_zeta_at_residue_1(original):
+    def grossen(field, N, chi_res, rho_res):
+        value = original(field, N, chi_res, rho_res)
+        return value * root_of_unity(N, 1) if chi_res % N == 1 else value
+
+    return grossen
+
+
+def _sd_sign_flipped_at_13(original):
+    return lambda rep: -original(rep) if rep.l == 13 else original(rep)
 
 
 def _zech_shifted_at(i):
@@ -102,8 +149,8 @@ BOTH = (dwork, hypergeometric)  # the engines that bind the shared kernels
 
 CASES = [
     # weil-duality misses a uniform + 1: its laws compare outputs of one engine
-    pytest.param((dwork,), "boundary_term", _boundary_plus(lambda N: 1), _engine_values, DWORK, id="boundary_term+1"),
-    pytest.param((dwork,), "boundary_term", _boundary_plus(lambda N: root_of_unity(N, 1)), _engine_values,
+    pytest.param((dwork,), "boundary_terms", _boundary_plus(lambda N: 1), _engine_values, DWORK, id="boundary_term+1"),
+    pytest.param((dwork,), "boundary_terms", _boundary_plus(lambda N: root_of_unity(N, 1)), _engine_values,
                  DWORK | {"weil-duality"}, id="boundary_term+zeta_N"),
     pytest.param((harness,), "fix_count_bruteforce", _fix_count_bumped_at_3, _fix_counts, {"n3 q=7"},
                  id="fix_count[3]+1"),
@@ -120,6 +167,13 @@ CASES = [
                  DWORK | {"hyper-cross", "canonical-paths", "det-oracle"}, id="hist_conv+1"),
     pytest.param((hypergeometric,), "cconv", _first_column_plus_1, _kernel_values,
                  {"hyper-cross", "canonical-paths", "det-oracle", "det-hcan", "katz q=29", "katz q=43"}, id="cconv+1"),
+    # the character layer: Gauss sums, the canonical normalisation and the
+    # sign law each fail the checks that read them
+    pytest.param((characters, harness, hypergeometric), "gauss_exponents", _first_term_shifted, _gauss_terms,
+                 {"gauss-suite", "hyper-cross", "canonical-paths", "det-oracle", "det-hcan"}, id="gauss_exponents[0]+1"),
+    pytest.param((hypergeometric,), "grossen_value", _grossen_times_zeta_at_residue_1, _canonical_values,
+                 {"canonical-paths"}, id="grossen_value*zeta_N"),
+    pytest.param((harness,), "sd_sign", _sd_sign_flipped_at_13, _signs_at_13, {"signs"}, id="sd_sign@13"),
 ]
 
 
