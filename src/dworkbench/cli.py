@@ -91,7 +91,8 @@ def _cmd_dwork_trace(args) -> int:
     v = build_v(args.n, args.N)
     if args.t == "all":
         table = eigentrace_all_t(field, args.N, v)
-        rows = [table[t].to_json() for t in sorted(table)]
+        memo: dict = {}  # the fibers share their label's strata
+        rows = [table[t].to_json(memo) for t in sorted(table)]
     else:
         fiber = DworkFiber(field, args.N, int(args.t))
         rows = [eigentrace_charsum(v, fiber).to_json()]

@@ -35,10 +35,10 @@ Rat = Union[int, Fraction]
 
 # The int64 fast paths run only when every partial sum is proved below this.
 _INT64_LIMIT = 1 << 63
-# A context holds M * phi(M) power-vector entries, built in int64 and kept
-# in the narrowest dtype that holds them (M = 3437: 1.0e7 entries, a 91 MB
-# traced peak and 10 MB kept, at 1 byte each), so the budget caps a
-# context's build near 0.9 GB.
+# A context holds M * phi(M) power-vector entries, built row by row into the
+# narrowest dtype that holds them (M = 3437: 1.0e7 entries at 1 byte each,
+# a 10.2 MB traced peak and 10.1 MB kept), so the budget caps a context's
+# table near 0.1 GB at 1 byte an entry.
 _CTX_BUDGET = 10 ** 8
 _BLOCK_CELLS = 1 << 16  # cells gathered per block of shift_sums or of an outer sum of exponents
 
@@ -117,24 +117,30 @@ class CycloCtx:
         self.M = M
         self.poly = cyclotomic_poly(M)
         self.phi = phi
-        pw = np.zeros((M, phi), dtype=np.int64)
+        pw = np.zeros((M, phi), dtype=np.int8)
         pw[np.arange(phi), np.arange(phi)] = 1
-        pmax = 1
-        if M > phi:
-            zphi = pw[phi]
-            zphi[:] = [-c for c in self.poly[:phi]]
-            h = pmax = int(np.abs(zphi).max())
-            # z^(e+1) = z z^e: shift, then the top coordinate times z^phi;
-            # each step is refused before it could leave int64
-            for e in range(phi + 1, M):
-                lead = int(pw[e - 1, -1])
-                if pmax + abs(lead) * h >= _INT64_LIMIT:
-                    raise ArithmeticError(f"power vectors of Q(zeta_{M}) leave int64")
-                pw[e, 1:] = pw[e - 1, :-1]
-                if lead:
-                    pw[e] += lead * zphi
-                pmax = max(pmax, int(np.abs(pw[e]).max()))
-        self.powers = pw.astype(np.min_scalar_type(-pmax - 1), copy=False)
+        pmax = top = 1
+        zphi = np.array([-c for c in self.poly[:phi]], dtype=np.int64)
+        h = int(np.abs(zphi).max())
+        row = np.zeros(phi, dtype=np.int64)
+        row[-1] = 1  # z^(phi-1)
+        # z^(e+1) = z z^e: shift, then the top coordinate times z^phi.
+        # Each row is computed in int64, refused before it could leave
+        # int64, and stored once the table is wide enough to hold it:
+        # setitem casts silently, so the table widens before the store.
+        for e in range(phi, M):
+            lead = int(row[-1])
+            if pmax + abs(lead) * h >= _INT64_LIMIT:
+                raise ArithmeticError(f"power vectors of Q(zeta_{M}) leave int64")
+            row = np.concatenate(([0], row[:-1]))
+            if lead:
+                row += lead * zphi
+            pmax = max(pmax, int(np.abs(row).max()))
+            if pmax > top:
+                pw = pw.astype(np.min_scalar_type(-pmax - 1))
+                top = int(np.iinfo(pw.dtype).max)
+            pw[e] = row
+        self.powers = pw
         self.pmax = pmax
         self._emb: dict[int, list[complex]] = {}
 
@@ -416,6 +422,20 @@ class CycloElem:
             den = den * f.denominator // math.gcd(den, f.denominator)
         num = [int(f * den) for f in fracs]
         return _make(M, num, den)
+
+
+def shared_json(x: CycloElem, memo: dict[CycloElem, dict]) -> dict:
+    """x.to_json(), made once per distinct element of one memo.
+
+    The memo is keyed on the element, whose equality is literal, so a report
+    that holds the same value in many rows serializes it once.  The dicts
+    returned are shared by every row built through the memo: treat them as
+    read-only, since an edit to one changes all of them.
+    """
+    out = memo.get(x)
+    if out is None:
+        out = memo[x] = x.to_json()
+    return out
 
 
 def root_of_unity(M: int, k: int = 1) -> CycloElem:

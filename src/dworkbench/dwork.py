@@ -39,13 +39,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycloElem, exact_dtype, hist_conv, shift_sums, to_cyclo
+from .cyclotomic import CycloElem, exact_dtype, hist_conv, shared_json, shift_sums, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible
 from .finitefield import FqField, build_field
 from .weights import WeightVector
 
 _COUNT_BUDGET = 10 ** 10
-_STATE_BUDGET = 6 * 10 ** 6  # q (q-1) N cells; a step gathers at most 2 (q-1)^2 N
+# charged q (q-1) N, it bounds the direct shift sum's work: a step gathers
+# 2 (q-1)^2 N cells, while the state itself is 2 (q-1) N cells
+_STATE_BUDGET = 6 * 10 ** 6
 
 
 def _entries_of(v: "WeightVector | Sequence[int]", N: int) -> tuple[int, ...]:
@@ -134,14 +136,18 @@ class EigenTrace:
         self.hyperplane = hyperplane
         self.value = value
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
+        """The trace and its strata, serialized through memo (see
+        cyclotomic.shared_json): pass one memo for a table of fibers, whose
+        strata are shared, and treat the dicts as read-only."""
+        memo = {} if memo is None else memo
         strata = {
-            "torus": self.torus.to_json(),
-            **{",".join(map(str, z)): s.to_json() for z, s in sorted(self.strata.items())},
+            "torus": shared_json(self.torus, memo),
+            **{",".join(map(str, z)): shared_json(s, memo) for z, s in sorted(self.strata.items())},
         }
         if not self.hyperplane.is_zero():
-            strata["hyperplane"] = self.hyperplane.to_json()
-        return {"t": self.fiber.t_code, "value": self.value.to_json(), "strata": strata}
+            strata["hyperplane"] = shared_json(self.hyperplane, memo)
+        return {"t": self.fiber.t_code, "value": shared_json(self.value, memo), "strata": strata}
 
 
 # -- stratum enumeration ----------------------------------------------------

@@ -9,20 +9,19 @@ bytes are identical across runs and processes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .characters import AddChar, MultChar, gauss_exponents, jacobi_exponents
-from .cyclotomic import CycloElem, common, ctx_for, exponent_counts, root_of_unity, to_cyclo, vanishes
+from .cyclotomic import CycloElem, common, ctx_for, exponent_counts, root_of_unity, shared_json, to_cyclo, vanishes
 from .dwork import (
     DworkFiber,
     GroupElement,
@@ -78,6 +77,8 @@ class CheckResult:
 
 
 def _digest(parts: Iterable[bytes]) -> str:
+    import hashlib  # OpenSSL's libcrypto: loaded only by the checks that digest
+
     h = hashlib.sha256()
     for p in parts:
         h.update(p)
@@ -110,13 +111,15 @@ class KatzReport:
     image_points: int = 0
     runtime_ms: int = 0
     seed: int = 0
+    # each distinct value's JSON, shared by the rows and lambda (see shared_json)
+    memo: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def to_result(self) -> CheckResult:
         params = {
             "n": self.n,
             "N": self.N,
             "q": self.q,
-            "lambda": self.lam.to_json() if self.lam is not None else None,
+            "lambda": shared_json(self.lam, self.memo) if self.lam is not None else None,
             "constant": self.constant,
             "weight_ok": self.weight_ok,
             "lambda_integral": self.lam_integral,
@@ -237,11 +240,12 @@ def katz_check(
         weight_ok = lam * lam.conjugate() == q ** (N - n - 1)
         integral = lam.denominator() == 1
 
+    memo: dict[CycloElem, dict] = {}
     rows = []
     for t in sorted(ev):
-        row = {"t": t, "T_v": ev[t].value.to_json(), "T_can_at_tN": can_table.value_at(pow(t, N, q)).to_json()}
+        row = {"t": t, "T_v": shared_json(ev[t].value, memo), "T_can_at_tN": shared_json(can_table.value_at(pow(t, N, q)), memo)}
         if t in ratios:
-            row["ratio"] = ratios[t].to_json()
+            row["ratio"] = shared_json(ratios[t], memo)
         else:
             row["skip"] = skipped[t]
         rows.append(row)
@@ -273,6 +277,7 @@ def katz_check(
         image_points=image_points,
         runtime_ms=int((time.monotonic() - t0) * 1000),
         seed=seed,
+        memo=memo,
     )
 
 
@@ -413,7 +418,12 @@ def check_build_v(seed: int = 0) -> CheckResult:
     return CheckResult("build-v", {}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
 
 
-_SUITE_BLOCK = 16  # characters or Jacobi pairs per vectorised step of the gauss suite
+# characters or Jacobi pairs per vectorised step of the gauss suite: at
+# q = 29 (M = 812) a step's int64 temporaries are about 50 KB each, so what
+# a step frees stays under glibc's default 128 KiB trim threshold and the
+# next step reuses it (at 16 a step, the every-pair suite at q = 7, 13, 29
+# faulted about 2900 fresh pages a call)
+_SUITE_BLOCK = 8
 
 
 def _modulus_counts(g: np.ndarray, q: int, M: int) -> np.ndarray:
@@ -423,12 +433,11 @@ def _modulus_counts(g: np.ndarray, q: int, M: int) -> np.ndarray:
     return out
 
 
-def _jacobi_counts(field, G: np.ndarray, pairs: Sequence[tuple[int, int]], M: int) -> np.ndarray:
-    """Count vectors of J(a, b) g(ab) - g(a) g(b), one per pair (a, b); row j of
-    G holds the exponents of g(psi, chi^j)."""
-    J = jacobi_exponents(field, [MultChar(field, a) for a, _ in pairs], [MultChar(field, b) for _, b in pairs], M)
-    a, b = np.array(pairs, dtype=np.int64).T
-    lhs = exponent_counts(J[:, :, None] + G[(a + b) % (field.q - 1)][:, None, :], M)
+def _jacobi_counts(J: np.ndarray, G: np.ndarray, a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
+    """Count vectors of J(a, b) g(ab) - g(a) g(b), one per pair (a[i], b[i]):
+    row i of J holds the exponents of J(chi^a[i], chi^b[i]), row j of G
+    those of g(psi, chi^j)."""
+    lhs = exponent_counts(J[:, :, None] + G[(a + b) % len(G)][:, None, :], M)
     return lhs - exponent_counts(G[a][:, :, None] + G[b][:, None, :], M)
 
 
@@ -445,7 +454,8 @@ def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: in
     for q in qs:
         field = build_field(q)
         M = field.p * (q - 1)
-        G = gauss_exponents(AddChar(field), [MultChar(field, j) for j in range(q - 1)], M)
+        chars = [MultChar(field, j) for j in range(q - 1)]
+        G = gauss_exponents(AddChar(field), chars, M)
         triv = exponent_counts(G[:1], M)
         triv[0, 0] += 1
         triv_ok = bool(vanishes(triv, M).all())
@@ -455,7 +465,12 @@ def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: in
         if len(pairs) > sample:
             rng = random.Random(seed * 7919 + q)
             pairs = rng.sample(pairs, sample)
-        jac_ok = all(vanishes(_jacobi_counts(field, G, pairs[lo : lo + B], M), M).all() for lo in range(0, len(pairs), B))
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        J = jacobi_exponents(field, [chars[i] for i in a], [chars[i] for i in b], M)
+        jac_ok = all(
+            vanishes(_jacobi_counts(J[lo : lo + B], G, a[lo : lo + B], b[lo : lo + B], M), M).all()
+            for lo in range(0, len(pairs), B)
+        )
         rows.append({"q": q, "trivial_is_minus_one": triv_ok, "modulus": bool(mod_ok), "jacobi_pairs": len(pairs), "jacobi": bool(jac_ok)})
     ok = all(r["trivial_is_minus_one"] and r["modulus"] and r["jacobi"] for r in rows)
     return CheckResult("gauss-suite", {"qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)

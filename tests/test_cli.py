@@ -217,3 +217,20 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["hyper", "nonsense"])
     assert ei.value.code == 2
+
+
+def test_dwork_trace_all_rows_share_their_strata(capsys):
+    # one memo for the whole table: the output equals a fresh serialization
+    # per row, and a stratum shared by the fibers is serialized once
+    from dworkbench.dwork import eigentrace_all_t
+    from dworkbench.finitefield import build_field
+    from dworkbench.weights import build_v
+
+    code, out, _ = run(capsys, "dwork", "trace", "--N", "9", "--n", "4", "--q", "73", "--t", "all", "--json")
+    assert code == 0
+    table = eigentrace_all_t(build_field(73), 9, build_v(4, 9))
+    assert out == json.dumps([table[t].to_json() for t in sorted(table)], sort_keys=True) + "\n"
+    memo = {}
+    rows = [table[t].to_json(memo) for t in sorted(table)]
+    shared = [k for k in rows[0]["strata"] if k != "torus"]
+    assert shared and all(r["strata"][k] is rows[0]["strata"][k] for r in rows for k in shared)

@@ -253,11 +253,76 @@ def test_context_keeps_one_narrow_table():
 def test_context_build_refuses_to_leave_int64(monkeypatch):
     # each step of the power recurrence is refused before its entries could
     # reach the limit: at a limit of 3, Q(zeta_105), whose Phi has a
-    # coefficient -2, is refused, and Q(zeta_7), which takes no step, is not
+    # coefficient -2, is refused, and Q(zeta_7), whose entries stay at 1, is not
     monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 3)
     with pytest.raises(ArithmeticError, match="zeta_105"):
         cyclotomic.CycloCtx(105)
     assert cyclotomic.CycloCtx(7).pmax == 1
+
+
+def _int64_powers(M, poly):
+    # the power recurrence z^(e+1) = z z^e in one int64 table, row by row:
+    # shift, then subtract the top coordinate times Phi's lower coefficients
+    phi = len(poly) - 1
+    pw = np.zeros((M, phi), dtype=np.int64)
+    pw[np.arange(phi), np.arange(phi)] = 1
+    low = np.array(poly[:phi], dtype=np.int64)
+    for e in range(phi, M):
+        pw[e, 1:] = pw[e - 1, :-1]
+        pw[e] -= pw[e - 1, -1] * low
+    return pw
+
+
+def _assert_table_is_recurrence(ctx, poly):
+    want = _int64_powers(ctx.M, poly)
+    pmax = int(np.abs(want).max())
+    assert np.array_equal(ctx.powers, want), ctx.M
+    assert ctx.pmax == pmax and ctx.powers.dtype == np.min_scalar_type(-pmax - 1), ctx.M
+
+
+@pytest.mark.parametrize("Ms", [range(1, 301), (812, 1155, 1751)], ids=["M<=300", "large"])
+def test_context_table_is_the_int64_recurrence(Ms):
+    for M in Ms:
+        _assert_table_is_recurrence(cyclotomic.CycloCtx(M), cyclotomic_poly(M))
+
+
+def test_context_widens_the_table_before_storing_a_wide_row(monkeypatch):
+    # no real modulus up to 3570 passes int8, so a polynomial with large
+    # coefficients drives the rows of Q(zeta_15) (phi = 8) through int16,
+    # int32 and int64: a row stored before the table widened would wrap
+    fake = (200, 0, -3, 0, 0, 0, 0, 90, 1)
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", lambda M: fake)
+    ctx = cyclotomic.CycloCtx(15)
+    assert ctx.powers.dtype == np.int64 and ctx.pmax > 1 << 31
+    _assert_table_is_recurrence(ctx, fake)
+
+
+def test_context_build_peaks_near_its_kept_table():
+    # Q(zeta_1751) keeps 1751 x 1632 int8 entries, 2.7 MiB; a full int64
+    # table of the same rows would take 21.8 MiB
+    cyclotomic_poly(1751)
+    tracemalloc.start()
+    try:
+        ctx = cyclotomic.CycloCtx(1751)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.powers.dtype == np.int8
+    assert peak < 4 << 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_shared_json_serializes_each_distinct_element_once():
+    memo = {}
+    a, b = to_cyclo([1, 2, 3], 7), root_of_unity(7, 2)
+    first = cyclotomic.shared_json(a, memo)
+    assert first == a.to_json()
+    assert cyclotomic.shared_json(to_cyclo([1, 2, 3], 7), memo) is first  # equal, not identical, elements
+    assert cyclotomic.shared_json(b, memo) == b.to_json()
+    # a rational value is one element per modulus
+    assert cyclotomic.shared_json(CycloElem(14, 2), memo) == CycloElem(14, 2).to_json()
+    assert cyclotomic.shared_json(CycloElem(7, 2), memo)["M"] == 7
+    assert len(memo) == 4
+    assert cyclotomic.shared_json(a, {}) is not first  # one memo per report
 
 
 def test_poly_and_reduction_match_sympy():
@@ -279,8 +344,8 @@ def test_poly_and_reduction_match_sympy():
 
 def test_ctx_budget_refuses_before_allocating(refused_peak):
     # the largest modulus any check builds is 812 = 29 * 28; the first one
-    # past the budget (about 1 GB of tables) is refused before its
-    # polynomial or tables exist
+    # past the budget (about 0.1 GB of int8 table) is refused before its
+    # polynomial or table exists
     budget = cyclotomic._CTX_BUDGET
     assert 812 * euler_phi(812) * 300 < budget
     M = next(m for m in range(10 ** 4, 2 * 10 ** 4) if m * euler_phi(m) > budget)

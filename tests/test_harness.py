@@ -470,3 +470,47 @@ def test_katz_inverts_each_canonical_value_once(monkeypatch):
     nonzero = [tn for tn in image if not can_table.value_at(tn).is_zero()]
     of_values = [x for x in inverted if any(x is v for v in values)]
     assert len(of_values) == len({id(x) for x in of_values}) == len(nonzero) == 5
+
+
+@pytest.mark.parametrize("n,N,q", [(2, 7, 29), (4, 9, 73)])
+def test_katz_rows_serialize_each_distinct_value_once(n, N, q):
+    # the rows and lambda come from one memo: the bytes equal a fresh
+    # to_json() per cell, and equal values share one dict
+    from dworkbench.dwork import eigentrace_all_t
+    from dworkbench.hypergeometric import HyperSpec, canonical_trace
+
+    rep = katz_check(n, N, q)
+    res = rep.to_result()
+    field, v = build_field(q), build_v(n, N)
+    ev = eigentrace_all_t(field, N, v)
+    can = canonical_trace(HyperSpec.from_label(field, v))
+    want = []
+    for t in sorted(ev):
+        row = {"t": t, "T_v": ev[t].value.to_json(), "T_can_at_tN": can.value_at(pow(t, N, q)).to_json()}
+        if t in rep.ratios:
+            row["ratio"] = rep.ratios[t].to_json()
+        else:
+            row["skip"] = rep.skipped[t]
+        want.append(row)
+    assert json.dumps(res.rows, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert res.params["lambda"] == rep.lam.to_json()
+
+    cells = {}
+    for row in res.rows:
+        for key in ("T_v", "T_can_at_tN", "ratio"):
+            if key in row:
+                cells.setdefault(json.dumps(row[key], sort_keys=True), set()).add(id(row[key]))
+    assert all(len(ids) == 1 for ids in cells.values())
+    assert {id(row["ratio"]) for row in res.rows} == {id(res.params["lambda"])}
+
+
+def test_gauss_suite_rows_do_not_depend_on_the_block(monkeypatch):
+    # each step takes a slice of the characters or pairs and of their
+    # precomputed Jacobi exponents; the last step may be short
+    from dworkbench import harness
+
+    want = check_gauss_suite(qs=(7, 13), sample=10 ** 9)
+    assert want.ok
+    for block in (1, 5, 1000):
+        monkeypatch.setattr(harness, "_SUITE_BLOCK", block)
+        assert check_gauss_suite(qs=(7, 13), sample=10 ** 9).canonical_bytes() == want.canonical_bytes()

@@ -1,6 +1,9 @@
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -102,3 +105,12 @@ def test_every_symbol_is_used():
         and total[node.name] <= _references(node)[node.name]
     )
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_program_import_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL's libcrypto (about 3.7 MiB resident); only the
+    # digest of hyper-cross needs it, and it imports hashlib itself
+    code = "import sys, dworkbench.cli, dworkbench.harness; print('_hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
