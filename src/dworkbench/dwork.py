@@ -19,8 +19,9 @@ S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one
 z_j = dlog(1 + g^j) (see _orbit_step): (q-1)^2 N cell updates, against
 q (q-1)^2 N for the full state, gathered a block of windows at a time.
 The torus stratum reads its rows off both slices, a boundary stratum reads
-the slice sigma = -1.  Cells are int64, normalised after each step, and a
-step that could leave int64 is refused (see _check_int64).
+the slice sigma = -1.  Cells are normalised after each step and held in
+`cyclotomic.exact_dtype` of the step's proved bound: int64, then Python
+integers once a step could leave int64 (see _widen).
 
 A boundary stratum tracks no dlog sum, so its slices are rows over Z/N and
 each step is a length-N cyclic convolution of T1 with two cached shift
@@ -170,11 +171,12 @@ def strata_sets(entries: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_int64(bound: int, what: str) -> None:
-    """Refuse a step whose int64 cells could reach 2^63 in magnitude (the
-    cells are nonnegative, so no partial sum exceeds a result)."""
-    if exact_dtype(bound) is object:
-        raise Infeasible(f"{what}: cell bound {bound} exceeds the int64 range")
+def _widen(bound: int, T0: np.ndarray, T1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both slices in exact_dtype(bound), the cells being nonnegative so no
+    partial sum exceeds a result; once in Python integers, they stay there
+    (a finished batch row may hold cells past int64 under a small bound)."""
+    dt = np.result_type(T0, exact_dtype(bound))
+    return T0.astype(dt, copy=False), T1.astype(dt, copy=False)
 
 
 def _normalize(S: np.ndarray) -> np.ndarray:
@@ -264,8 +266,8 @@ def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> lis
     Row i counts the tuples of units with weights seqs[i] and sum -1 by
     total weight, stepped without a dlog axis on (K, N) slices in the order
     of seqs[i], one _line_step per depth over the rows still active; the
-    slice sigma = -1 = g^h is read as T1[e - V h].  The int64 guard reads
-    the active rows' largest cell: it fires where a row's own guard would.
+    slice sigma = -1 = g^h is read as T1[e - V h].  The width of a step
+    follows the active rows' largest cell, as a row stepped alone would.
     """
     T0 = np.eye(1, N, dtype=np.int64).repeat(len(seqs), axis=0)  # the empty tuple: sum 0, exponent 0
     T1 = np.zeros_like(T0)
@@ -274,7 +276,7 @@ def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> lis
         act = np.array([len(seq) > d for seq in seqs])
         w = np.array([seq[d] for seq in seqs if len(seq) > d])
         # each histogram row sums to at most q - 1
-        _check_int64((field.q - 1) * _state_max(T0[act], T1[act]), "boundary stratum")
+        T0, T1 = _widen((field.q - 1) * _state_max(T0[act], T1[act]), T0, T1)
         T0[act], T1[act] = _line_step(T0[act], T1[act], _line_hists(field, N), V[act], w)
         V[act] += w
     h = (field.q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
@@ -352,11 +354,11 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarr
     T1 = np.zeros_like(T0)
     V = 0
     for i in range(N - 1):
-        _check_int64((q - 1) * _state_max(T0, T1), "torus aggregation")
+        T0, T1 = _widen((q - 1) * _state_max(T0, T1), T0, T1)
         w = entries[i] % N
         T0, T1 = _orbit_step(T0, T1, zech, i, V, w)
         V += w
-    _check_int64(q * _state_max(T0, T1), "torus aggregation")
+    T0, T1 = _widen(q * _state_max(T0, T1), T0, T1)
     j = np.flatnonzero(zech >= 0)
     G = T0 + shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]
     return G[-np.arange(Qm1) % Qm1]

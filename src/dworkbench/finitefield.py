@@ -183,18 +183,18 @@ class FqElem:
 class FqField:
     """F_{p^m} with exp/dlog tables and vectorized code arithmetic."""
 
-    def __init__(self, p: int, m: int, seed: int = 0):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** m
         if q > _TABLE_BOUND:
             raise TooLarge(f"q = {q} exceeds the table bound 2^24")
-        self.p, self.m, self.q, self.seed = p, m, q, seed
+        self.p, self.m, self.q = p, m, q
         self._pp = [p ** i for i in range(m + 1)]
         if m == 1:
             self.modulus: tuple[int, ...] | None = None
         else:
-            rng = random.Random(seed * 1000003 + p * 1009 + m)
+            rng = random.Random(p * 1009 + m)
             while True:
                 cand = [rng.randrange(p) for _ in range(m)] + [1]
                 if cand[0] != 0 and _is_irreducible(cand, p):
@@ -373,6 +373,6 @@ class FqField:
 
 
 @lru_cache(maxsize=None)
-def build_field(p: int, m: int = 1, seed: int = 0) -> FqField:
+def build_field(p: int, m: int = 1) -> FqField:
     """Construct (and cache) F_{p^m} with verified modulus and generator."""
-    return FqField(p, m, seed)
+    return FqField(p, m)

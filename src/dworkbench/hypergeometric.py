@@ -230,15 +230,17 @@ def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, row: int | No
     one term per factor is the convolution of their bases over Z/L times the
     histogram of their shifts (_shift_hist), applied as shifts (hist_conv).
     """
-    acc = None
+    acc, bound = None, 0
     for terms in itertools.product(*tables):
         P = functools.reduce(cconv, [base for base, _ in terms])
         H = _shift_hist([s for _, s in terms if s is not None], R, N, row)
-        # every entry and partial sum is at most max|P| times a row sum of H
-        # (H counts, so nonnegative), each taken as at least 1
-        dt = exact_dtype(max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max())))
+        # every entry and partial sum of a part is at most max|P| times a row
+        # sum of H (H counts, so nonnegative), each taken as at least 1, and
+        # of the running total at most the sum of those bounds so far
+        bound += max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max()))
+        dt = exact_dtype(bound)
         part = hist_conv(P.astype(dt), H.astype(dt))
-        acc = part if acc is None else acc.astype(object) + part
+        acc = part if acc is None else acc.astype(dt) + part
     return acc if len(tables) % 2 else -acc
 
 
@@ -398,7 +400,8 @@ def mellin_agrees(spec: HyperSpec, C: np.ndarray) -> np.ndarray:
     """
     W = mellin_rows(spec)
     R, M, L = spec.field.q - 1, W.shape[1], C.shape[1]
-    lift = np.zeros(W.shape, dtype=object)
+    # every entry of the difference is at most max|W| + R max|C|
+    lift = np.zeros(W.shape, dtype=exact_dtype(int(abs(W).max()) + R * int(abs(C).max())))
     lift[:, np.arange(L) * (M // L)] = C
     return vanishes(W - R * lift, M)
 

@@ -149,6 +149,13 @@ def test_verify_katz_writes_report(capsys, tmp_path):
     assert payload["adjudications"]["orientation"] == "direct"
 
 
+def test_verify_katz_past_the_int64_range(capsys):
+    # the Dwork engine continues in Python integers where int64 could overflow
+    code, out, _ = run(capsys, "verify", "katz", "--n", "4", "--N", "17", "--q", "239")
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_verify_all_campaign(capsys, tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("checks = build-v, signs\n")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -478,20 +479,52 @@ def test_normalized_strata_match_scans(q, entries, t):
     assert a.torus == b.torus and a.strata == b.strata
 
 
-def test_int64_guard_refuses(monkeypatch, f29):
-    # with the limit of exact_dtype lowered, the guards fire some steps into
-    # each engine
+def _engine_run(q, n, N, limit=None):
+    """Torus rows, boundary strata and the (bound, dtype) of every _widen
+    call of one label's engine run, with exact_dtype's limit set to limit."""
     from dworkbench import cyclotomic, dwork
 
-    v = build_v(2, 7)
-    Z = max(strata_sets(v.entries), key=len)
-    boundary_term(f29, 7, v.entries, Z)
-    dwork._torus_aggregate(f29, 7, v.entries)
-    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 1000)
-    with pytest.raises(Infeasible):
-        boundary_term(f29, 7, v.entries, Z)
-    with pytest.raises(Infeasible):
-        dwork._torus_aggregate(f29, 7, v.entries)
+    widths = []
+    widen = dwork._widen
+
+    def spy(bound, T0, T1):
+        out = widen(bound, T0, T1)
+        widths.append((bound, out[0].dtype))
+        return out
+
+    f, v = build_field(q), build_v(n, N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dwork, "_widen", spy)
+        if limit is not None:
+            mp.setattr(cyclotomic, "_INT64_LIMIT", limit)
+        H = dwork._torus_aggregate(f, N, v.entries)
+        torus = widths[:]
+        strata = dwork._boundary_strata(f, N, v.entries)
+    return H.tolist(), strata, torus, widths[len(torus) :]
+
+
+@functools.lru_cache(maxsize=None)
+def _int64_run(case):
+    return _engine_run(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(29, 2, 7), (73, 4, 9), (103, 2, 17)]), st.data())
+def test_engine_widens_past_int64_at_every_step(case, data):
+    # with the limit of exact_dtype lowered to the bound of one step, the
+    # engine switches to Python integers there and stays in them: its torus
+    # rows and boundary values equal the int64 run's
+    H, strata, *int64_widths = _int64_run(case)
+    engine = data.draw(st.sampled_from([0, 1]))  # torus or boundary batch
+    bounds = [b for b, _ in int64_widths[engine]]
+    assert all(dt == np.int64 for _, dt in int64_widths[engine])
+    i = data.draw(st.integers(0, len(bounds) - 1))
+    got = _engine_run(*case, limit=bounds[i])
+    assert got[0] == H and got[1] == strata
+    widths = got[2 + engine]
+    assert [b for b, _ in widths] == bounds
+    # widen only: object from the first bound at the limit on
+    assert [dt for _, dt in widths] == [np.dtype(object) if max(bounds[: j + 1]) >= bounds[i] else np.int64 for j in range(len(bounds))]
 
 
 @settings(max_examples=25, deadline=None)
@@ -546,7 +579,7 @@ def test_boundary_strata_equal_direct_terms(Nq, data, zero_sum):
 @given(st.sampled_from([(3, 7), (5, 11), (7, 29), (9, 37), (11, 67), (17, 103)]), st.data())
 def test_line_step_matches_general_orbit_step(Nq, data):
     # each row of the batched boundary step is _orbit_step without a dlog
-    # axis, exactly, on cells up to the largest the int64 guard lets through
+    # axis, exactly, on cells up to the largest a step takes in int64
     from dworkbench.dwork import _line_hists, _line_step, _orbit_step, _zech
 
     N, q = Nq
@@ -588,24 +621,19 @@ def test_boundary_strata_one_term_per_weight_multiset(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=4), st.integers(10, 10 ** 9))
 @example([[0, 0, 0], [1, 2, 3, 4, 5]], 10 ** 4)  # the finished row's cells pass the limit
-def test_boundary_batch_guard_fires_where_a_row_would(seqs, limit):
-    # rows of one batch step as they would alone, and the int64 guard reads
-    # only the rows still active: a row that has finished never refuses
+def test_boundary_batch_rows_equal_rows_alone_past_int64(seqs, limit):
+    # rows of one batch step as they would alone, in int64 and with the
+    # limit of exact_dtype lowered, where a finished row may hold cells past
+    # it while the active rows' bound stays below
     from dworkbench import cyclotomic, dwork
 
     f = build_field(29)
-    assert dwork.boundary_terms(f, 7, seqs) == [dwork.boundary_terms(f, 7, [seq])[0] for seq in seqs]
-
-    def refused(rows):
-        try:
-            dwork.boundary_terms(f, 7, rows)
-        except Infeasible:
-            return True
-        return False
-
+    want = [dwork.boundary_terms(f, 7, [seq])[0] for seq in seqs]
+    assert dwork.boundary_terms(f, 7, seqs) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyclotomic, "_INT64_LIMIT", limit)
-        assert refused(seqs) == any(refused([seq]) for seq in seqs)
+        assert dwork.boundary_terms(f, 7, seqs) == want
+        assert [dwork.boundary_terms(f, 7, [seq])[0] for seq in seqs] == want
 
 
 def test_torus_aggregate_peak_memory():

@@ -311,11 +311,13 @@ def test_katz_control_label_zero_sum_and_inequivalent(n, N):
     assert tuple(sorted(c)) not in equivalent
 
 
-@pytest.mark.parametrize("n,N,q", [(2, 7, 29), (4, 9, 37)])
+@pytest.mark.parametrize("n,N,q", [(2, 7, 29), (4, 9, 37), (4, 17, 239)])
 def test_katz_control_breaks_constancy(n, N, q):
+    # (4, 17, 239) takes the engine past int64
     rep = katz_check(n, N, q)
     assert rep.image_points > 1
     assert rep.control_constant is False
+    assert rep.to_result().ok
 
 
 def _gauss_suite_by_products(qs, seed=0, sample=150):

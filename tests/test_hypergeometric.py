@@ -95,6 +95,25 @@ def test_mellin_matches_conv_rows(spec):
     assert mellin_agrees(spec, C).all()
 
 
+def test_mellin_agrees_decides_int64_counts_when_proved_in_range(monkeypatch):
+    # at q = 29 every entry of the difference is far below 2^63, so the
+    # lift of C takes int64 and vanishes receives int64 counts
+    from dworkbench import hypergeometric
+
+    dtypes = []
+    decide = hypergeometric.vanishes
+
+    def spy(counts, M):
+        dtypes.append(counts.dtype)
+        return decide(counts, M)
+
+    spec = HyperSpec(build_field(29), 7, (1, 6), (0, 0))
+    _, C = _trad_rows(spec, 1)
+    monkeypatch.setattr(hypergeometric, "vanishes", spy)
+    assert mellin_agrees(spec, C).all()
+    assert dtypes == [np.int64]
+
+
 def test_mellin_budget_refuses_before_allocating(refused_peak):
     # q = 1009, k = 2: about 10^15 multiply-adds of convolution over Z/p(q-1)
     spec = HyperSpec(build_field(1009), 7, (1, 2), (0, 3))
@@ -450,13 +469,18 @@ def test_trace_rows_match_dense_convolution(case):
 @pytest.mark.parametrize("b, dtype", [((1 << 31) - 1, np.int64), (1 << 31, object)])
 def test_trace_rows_take_int64_exactly_when_proved_in_range(b, dtype):
     # hist_conv sums in its operands' dtype and _trace_rows picks it: int64
-    # while max|P| times the largest row sum of H is below 2^63.  Over
-    # R = 3, N = 1, two one-hot factors give row sums (2, 1, 1), and the
-    # convolved base P is 2^31 b
+    # while the sum over its parts of max|P| times the largest row sum of H
+    # is below 2^63.  Over R = 3, N = 1, two one-hot factors give row sums
+    # (2, 1, 1), and the convolved base P is 2^31 b; a unit term of base 1
+    # in the first factor adds a part of bound b, and the total stays in
+    # int64 exactly when the first part alone does
     s = np.zeros(3, dtype=np.int64)
     got = _trace_rows([[(np.array([1 << 31]), s)], [(np.array([b]), s)]], 3, 1)
     assert got.dtype == dtype
     assert got.tolist() == [[-(2 << 31) * b], [-(1 << 31) * b], [-(1 << 31) * b]]
+    got = _trace_rows([[(np.array([1 << 31]), s), (np.array([1]), None)], [(np.array([b]), s)]], 3, 1)
+    assert got.dtype == dtype
+    assert got.tolist() == [[-(2 << 31) * b], [-((1 << 31) + 1) * b], [-((1 << 31) + 1) * b]]
 
 
 def test_trace_rows_empty_histogram_keeps_python_integers():
