@@ -185,25 +185,6 @@ def grossen_value(field: FqField, N: int, chi_res: int, rho_res: int) -> CycloEl
     return (-jacobi_sum(chi, ratio)).coerce(N)
 
 
-def kummer_trace(field: FqField, N: int, chi_res: int, t: "FqElem | int", flavor: str = "x") -> CycloElem:
-    """Frobenius trace of a rank-1 power-residue twist, extended by zero.
-
-    flavor "x": value chi(t), zero at t = 0.  flavor "one_minus_x": value
-    chi(1-t), zero at t = 1.
-    """
-    chi = teich_char(field, N) ** (chi_res % N)
-    x = t if isinstance(t, FqElem) else field.el(t)
-    if flavor == "x":
-        arg = x
-    elif flavor == "one_minus_x":
-        arg = field.one() - x
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if arg.code == 0:
-        return CycloElem.zero(N)
-    return chi(arg).coerce(N)
-
-
 def _neg_gauss_factors(
     field: FqField, N: int, s_chi: Sequence[int], s_rho: Sequence[int], psi: AddChar
 ) -> tuple[list[CycloElem], list[CycloElem], int]:

@@ -328,7 +328,7 @@ def _boundary_strata(field: FqField, N: int, entries: Sequence[int]) -> dict[tup
 # -- torus stratum, scaling-orbit engine ------------------------------------
 
 
-def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarray:
+def _torus_aggregate(field: FqField, N: int, entries: Sequence[int], orbits: dict | None = None) -> np.ndarray:
     """H[r, e]: counts of torus tuples by constraint residue and weight.
 
     A tuple contributes at r = (N dlog(s) - sum dlog u_i) mod (q-1) and
@@ -343,17 +343,23 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int]) -> np.ndarr
     logarithm) adds S[g^j, d, e] = T1[d - m j, e - V j] to row
     r = N z_j - d; the slice sigma = -1 (s = 0) is skipped.  So
     H[r] = G[-r] with G = T0 + sum_j T1 shifted by (m j - N z_j, V j).
+
+    orbits, a dict of one field's states, keeps the state before the last
+    step under the first N - 2 weights; a label that shares them resumes there.
     """
     q = field.q
     Qm1 = q - 1
     if q * Qm1 * N > _STATE_BUDGET:
         raise Infeasible(f"state space {q * Qm1 * N} exceeds budget")
     zech = _zech(field)
+    orbits = {} if orbits is None else orbits
+    shared = tuple(entries[: N - 2])
     T0 = np.zeros((Qm1, N), dtype=np.int64)
     T0[0, 0] = 1  # the empty tuple
-    T1 = np.zeros_like(T0)
-    V = 0
-    for i in range(N - 1):
+    T0, T1, V = orbits.get(shared, (T0, np.zeros_like(T0), 0))
+    for i in range(N - 2 if shared in orbits else 0, N - 1):
+        if i == N - 2:
+            orbits[shared] = T0, T1, V
         T0, T1 = _widen((q - 1) * _state_max(T0, T1), T0, T1)
         w = entries[i] % N
         T0, T1 = _orbit_step(T0, T1, zech, i, V, w)
@@ -446,13 +452,14 @@ def _hyperplane(q: int, N: int, entries: Sequence[int]) -> CycloElem:
     return CycloElem.zero(N)
 
 
-def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]") -> dict[int, EigenTrace]:
+def eigentrace_all_t(field: FqField, N: int, v: "WeightVector | Sequence[int]", orbits: dict | None = None) -> dict[int, EigenTrace]:
     """Exact Frobenius traces on the labelled eigenspace of every smooth
     fiber t != 0: one torus aggregation, one set of strata and one
     hyperplane constant per label, shared by every fiber, and one torus
-    value per torus row, shared by the fibers that read it."""
+    value per torus row, shared by the fibers that read it.  orbits: see
+    _torus_aggregate."""
     entries = _entries_of(v, N)
-    H = _torus_aggregate(field, N, entries)
+    H = _torus_aggregate(field, N, entries, orbits)
     strata = _boundary_strata(field, N, entries)
     hyperplane = _hyperplane(field.q, N, entries)
     const = hyperplane + sum(strata.values(), CycloElem.zero(N))

@@ -144,50 +144,29 @@ class KatzReport:
         )
 
 
-def _ratio_table(
-    ev_values: dict, can_table, N: int, q: int, orientation: str, inverse: dict | None = None,
-) -> tuple[dict, dict]:
-    """ratios[t] = T_v(t) / T_can(t^N) (or its conjugate), skips annotated.
+def _ratio_table(ev_values: dict, can_table, N: int, q: int) -> tuple[dict, dict]:
+    """The key (T_v(t), t^N) of each ratio T_v(t) / T_can(t^N), skips annotated.
 
-    Many t share one image point t^N, so each canonical value is inverted
-    once, into `inverse` (None marks a vanishing one); pass one dict to
-    every call of a check to share them.  The conjugate orientation takes
-    the conjugate of the inverse, exact since conjugation is a field
-    automorphism of Q(zeta_M).  Each ratio is formed once per distinct
-    (T_v(t), t^N): keyed on the value, so a t whose eigentrace differs from
-    the rest of its image class still gets its own ratio.
+    A ratio is keyed on the value, not on t^N alone, so a t whose eigentrace
+    differs from the rest of its image class gets its own.
     """
-    if inverse is None:
-        inverse = {}
-    ratios: dict[int, CycloElem] = {}
-    skipped: dict[int, str] = {}
-    oriented: dict[int, CycloElem | None] = {}
-    quotient: dict[tuple[CycloElem, int], CycloElem] = {}
+    keys, skipped = {}, {}
     for t, tr in ev_values.items():
         tn = pow(t, N, q)
-        if tn not in oriented:
-            if tn not in inverse:
-                can = can_table.value_at(tn)
-                inverse[tn] = None if can.is_zero() else can.invert()
-            inv = inverse[tn]
-            oriented[tn] = inv.conjugate() if orientation == "conjugate" and inv is not None else inv
-        if oriented[tn] is None:
+        if can_table.value_at(tn).is_zero():
             skipped[t] = "canonical trace vanishes"
-            continue
-        key = (tr.value, tn)
-        if key not in quotient:
-            quotient[key] = tr.value * oriented[tn]
-        ratios[t] = quotient[key]
-    return ratios, skipped
+        else:
+            keys[t] = (tr.value, tn)
+    return keys, skipped
 
 
-def _all_equal(vals: Iterable[CycloElem]) -> bool:
-    it = iter(vals)
-    try:
-        first = next(it)
-    except StopIteration:
-        return True
-    return all(v == first for v in it)
+def _constant(keys: Iterable[tuple[CycloElem, int]], can: dict) -> bool:
+    """Whether a / can[t^N] is one value over the keys (a, t^N): decided by
+    a can[tn0] = a0 can[tn] against the first key, once per distinct key,
+    so no value is inverted."""
+    distinct = iter(dict.fromkeys(keys))
+    a0, tn0 = next(distinct)
+    return all(a * can[tn0] == a0 * can[tn] for a, tn in distinct)
 
 
 def katz_check(
@@ -199,44 +178,53 @@ def katz_check(
 ) -> KatzReport:
     """Ratio test: eigentrace over canonical trace at t^N is one constant.
 
-    Both orientations of the canonical table are tried; the one giving exact
-    constancy is reported.  The constant's weight must satisfy
-    |ratio|^2 = q^{N-n-1} at every embedding; Q(zeta_M) is abelian, so this
-    is the exact identity lam * conj(lam) = q^{N-n-1}.  A perturbed label is
-    rerun as a falsifiability control and must break constancy.
+    Both orientations of the canonical table are tried by cross-products
+    (see _constant); the one giving exact constancy is reported, and its
+    lambda is the one quotient formed.  The constant's weight must
+    satisfy |ratio|^2 = q^{N-n-1} at every embedding; Q(zeta_M) is abelian,
+    so this is the exact identity lam * conj(lam) = q^{N-n-1}.  A perturbed
+    label is rerun as a falsifiability control and must break constancy.
+    T_v depends only on the multiset of its label, so both labels take the
+    two coordinates where they differ last, and the control's torus resumes
+    from the label's after their N - 2 shared steps.
     """
     t0 = time.monotonic()
     v = build_v(n, N)
     field = build_field(q)
-    ev = eigentrace_all_t(field, N, v)
+    label = v.entries
+    if with_control:
+        control = _control_label(label, N)
+        order = sorted(range(N), key=lambda i: label[i] != control[i])
+        label, control = (tuple(x[i] for i in order) for x in (label, control))
+    orbits: dict = {}
+    ev = eigentrace_all_t(field, N, label, orbits)
     if not ev:
         raise AllRatiosUndefined("no smooth fibers at this q")
     spec = HyperSpec.from_label(field, v)
     can_table = canonical_trace(spec)
 
-    inverse: dict[int, CycloElem | None] = {}
-    candidates = {}
-    for orientation in ("direct", "conjugate"):
-        ratios, skipped = _ratio_table(ev, can_table, N, q, orientation, inverse)
-        if not ratios:
-            raise AllRatiosUndefined("every ratio skipped")
-        candidates[orientation] = (ratios, skipped, _all_equal(ratios.values()))
-
-    chosen = [o for o in ("direct", "conjugate") if candidates[o][2]]
+    keys, skipped = _ratio_table(ev, can_table, N, q)
+    if not keys:
+        raise AllRatiosUndefined("every ratio skipped")
+    direct = {tn: can_table.value_at(tn) for _, tn in keys.values()}
+    oriented = {"direct": direct, "conjugate": {tn: c.conjugate() for tn, c in direct.items()}}
+    chosen = [o for o in oriented if _constant(keys.values(), oriented[o])]
     # self-dual labels can leave both orientations constant: prefer direct
     orientation = chosen[0] if chosen else None
     both_constant = len(chosen) == 2
     if orientation is None:
-        # ambiguous or failed: report the direct side, not constant
-        ratios, skipped, _ = candidates["direct"]
+        # ambiguous or failed: report the direct side's quotients, not constant
+        quotient = {key: key[0] / direct[key[1]] for key in set(keys.values())}
+        ratios = {t: quotient[key] for t, key in keys.items()}
         constant = False
         lam = None
         weight_ok = False
         integral = False
     else:
-        ratios, skipped, _ = candidates[orientation]
+        a0, tn0 = next(iter(keys.values()))
+        lam = a0 / oriented[orientation][tn0]
+        ratios = dict.fromkeys(keys, lam)
         constant = True
-        lam = next(iter(ratios.values()))
         weight_ok = lam * lam.conjugate() == q ** (N - n - 1)
         integral = lam.denominator() == 1
 
@@ -255,10 +243,8 @@ def katz_check(
     if with_control and image_points > 1:
         # a single image point makes every ratio table trivially constant,
         # so the control is only meaningful with at least two
-        ev_p = eigentrace_all_t(field, N, _control_label(v.entries, N))
-        use = orientation if orientation is not None else "direct"
-        ratios_p, _ = _ratio_table(ev_p, can_table, N, q, use, inverse)
-        control_constant = bool(ratios_p) and _all_equal(ratios_p.values())
+        keys_p, _ = _ratio_table(eigentrace_all_t(field, N, control, orbits), can_table, N, q)
+        control_constant = bool(keys_p) and _constant(keys_p.values(), oriented[orientation or "direct"])
 
     return KatzReport(
         n=n,

@@ -114,26 +114,33 @@ class HyperSpec:
 
 
 class TraceTable:
-    """Map from the field points t != 0, 1 to trace values."""
+    """Map from the field points t != 0, 1 to trace values: the value at t,
+    exponent counts over Z/M in row dlog t of counts (times factor, if one
+    is given), is made on its first read and kept."""
 
-    __slots__ = ("field", "M", "_values")
+    __slots__ = ("field", "M", "_counts", "_factor", "_values")
 
-    def __init__(self, field: FqField, M: int, values: dict):
+    def __init__(self, field: FqField, M: int, counts: np.ndarray, factor: CycloElem | None = None):
         self.field = field
         self.M = M
-        self._values = values
+        self._counts = counts
+        self._factor = factor
+        self._values = {}
 
     def value_at(self, t):
         code = t.code if hasattr(t, "code") else int(t) % self.field.q
-        if code not in self._values:
+        if code in (0, 1):
             raise BadT(f"trace undefined at t = {code}")
+        if code not in self._values:
+            value = to_cyclo(self._counts[self.field.DLOG[code]].tolist(), self.M)
+            self._values[code] = value if self._factor is None else value * self._factor
         return self._values[code]
 
     def items(self):
-        return sorted(self._values.items())
+        return [(code, self.value_at(code)) for code in range(2, self.field.q)]
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self.field.q - 2
 
 
 # -- rank-1 tables: one base row and its shifts -----------------------------
@@ -347,7 +354,7 @@ def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
     L = _trad_budget(spec, E_degree, spec.field.q ** E_degree - 1)
     ctx_for(L)
     E, C = _trad_rows(spec, E_degree)
-    return TraceTable(E, L, {int(E.EXP[d]): to_cyclo(C[d].tolist(), L) for d in range(1, E.q - 1)})
+    return TraceTable(E, L, C)
 
 
 def mellin_rows(spec: HyperSpec) -> np.ndarray:
@@ -421,8 +428,7 @@ def canonical_trace(spec: HyperSpec) -> TraceTable:
     lam = CycloElem.one(N)
     for a, b in zip(spec.s_chi, spec.s_rho):
         lam = lam * grossen_value(field, N, a, b)
-    lam_inv = lam.invert()
-    return TraceTable(field, N, {int(field.EXP[d]): to_cyclo(C[d].tolist(), N) * lam_inv for d in range(1, R)})
+    return TraceTable(field, N, C, lam.invert())
 
 
 def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:

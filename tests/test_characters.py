@@ -10,7 +10,6 @@ from dworkbench.characters import (
     gauss_sum,
     grossen_value,
     jacobi_sum,
-    kummer_trace,
     phi_inverse,
     phi_value,
     teich_char,
@@ -122,17 +121,6 @@ def test_grossen_value_abs2(f29):
     # nondegenerate pairs carry weight one
     v = grossen_value(f29, 7, 1, 3)
     assert abs(v.abs2() - 29) < 1e-9
-
-
-def test_kummer_trace_values(f29):
-    chi = teich_char(f29, 7)
-    assert kummer_trace(f29, 7, 1, 0).is_zero()
-    assert kummer_trace(f29, 7, 1, f29.el(5)) == chi(f29.el(5)).coerce(7)
-    assert kummer_trace(f29, 7, 2, 1, flavor="one_minus_x").is_zero()
-    got = kummer_trace(f29, 7, 2, 3, flavor="one_minus_x")
-    assert got == (chi ** 2)(f29.el(-2)).coerce(7)
-    with pytest.raises(ValueError):
-        kummer_trace(f29, 7, 1, 2, flavor="y")
 
 
 def test_phi_value_inverse_cancel(f29):

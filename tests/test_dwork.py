@@ -669,6 +669,39 @@ def test_torus_rows_match_scan_n5(q, count):
         assert got == _torus_scan(f, 5, entries, t), (q, entries, t)
 
 
+@pytest.mark.parametrize("n, N, q", [(2, 7, 29), (4, 9, 73), (4, 17, 103)])
+def test_eigentraces_depend_only_on_the_label_multiset(n, N, q):
+    # katz steps its label and control in an order of its choosing
+    field, entries = build_field(q), build_v(n, N).entries
+    want = {t: tr.value for t, tr in eigentrace_all_t(field, N, entries).items()}
+    rng = random.Random(q)
+    for _ in range(3):
+        perm = rng.sample(entries, N)
+        assert {t: tr.value for t, tr in eigentrace_all_t(field, N, perm).items()} == want, perm
+
+
+def test_scan_of_a_permuted_label_matches_the_engine():
+    # the defining sums, independent of the engine's step order
+    N, field = 5, build_field(31)
+    table = eigentrace_all_t(field, N, (0, 0, 1, 2, 2))
+    for t in sorted(table)[:3]:
+        assert eigentrace_scan((2, 0, 1, 2, 0), DworkFiber(field, N, t)).value == table[t].value
+
+
+def test_torus_resumes_from_the_shared_state():
+    # two labels with the same first N - 2 weights share those steps
+    from dworkbench.dwork import _torus_aggregate
+
+    field, N = build_field(103), 17
+    label = build_v(4, 17).entries
+    other = (*label[:-2], (label[-2] + 1) % N, (label[-1] - 1) % N)
+    orbits = {}
+    first = _torus_aggregate(field, N, label, orbits)
+    assert list(orbits) == [label[: N - 2]]
+    assert np.array_equal(_torus_aggregate(field, N, other, orbits), _torus_aggregate(field, N, other))
+    assert np.array_equal(_torus_aggregate(field, N, label, orbits), first)
+
+
 def test_katz_bytes_past_the_old_int64_range():
     # (2, 17, 103) wrapped the int64 cells of the unnormalised engine
     import hashlib

@@ -320,6 +320,24 @@ def test_katz_control_breaks_constancy(n, N, q):
     assert rep.to_result().ok
 
 
+def test_katz_control_resumes_from_the_label_orbit_state(monkeypatch):
+    # the labels differ in two coordinates, stepped last: N - 1 torus steps
+    # for the label, then one for the control
+    from dworkbench import dwork
+
+    steps = []
+    step = dwork._orbit_step
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(dwork, "_orbit_step", counted)
+    rep = katz_check(4, 17, 103)
+    assert rep.to_result().ok and rep.control_constant is False
+    assert len(steps) == 17
+
+
 def _gauss_suite_by_products(qs, seed=0, sample=150):
     """The gauss suite's rows from CycloElem products: the literal reference
     for check_gauss_suite, which decides the same identities on count vectors."""
@@ -417,37 +435,49 @@ def test_katz_ratio_memo_keeps_a_changed_value(monkeypatch):
 
 
 def test_ratio_table_forms_one_product_per_distinct_value(monkeypatch):
+    # constancy is decided by the cross-products a c0 = a0 c: at most two
+    # products per distinct (T_v, t^N) key in each orientation, and no inverse
     from dworkbench.cyclotomic import CycloElem
     from dworkbench.dwork import eigentrace_all_t
-    from dworkbench.harness import _ratio_table
+    from dworkbench.harness import _constant, _ratio_table
     from dworkbench.hypergeometric import HyperSpec, canonical_trace
 
-    n, N, q = 2, 7, 43
+    n, N, q = 4, 9, 73
     field, v = build_field(q), build_v(n, N)
     ev = eigentrace_all_t(field, N, v)
     can_table = canonical_trace(HyperSpec.from_label(field, v))
-    values = [tr.value for tr in ev.values()]
-    products = []
-    direct = CycloElem.__mul__
+    keys, skipped = _ratio_table(ev, can_table, N, q)
+    assert not skipped and len(keys) == len(ev) == 63
+    distinct = set(keys.values())
+    assert len(distinct) == len({(tr.value, pow(t, N, q)) for t, tr in ev.items()}) == 7
+    products, inverted = [], []
+    mul, invert = CycloElem.__mul__, CycloElem.invert
 
     def counted(a, b):
-        if any(a is x for x in values):  # not the products inside invert()
-            products.append((a, b))
-        return direct(a, b)
+        products.append((a, b))
+        return mul(a, b)
+
+    def counted_invert(self):
+        inverted.append(self)
+        return invert(self)
 
     monkeypatch.setattr(CycloElem, "__mul__", counted)
-    ratios, skipped = _ratio_table(ev, can_table, N, q, "direct")
-    assert not skipped and len(ratios) == len(ev) == 35
-    assert len(products) == len({(tr.value, pow(t, N, q)) for t, tr in ev.items()}) == 5
+    monkeypatch.setattr(CycloElem, "invert", counted_invert)
+    direct = {tn: can_table.value_at(tn) for _, tn in distinct}
+    for can, constant in ((direct, True), ({tn: c.conjugate() for tn, c in direct.items()}, False)):
+        products.clear()
+        assert _constant(keys.values(), can) is constant
+        assert 0 < len(products) <= 2 * len(distinct)
+    assert inverted == []
 
 
 def test_katz_inverts_each_canonical_value_once(monkeypatch):
-    # the direct, conjugate and control ratio tables share one inverse per
-    # image point t^N (canonical_trace's own inverse of lambda is not one)
+    # a constant check inverts one canonical value, lambda's, besides
+    # canonical_trace's own inverse of its lambda; the control inverts none
     from dworkbench import harness
     from dworkbench.cyclotomic import CycloElem
 
-    n, N, q = 2, 7, 43
+    n, N, q = 2, 7, 29
     tables = []
     canonical = harness.canonical_trace
 
@@ -465,13 +495,13 @@ def test_katz_inverts_each_canonical_value_once(monkeypatch):
     monkeypatch.setattr(harness, "canonical_trace", kept)
     monkeypatch.setattr(CycloElem, "invert", counted)
     rep = katz_check(n, N, q)
-    assert rep.constant and rep.control_constant is False
+    assert rep.constant and rep.control_constant is False and rep.orientation == "direct"
     (can_table,) = tables
-    values = [v for _, v in can_table.items()]
-    image = {pow(row["t"], N, q) for row in rep.rows}
-    nonzero = [tn for tn in image if not can_table.value_at(tn).is_zero()]
-    of_values = [x for x in inverted if any(x is v for v in values)]
-    assert len(of_values) == len({id(x) for x in of_values}) == len(nonzero) == 5
+    assert set(can_table._values) == {pow(row["t"], N, q) for row in rep.rows}  # only the image points are made
+    first = next(row["t"] for row in rep.rows if "ratio" in row)
+    assert len(inverted) == 2
+    assert inverted[1] is can_table.value_at(pow(first, N, q))
+    assert set(rep.ratios.values()) == {rep.lam}
 
 
 @pytest.mark.parametrize("n,N,q", [(2, 7, 29), (4, 9, 73)])

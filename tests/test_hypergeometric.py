@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dworkbench.characters import gauss_sum, kummer_trace, phi_inverse, teich_char
+from dworkbench.characters import gauss_sum, phi_inverse, teich_char
 from dworkbench.cyclotomic import CycloElem, cconv, common, to_cyclo
 from dworkbench import hypergeometric
 from dworkbench.errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
-from dworkbench.finitefield import build_field
+from dworkbench.finitefield import FqElem, build_field
 from dworkbench.hypergeometric import (
     HyperSpec,
     _KERNEL_BUDGET,
@@ -164,6 +164,37 @@ def _point_trace_conv(spec, t_code, m):
     """The trace at one point over the degree-m extension, convolution route."""
     E, C = _trad_rows(spec, m, t_code)
     return to_cyclo(C[0], E.p * spec.N)
+
+
+def kummer_trace(field, N, chi_res, t, flavor="x"):
+    """Frobenius trace of a rank-1 power-residue twist, extended by zero: the
+    literal Kummer factors of _det_trad_by_products.
+
+    flavor "x": value chi(t), zero at t = 0.  flavor "one_minus_x": value
+    chi(1-t), zero at t = 1.
+    """
+    chi = teich_char(field, N) ** (chi_res % N)
+    x = t if isinstance(t, FqElem) else field.el(t)
+    if flavor == "x":
+        arg = x
+    elif flavor == "one_minus_x":
+        arg = field.one() - x
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if arg.code == 0:
+        return CycloElem.zero(N)
+    return chi(arg).coerce(N)
+
+
+def test_kummer_trace_values(f29):
+    chi = teich_char(f29, 7)
+    assert kummer_trace(f29, 7, 1, 0).is_zero()
+    assert kummer_trace(f29, 7, 1, f29.el(5)) == chi(f29.el(5)).coerce(7)
+    assert kummer_trace(f29, 7, 2, 1, flavor="one_minus_x").is_zero()
+    got = kummer_trace(f29, 7, 2, 3, flavor="one_minus_x")
+    assert got == (chi ** 2)(f29.el(-2)).coerce(7)
+    with pytest.raises(ValueError):
+        kummer_trace(f29, 7, 1, 2, flavor="y")
 
 
 def _det_trad_by_products(spec, t):

@@ -1,6 +1,6 @@
-"""Mutation matrix of the Dwork layer, of the character layer and of the
-exact kernels both engines share: each corruption fails exactly the named
-checks.
+"""Mutation matrix of the Dwork layer, of the character layer, of the
+exact kernels both engines share and of katz's constancy test: each
+corruption fails exactly the named checks.
 
 Each case patches one function, in every module that binds it, and runs
 gauss-suite, hyper-cross, canonical-paths, det-oracle and det-hcan,
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from dworkbench import characters, dwork, harness, hypergeometric, pairings
+from dworkbench import characters, cyclotomic, dwork, harness, hypergeometric, pairings
 from dworkbench.characters import AddChar, MultChar
 from dworkbench.cyclotomic import root_of_unity
 from dworkbench.dwork import GroupElement
@@ -120,6 +120,19 @@ def _grossen_times_zeta_at_residue_1(original):
     return grossen
 
 
+def _canonical_times_zeta_at_image_of_2(original):
+    """The canonical value at t^N, t = 2, times zeta_N; the table's other
+    values are made on read as before."""
+
+    def canonical(spec):
+        table = original(spec)
+        tn = pow(2, spec.N, spec.field.q)
+        table._values[tn] = table.value_at(tn) * root_of_unity(spec.N, 1)
+        return table
+
+    return canonical
+
+
 def _sd_sign_flipped_at_13(original):
     return lambda rep: -original(rep) if rep.l == 13 else original(rep)
 
@@ -174,6 +187,10 @@ CASES = [
     pytest.param((hypergeometric,), "grossen_value", _grossen_times_zeta_at_residue_1, _canonical_values,
                  {"canonical-paths"}, id="grossen_value*zeta_N"),
     pytest.param((harness,), "sd_sign", _sd_sign_flipped_at_13, _signs_at_13, {"signs"}, id="sd_sign@13"),
+    # katz decides constancy by cross-products a c0 = a0 c: one canonical
+    # value moved breaks them in both orientations
+    pytest.param((harness, hypergeometric), "canonical_trace", _canonical_times_zeta_at_image_of_2, _canonical_values,
+                 {"canonical-paths", "katz q=29", "katz q=43"}, id="canonical_trace@2^N*zeta_N"),
 ]
 
 
@@ -201,3 +218,33 @@ def test_mutation_fails_exactly_the_named_checks(monkeypatch, clean, modules, na
         monkeypatch.undo()
         _clear_caches()
     assert failed == fails
+
+
+KERNELS = {"cconv", "shift_sums", "hist_conv"}
+
+
+def test_reference_routes_call_no_shared_kernel(monkeypatch):
+    # the naive sum, the defining scan and brute-force fixed points stay
+    # independent of the kernels of the engines they check; the engines
+    # themselves call all three through the same patches
+    calls = []
+
+    def recorded(name, original):
+        def kernel(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return kernel
+
+    for module in (cyclotomic, *BOTH):
+        for name in KERNELS & set(vars(module)):
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    f7, f29 = build_field(7), build_field(29)
+    spec = HyperSpec.from_label(f29, build_v(2, 7))
+    hypergeometric.trad_trace_naive(spec, [2, 3])
+    dwork.eigentrace_scan((0, 0, 1, 2, 2), dwork.DworkFiber(build_field(11), 5, 2))
+    dwork.fix_count_bruteforce(f7, GroupElement(3, (0, 1, 2)))
+    assert calls == []
+    hypergeometric.trad_trace_conv(spec)
+    dwork.eigentrace_all_t(f29, 7, build_v(2, 7))
+    assert set(calls) == KERNELS
