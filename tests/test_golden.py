@@ -1,0 +1,78 @@
+"""Golden digests of report bytes.
+
+Every entry of golden_digests.json is the sha256 of one run's canonical
+report bytes: a check's `canonical_bytes()`, a campaign's reports joined by
+newlines, or a CLI command's standard output.  A change that claims
+identical bytes changes no entry; one that changes bytes on purpose
+regenerates the entries it changes with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+
+and says which, and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from dworkbench import harness
+from dworkbench.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_digests.json"
+
+# katz families: the benchmark's four, then larger and smaller primes
+KATZ = ((4, 9, 73), (6, 11, 67), (2, 17, 103), (4, 17, 103), (2, 7, 29), (2, 7, 43), (4, 17, 239),
+        (4, 9, 19), (2, 7, 71), (4, 17, 137), (6, 11, 89))
+
+
+def _campaign(seed):
+    cfg = harness.CampaignConfig(checks=(*harness._DEFAULT_CHECKS, "psi2"), seed=seed)
+    return harness.run_campaign(cfg)[1]
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue().encode()
+
+
+RUNS = {
+    **{f"campaign+psi2 seed={s}": (lambda s=s: _campaign(s)) for s in range(4)},
+    **{f"katz{f} seed={s}": (lambda f=f, s=s: [harness.katz_check(*f, seed=s).to_result()])
+       for f in KATZ for s in (0, 1)},
+    "weil-duality(4, 9, 73)": lambda: [harness.check_weil_duality(4, 9, qs=(73,))],
+    **{f"n3 q={q}": (lambda q=q: [harness.validate_n3(q)]) for q in (7, 13, 19)},
+    "n3 q=7 corrupt": lambda: [harness.validate_n3(7, corrupt=True)],
+    **{f"det-oracle q={q}": (lambda q=q: [harness.check_det_oracle(q=q)]) for q in (29, 43)},
+    "det-oracle q=7 k=3": lambda: [harness.check_det_oracle(q=7, k=3)],
+    "canonical-paths": lambda: [harness.check_canonical_paths()],
+    "hyper-cross": lambda: [harness.check_hyper_cross()],
+    "det-hcan": lambda: [harness.check_det_hcan()],
+    "gauss-suite exhaustive": lambda: [harness.check_gauss_suite(sample=10 ** 9)],
+    "cli dwork trace (4, 17, 103)": lambda: _cli("dwork", "trace", "--n", "4", "--N", "17", "--q", "103",
+                                                 "--t", "all", "--json"),
+}
+
+
+def digest(name):
+    out = RUNS[name]()
+    data = out if isinstance(out, bytes) else b"\n".join(r.canonical_bytes() for r in out)
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_run_has_one_digest():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes_match_golden_digest(name):
+    assert digest(name) == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: digest(name) for name in sorted(RUNS)}, indent=1, sort_keys=True))
