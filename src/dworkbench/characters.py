@@ -185,41 +185,6 @@ def grossen_value(field: FqField, N: int, chi_res: int, rho_res: int) -> CycloEl
     return (-jacobi_sum(chi, ratio)).coerce(N)
 
 
-def _neg_gauss_factors(
-    field: FqField, N: int, s_chi: Sequence[int], s_rho: Sequence[int], psi: AddChar
-) -> tuple[list[CycloElem], list[CycloElem], int]:
-    if len(s_chi) != len(s_rho):
-        raise SizeMismatch("character multisets of unequal size")
-    M = field.p * N
-    t = teich_char(field, N)
-    psibar = psi.bar()
-    chi_f = [(-gauss_sum(psi, t ** (a % N))).coerce(M) for a in s_chi]
-    rho_f = [(-gauss_sum(psibar, (t ** (b % N)).bar())).coerce(M) for b in s_rho]
-    return chi_f, rho_f, M
-
-
-def phi_value(
-    field: FqField,
-    N: int,
-    s_chi: Iterable[int],
-    s_rho: Iterable[int],
-    psi: AddChar | None = None,
-) -> CycloElem:
-    """Product of negated Gauss sums over both multisets, to the degree power.
-
-    This is the Frobenius value of the rank-1 normalization by which the
-    pulled-back traditional sheaf differs from the canonical one.
-    """
-    psi = psi or AddChar(field, 1)
-    chi_f, rho_f, M = _neg_gauss_factors(field, N, list(s_chi), list(s_rho), psi)
-    out = CycloElem.one(M)
-    for f in chi_f:
-        out = out * f
-    for f in rho_f:
-        out = out * f
-    return out ** field.m
-
-
 def phi_inverse(
     field: FqField,
     N: int,
@@ -227,10 +192,13 @@ def phi_inverse(
     s_rho: Iterable[int],
     psi: AddChar | None = None,
 ) -> CycloElem:
-    """Exact inverse of phi_value via conjugate Gauss sums, avoiding division.
+    """Exact inverse of phi, the Frobenius value of the rank-1 normalization
+    by which the pulled-back traditional sheaf differs from the canonical
+    one: the product of the negated Gauss sums over both multisets, to the
+    degree power.
 
-    Each nontrivial factor -g(psi, chi) inverts to -g(psibar, chibar) / q;
-    trivial factors are already 1.
+    Each nontrivial factor -g(psi, chi) inverts to -g(psibar, chibar) / q,
+    avoiding division; trivial factors are already 1.
     """
     psi = psi or AddChar(field, 1)
     s_chi, s_rho = list(s_chi), list(s_rho)

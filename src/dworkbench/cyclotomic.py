@@ -5,9 +5,11 @@ primitive M-th root of unity z, as an integer numerator vector over one
 shared positive denominator.  Products are reduced modulo the M-th
 cyclotomic polynomial, so the representation is canonical and equality is
 literal coefficient equality.  One numpy table per modulus, the power
-vectors of z^0 .. z^(M-1), serves every reduction, Galois action and
-coercion, in int64 when the result is proved in range and in Python
-integers otherwise.
+vectors of z^phi .. z^(M-1), serves every reduction: a product, a Galois
+action, a coercion or a sum of roots of unity becomes a coefficient vector
+over Z/M, and `_reduce` folds its entries past z^(phi-1) through the table,
+in int64 when the result is proved in range and in Python integers
+otherwise.
 
 Sums of roots of unity are also handled before they become elements, as
 exponent-count vectors over Z/M (entry e counts zeta_M^e): `to_cyclo` turns
@@ -35,10 +37,10 @@ Rat = Union[int, Fraction]
 
 # The int64 fast paths run only when every partial sum is proved below this.
 _INT64_LIMIT = 1 << 63
-# A context holds M * phi(M) power-vector entries, built row by row into the
-# narrowest dtype that holds them (M = 3437: 1.0e7 entries at 1 byte each,
-# a 10.2 MB traced peak and 10.1 MB kept), so the budget caps a context's
-# table near 0.1 GB at 1 byte an entry.
+# The budget charges M * phi(M) for a context, more than the (M - phi) * phi
+# entries its table keeps: the checks also call ctx_for to refuse a modulus
+# before they build count vectors over Z/M, and charging the table alone
+# would move where those refusals fall.
 _CTX_BUDGET = 10 ** 8
 _BLOCK_CELLS = 1 << 16  # cells gathered per block of shift_sums or of an outer sum of exponents
 
@@ -100,12 +102,13 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 
 
 class CycloCtx:
-    """Cached per-modulus data: the power vectors of z^0 .. z^(M-1).
+    """Cached per-modulus data: the power vectors that reduce modulo Phi_M.
 
-    Row e of the (M, phi) array `powers` holds the power-basis coordinates
-    of z^e, in the narrowest integer dtype that holds them, and `pmax` is
-    the largest |entry|.  Since z^M = 1, row e mod M reduces any z^e; the
-    rows of z^phi .. z^(2 phi - 2) reduce a product modulo Phi_M.
+    Row e - phi of the (M - phi, phi) array `powers` holds the power-basis
+    coordinates of z^e for phi <= e < M, in the narrowest integer dtype that
+    holds them, and `pmax` is the largest |entry| (1 with no rows).  Below
+    z^phi the power vectors are the unit vectors, and z^M = 1, so these rows
+    reduce any coefficient vector over Z/M (see _reduce).
     """
 
     __slots__ = ("M", "phi", "poly", "powers", "pmax", "_emb")
@@ -117,8 +120,7 @@ class CycloCtx:
         self.M = M
         self.poly = cyclotomic_poly(M)
         self.phi = phi
-        pw = np.zeros((M, phi), dtype=np.int8)
-        pw[np.arange(phi), np.arange(phi)] = 1
+        pw = np.zeros((M - phi, phi), dtype=np.int8)
         pmax = top = 1
         zphi = np.array([-c for c in self.poly[:phi]], dtype=np.int64)
         h = int(np.abs(zphi).max())
@@ -139,7 +141,7 @@ class CycloCtx:
             if pmax > top:
                 pw = pw.astype(np.min_scalar_type(-pmax - 1))
                 top = int(np.iinfo(pw.dtype).max)
-            pw[e] = row
+            pw[e - phi] = row
         self.powers = pw
         self.pmax = pmax
         self._emb: dict[int, list[complex]] = {}
@@ -159,25 +161,41 @@ def ctx_for(M: int) -> CycloCtx:
     return CycloCtx(M)
 
 
-def _max_abs(vals: Sequence[int]) -> int:
-    return int(max(max(vals), -min(vals))) if len(vals) else 0
+def _reduce(f: np.ndarray, ctx: CycloCtx, bound: int) -> list[int]:
+    """Numerator vector of sum_e f[e] z^e, for an integer coefficient vector
+    f over Z/M of length phi to M whose entries are at most bound in
+    magnitude.
+
+    The nonzero entries past z^(phi-1) fold in through the reducing rows
+    they name, so every partial sum is at most bound (1 + rows read * pmax):
+    exact in int64 when that is below 2^63, in Python integers otherwise.
+    numpy has no BLAS for integers, and its einsum loop runs this
+    vector-matrix product faster than matmul's.
+    """
+    phi = ctx.phi
+    nz = f[phi:].nonzero()[0]
+    f = f.astype(exact_dtype(bound * (1 + len(nz) * ctx.pmax)), copy=False)
+    return (f[:phi] + np.einsum("i,ij->j", f[phi:][nz], ctx.powers[nz])).tolist()
 
 
 def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
-    """Numerator vector of a * b reduced modulo Phi_M, exact: in int64 when
-    every partial sum is proved below 2^63, in Python integers otherwise."""
-    phi = ctx.phi
-    dt = exact_dtype(_max_abs(a) * _max_abs(b) * phi * (1 + (phi - 1) * ctx.pmax))
-    conv = np.convolve(np.array(a, dtype=dt), np.array(b, dtype=dt))
-    return (conv[:phi] + conv[phi:] @ ctx.powers[np.arange(phi, 2 * phi - 1) % ctx.M]).tolist()
+    """Numerator vector of a * b reduced modulo Phi_M: the linear product,
+    folded modulo z^M = 1 when it is longer than M, then reduced with its
+    largest |coefficient| as the bound (cconv proves it below 2^63 when
+    the fold is in int64, so abs cannot wrap)."""
+    f = cconv(np.array(a, dtype=object), np.array(b, dtype=object), min(ctx.M, 2 * ctx.phi - 1))
+    return _reduce(f, ctx, int(np.abs(f).max()))
 
 
-def _combine(ctx: CycloCtx, coeffs: Sequence[int], exps: Sequence[int]) -> list[int]:
-    """Numerator vector of sum_i coeffs[i] * z^exps[i], exact: in int64 when
-    every partial sum is proved below 2^63, in Python integers otherwise."""
-    c = np.array(coeffs, dtype=exact_dtype(_max_abs(coeffs) * len(coeffs) * ctx.pmax))
-    nz = np.flatnonzero(c)
-    return (c[nz] @ ctx.powers[np.asarray(exps, dtype=np.int64)[nz] % ctx.M]).tolist()
+def _combine(ctx: CycloCtx, coeffs: Sequence[int], step: int) -> list[int]:
+    """Numerator vector of sum_i coeffs[i] * z^(step i): the coefficients are
+    summed over Z/M, where exponents may repeat, then reduced."""
+    bound = sum(map(abs, coeffs))
+    dt = exact_dtype(bound)
+    f = np.zeros(ctx.M, dtype=dt)
+    # typed first: numpy would read Python integers from 2^63 up as floats
+    np.add.at(f, np.arange(len(coeffs)) * step % ctx.M, np.array(coeffs, dtype=dt))
+    return _reduce(f, ctx, bound)
 
 
 def _make(M: int, num: list[int], den: int) -> "CycloElem":
@@ -334,7 +352,7 @@ class CycloElem:
         if math.gcd(e, M) != 1:
             raise ValueError("exponent not coprime to modulus")
         ctx = ctx_for(M)
-        out = _combine(ctx, self._num, range(0, ctx.phi * e, e))
+        out = _combine(ctx, self._num, e)
         return _make(M, out, self._den)
 
     def conjugate(self) -> "CycloElem":
@@ -346,8 +364,7 @@ class CycloElem:
             return self
         if M2 % self.M:
             raise NotAMultiple(f"{M2} is not a multiple of {self.M}")
-        k = M2 // self.M
-        out = _combine(ctx_for(M2), self._num, range(0, len(self._num) * k, k))
+        out = _combine(ctx_for(M2), self._num, M2 // self.M)
         return _make(M2, out, self._den)
 
     # -- numerics ----------------------------------------------------------
@@ -409,20 +426,6 @@ class CycloElem:
             coeffs.append([str(n // g), str(den // g)])
         return {"M": self.M, "coeffs": coeffs}
 
-    @staticmethod
-    def from_json(obj: dict) -> "CycloElem":
-        M = int(obj["M"])
-        phi = ctx_for(M).phi
-        pairs = obj["coeffs"]
-        if len(pairs) != phi:
-            raise ValueError("coefficient length does not match phi(M)")
-        fracs = [Fraction(int(n), int(d)) for n, d in pairs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        num = [int(f * den) for f in fracs]
-        return _make(M, num, den)
-
 
 def shared_json(x: CycloElem, memo: dict[CycloElem, dict]) -> dict:
     """x.to_json(), made once per distinct element of one memo.
@@ -439,14 +442,17 @@ def shared_json(x: CycloElem, memo: dict[CycloElem, dict]) -> dict:
 
 
 def root_of_unity(M: int, k: int = 1) -> CycloElem:
-    """zeta_M^k in canonical form."""
-    return _make(M, ctx_for(M).powers[k % M].tolist(), 1)
+    """zeta_M^k in canonical form: a unit vector, or one reducing row."""
+    ctx, e = ctx_for(M), k % M
+    f = np.zeros(max(ctx.phi, e + 1), dtype=np.int64)
+    f[e] = 1
+    return _make(M, _reduce(f, ctx, 1), 1)
 
 
 def to_cyclo(counts: Iterable[int], M: int, den: int = 1) -> CycloElem:
     """Build sum_e counts[e] * zeta_M^e / den from an exponent-count vector."""
     counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
-    return _make(M, _combine(ctx_for(M), counts, range(len(counts))), den)
+    return _make(M, _combine(ctx_for(M), counts, 1), den)
 
 
 def exponent_counts(exps: np.ndarray, M: int) -> np.ndarray:
@@ -508,19 +514,21 @@ def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
 # -- exact count-vector kernels -----------------------------------------------
 
 
-def cconv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cyclic convolution over Z/len(x), exact.
+def cconv(x: np.ndarray, y: np.ndarray, L: int | None = None) -> np.ndarray:
+    """Cyclic convolution over Z/L, exact; L defaults to len(x).
 
+    The operands may be shorter than L, as long as their linear product,
+    of length len(x) + len(y) - 1, is at least L and at most 2 L long.
     Every partial sum is at most sum|x| sum|y| in magnitude: when that and
     both operands lie below 2^63, int64 np.convolve computes it exactly,
     otherwise Python integers do.
     """
-    L = len(x)
+    L = len(x) if L is None else L
     sx, sy = (sum(map(abs, v.tolist())) for v in (x, y))
     dt = exact_dtype(max(sx, sy, sx * sy))
-    lin = np.convolve(x.astype(dt), y.astype(dt))
+    lin = np.convolve(x.astype(dt, copy=False), y.astype(dt, copy=False))
     out = lin[:L].copy()
-    out[: L - 1] += lin[L:]
+    out[: len(lin) - L] += lin[L:]
     return out
 
 

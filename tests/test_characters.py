@@ -11,7 +11,6 @@ from dworkbench.characters import (
     grossen_value,
     jacobi_sum,
     phi_inverse,
-    phi_value,
     teich_char,
 )
 from dworkbench.cyclotomic import CycloElem, common, root_of_unity, to_cyclo
@@ -121,6 +120,20 @@ def test_grossen_value_abs2(f29):
     # nondegenerate pairs carry weight one
     v = grossen_value(f29, 7, 1, 3)
     assert abs(v.abs2() - 29) < 1e-9
+
+
+def phi_value(field, N, s_chi, s_rho, psi=None):
+    """The reference phi_inverse inverts: the product of -g(psi, t^a) over
+    s_chi and -g(psibar, t^-b) over s_rho in Q(zeta_pN), t the order-N
+    character, to the degree power."""
+    psi = psi or AddChar(field, 1)
+    M, t = field.p * N, teich_char(field, N)
+    out = CycloElem.one(M)
+    for a in s_chi:
+        out = out * (-gauss_sum(psi, t ** (a % N))).coerce(M)
+    for b in s_rho:
+        out = out * (-gauss_sum(psi.bar(), (t ** (b % N)).bar())).coerce(M)
+    return out ** field.m
 
 
 def test_phi_value_inverse_cancel(f29):

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -114,11 +115,19 @@ def test_abs2_matches_embedding(ca):
     assert abs(a.abs2() - abs(a.embed()) ** 2) < 1e-6 * max(1.0, a.abs2())
 
 
+def from_json(obj):
+    """The element that CycloElem.to_json serialized, read back."""
+    fracs = [Fraction(int(n), int(d)) for n, d in obj["coeffs"]]
+    assert len(fracs) == euler_phi(obj["M"])
+    den = math.lcm(*(f.denominator for f in fracs))
+    return to_cyclo([int(f * den) for f in fracs], obj["M"], den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small, min_size=6, max_size=6))
 def test_json_round_trip(ca):
     a = _elem(7, ca) / 3
-    assert CycloElem.from_json(a.to_json()) == a
+    assert from_json(a.to_json()) == a
 
 
 @settings(max_examples=30, deadline=None)
@@ -161,6 +170,10 @@ def test_to_cyclo_counts():
     v = to_cyclo([2, 3, -1], 3, den=2)
     want = (CycloElem.rational(3, 2) + root_of_unity(3) * 3 - root_of_unity(3, 2)) / 2
     assert v == want
+    # counts from 2^63 up stay Python integers (numpy reads an untyped list
+    # holding 2^63 as floats), repeats modulo M included
+    assert to_cyclo([0, 0, 2 ** 63], 3) == root_of_unity(3, 2) * 2 ** 63
+    assert to_cyclo([2 ** 70, 5, -(2 ** 64), -3], 3) == to_cyclo([2 ** 70 - 3, 5, -(2 ** 64)], 3)
 
 
 def test_context_basis_size():
@@ -169,14 +182,20 @@ def test_context_basis_size():
 
 
 def _literal(M, coeffs, exps):
-    # sum_i coeffs[i] * z^exps[i] through the canonical power vectors, in Python integers
-    ctx = ctx_for(M)
-    powers = ctx.powers.tolist()
-    out = [0] * ctx.phi
+    # sum_i coeffs[i] * z^exps[i] in Python integers, without the engine's
+    # table: the polynomial sum_i coeffs[i] x^(exps[i] mod M) (z^M = 1),
+    # reduced by long division by the monic Phi_M
+    poly = cyclotomic_poly(M)
+    phi = len(poly) - 1
+    rem = [0] * M
     for c, e in zip(coeffs, exps):
-        for j, r in enumerate(powers[e % M]):
-            out[j] += c * r
-    return out
+        rem[e % M] += c
+    for i in range(M - 1, phi - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(poly):
+                rem[i - phi + j] -= c * p
+    return rem[:phi]
 
 
 def _literal_mul(M, a, b):
@@ -192,7 +211,7 @@ coeff = st.one_of(small, st.integers(min_value=-(2 ** 70), max_value=2 ** 70))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from((12, 28, 63, 105)), st.data())
+@given(st.sampled_from((7, 12, 28, 63, 105, 210)), st.data())
 def test_arithmetic_matches_literal_power_vectors(M, data):
     phi = ctx_for(M).phi
     a = data.draw(st.lists(coeff, min_size=phi, max_size=phi))
@@ -216,29 +235,35 @@ def test_mul_above_int64_bound_is_exact():
 
 
 def test_small_products_take_the_int64_path(monkeypatch):
-    # a product computes in int64 exactly while the proved bound
-    # max|a| max|b| phi (1 + (phi - 1) pmax) is below 2^63, and in Python
-    # integers from there on; at M = 7 the bound is 36 max|a| max|b|
-    seen = []
-    convolve = np.convolve
-
-    def spy(a, b):
-        seen.append(a.dtype)
-        return convolve(a, b)
-
-    monkeypatch.setattr(cyclotomic.np, "convolve", spy)
+    # a product reduces in int64 exactly while the proved bound
+    # max|f| (1 + r pmax) is below 2^63, where f is the linear product
+    # folded modulo z^M = 1 and r counts its nonzero coefficients past
+    # z^(phi - 1), and in Python integers from there on; at M = 7 one row,
+    # z^6, reduces and pmax = 1, so a times z has the bound 2 max|a|
     assert euler_phi(7) == 6 and ctx_for(7).pmax == 1
     a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8]
-    assert list((to_cyclo(a, 7) * to_cyclo(b, 7)).coeffs) == _literal_mul(7, a, b)
-    z = [0, 1, 0, 0, 0, 0]
-    for top in ((2 ** 63 - 1) // 36, (2 ** 63 - 1) // 36 + 1):
-        big = [top, -top, 5, 0, 1, -top]
-        assert list((to_cyclo(big, 7) * to_cyclo(z, 7)).coeffs) == _literal_mul(7, big, z)
+    bigs = [[top, -top, 5, 0, 1, -top] for top in (2 ** 62 - 1, 2 ** 62)]
+    x, y, z = to_cyclo(a, 7), to_cyclo(b, 7), root_of_unity(7)
+    big = [to_cyclo(v, 7) for v in bigs]
+    seen = []
+    einsum = np.einsum
+
+    def spy(spec, f, rows):
+        seen.append(f.dtype)
+        return einsum(spec, f, rows)
+
+    monkeypatch.setattr(cyclotomic.np, "einsum", spy)
+    products = [x * y, big[0] * z, big[1] * z]
+    monkeypatch.undo()
     assert seen == [np.dtype(np.int64), np.dtype(np.int64), np.dtype(object)]
+    assert list(products[0].coeffs) == _literal_mul(7, a, b)
+    for v, p in zip(bigs, products[1:]):
+        assert list(p.coeffs) == _literal_mul(7, v, [0, 1, 0, 0, 0, 0])
 
 
 def test_context_keeps_one_narrow_table():
-    # Q(zeta_812): the 812 x 336 power vectors fit int8, 0.26 MiB
+    # Q(zeta_812): the 476 x 336 reducing rows z^336 .. z^811 fit int8,
+    # 0.15 MiB (all 812 power vectors would take 0.26 MiB)
     ctx_for.cache_clear()
     tracemalloc.start()
     try:
@@ -246,8 +271,8 @@ def test_context_keeps_one_narrow_table():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ctx.powers.shape == (812, 336) and ctx.powers.dtype == np.int8
-    assert kept < 1 << 20, f"{kept / 2 ** 20:.2f} MiB"
+    assert ctx.powers.shape == (476, 336) and ctx.powers.dtype == np.int8
+    assert kept < 1 << 18, f"{kept / 2 ** 20:.2f} MiB"
 
 
 def test_context_build_refuses_to_leave_int64(monkeypatch):
@@ -274,8 +299,9 @@ def _int64_powers(M, poly):
 
 
 def _assert_table_is_recurrence(ctx, poly):
-    want = _int64_powers(ctx.M, poly)
-    pmax = int(np.abs(want).max())
+    # the context keeps the rows z^phi .. z^(M-1); pmax is 1 when there are none
+    want = _int64_powers(ctx.M, poly)[len(poly) - 1 :]
+    pmax = int(np.abs(want).max(initial=1))
     assert np.array_equal(ctx.powers, want), ctx.M
     assert ctx.pmax == pmax and ctx.powers.dtype == np.min_scalar_type(-pmax - 1), ctx.M
 
@@ -298,8 +324,9 @@ def test_context_widens_the_table_before_storing_a_wide_row(monkeypatch):
 
 
 def test_context_build_peaks_near_its_kept_table():
-    # Q(zeta_1751) keeps 1751 x 1632 int8 entries, 2.7 MiB; a full int64
-    # table of the same rows would take 21.8 MiB
+    # Q(zeta_1751) keeps its 119 x 1632 reducing rows in int8, 0.19 MiB; an
+    # int64 table of the same rows would take 1.5 MiB, and all 1751 power
+    # vectors in int8 2.7 MiB
     cyclotomic_poly(1751)
     tracemalloc.start()
     try:
@@ -307,8 +334,8 @@ def test_context_build_peaks_near_its_kept_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ctx.powers.dtype == np.int8
-    assert peak < 4 << 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert ctx.powers.dtype == np.int8 and ctx.powers.nbytes < 1 << 18
+    assert peak < 1 << 19, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_shared_json_serializes_each_distinct_element_once():
@@ -332,20 +359,21 @@ def test_poly_and_reduction_match_sympy():
         want = sympy.Poly(sympy.cyclotomic_poly(M, x), x).all_coeffs()[::-1]
         assert list(cyclotomic_poly(M)) == want
     for M in (28, 63, 105, 812):
-        ctx = ctx_for(M)
+        phi = euler_phi(M)
         phi_m = sympy.Poly(sympy.cyclotomic_poly(M, x), x)
-        # below 812 every row up to z^max(M - 1, 2 phi - 2); at 812 the first
-        # and last reduction rows and z^(M - 1)
-        rows = range(max(M, 2 * ctx.phi - 1)) if M < 812 else (ctx.phi, ctx.phi + 1, 2 * ctx.phi - 2, M - 1)
-        for e in rows:
+        # below 812 every power up to z^max(M - 1, 2 phi - 2); at 812 the
+        # last unit vector, the first and last rows a product reads, and z^(M - 1)
+        es = range(max(M, 2 * phi - 1)) if M < 812 else (phi - 1, phi, phi + 1, 2 * phi - 2, M - 1)
+        for e in es:
             rem = sympy.Poly(x ** e, x).rem(phi_m).all_coeffs()[::-1]
-            assert ctx.powers[e % M].tolist() == rem + [0] * (ctx.phi - len(rem))
+            assert list(root_of_unity(M, e).coeffs) == rem + [0] * (phi - len(rem))
 
 
 def test_ctx_budget_refuses_before_allocating(refused_peak):
-    # the largest modulus any check builds is 812 = 29 * 28; the first one
-    # past the budget (about 0.1 GB of int8 table) is refused before its
-    # polynomial or table exists
+    # the largest modulus the default campaign builds is 301 = 43 * 7 (the
+    # gauss suite at q = 29 works over Z/812 on count vectors and builds no
+    # context), far inside the budget even at 812; the first modulus whose
+    # M * phi passes the budget is refused before its polynomial or table exists
     budget = cyclotomic._CTX_BUDGET
     assert 812 * euler_phi(812) * 300 < budget
     M = next(m for m in range(10 ** 4, 2 * 10 ** 4) if m * euler_phi(m) > budget)

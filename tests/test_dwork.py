@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworkbench.characters import jacobi_sum, teich_char
-from dworkbench.cyclotomic import CycloElem, root_of_unity
+from dworkbench.cyclotomic import CycloElem, root_of_unity, to_cyclo
 from dworkbench.dwork import (
     _COUNT_BUDGET,
     _STATE_BUDGET,
@@ -121,11 +121,7 @@ def test_engine_matches_defining_scan_n7(f29):
 def test_pinned_production_trace(f29):
     fib = DworkFiber(f29, 7, 2)
     tr = eigentrace_charsum(build_v(2, 7), fib)
-    want = CycloElem.from_json({
-        "M": 7,
-        "coeffs": [[str(c), "1"] for c in (-5046, 0, -3364, -5046, -5046, -3364)],
-    })
-    assert tr.value == want
+    assert tr.value == to_cyclo([-5046, 0, -3364, -5046, -5046, -3364], 7)
 
 
 def test_hyperplane_block_only_on_constant_labels(f7):
@@ -311,8 +307,7 @@ def test_trace_json_shape(f29):
     assert set(obj) == {"t", "value", "strata"}
     assert obj["t"] == 2
     assert "torus" in obj["strata"]
-    rebuilt = CycloElem.from_json(obj["value"])
-    assert rebuilt == tr.value
+    assert obj["value"] == tr.value.to_json()
 
 
 def _literal_cubic_points(E, ts):
@@ -656,7 +651,6 @@ def test_torus_aggregate_peak_memory():
 
 @pytest.mark.parametrize("q, count", [(11, None), (31, 3), (41, 2), (61, 1)])
 def test_torus_rows_match_scan_n5(q, count):
-    from dworkbench.cyclotomic import to_cyclo
     from dworkbench.dwork import _torus_aggregate, _torus_row, _torus_scan
 
     f = build_field(q)

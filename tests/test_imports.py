@@ -52,11 +52,15 @@ def test_exact_kernels_live_in_cyclotomic():
     # exact_dtype, and a batched step cannot fork a second circulant kernel
     # through einsum
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        hits = sorted({"convolve", "as_strided", "einsum", "_INT64_LIMIT"} & _references(ast.parse(path.read_text())).keys())
-        if hits and path.name != "cyclotomic.py":
-            found[path.name] = hits
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for name, tree in trees.items():
+        hits = sorted({"convolve", "as_strided", "einsum", "_INT64_LIMIT"} & _references(tree).keys())
+        if hits and name != "cyclotomic.py":
+            found[name] = hits
     assert not found, f"kernel internals outside cyclotomic.py: {found}"
+    # one dense convolution in the program, cconv's: element products fold through it too
+    cconv = next(node for node in trees["cyclotomic.py"].body if getattr(node, "name", None) == "cconv")
+    assert sum(_references(tree)["convolve"] for tree in trees.values()) == _references(cconv)["convolve"] == 1
 
 
 def _docstrings(tree):
