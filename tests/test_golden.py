@@ -2,7 +2,8 @@
 
 Every entry of golden_digests.json is the sha256 of one run's canonical
 report bytes: a check's `canonical_bytes()`, a campaign's reports joined by
-newlines, or a CLI command's standard output.  A change that claims
+newlines, a CLI command's standard output, or a trace table's exact values
+as JSON.  A change that claims
 identical bytes changes no entry; one that changes bytes on purpose
 regenerates the entries it changes with
 
@@ -21,6 +22,9 @@ import pytest
 
 from dworkbench import harness
 from dworkbench.cli import main
+from dworkbench.finitefield import build_field
+from dworkbench.hypergeometric import HyperSpec, canonical_trace, trad_trace_conv, trad_trace_naive
+from dworkbench.weights import build_v
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -32,6 +36,19 @@ KATZ = ((4, 9, 73), (6, 11, 67), (2, 17, 103), (4, 17, 103), (2, 7, 29), (2, 7, 
 def _campaign(seed):
     cfg = harness.CampaignConfig(checks=(*harness._DEFAULT_CHECKS, "psi2"), seed=seed)
     return harness.run_campaign(cfg)[1]
+
+
+def _values(values):
+    return json.dumps([v.to_json() for v in values], sort_keys=True).encode()
+
+
+def _hyper(route, E_degree=1):
+    """The (2, 7) label's trace values at q = 29, every t, one route."""
+    spec = HyperSpec.from_label(build_field(29), build_v(2, 7))
+    if route == "naive":
+        return _values(trad_trace_naive(spec, range(2, 29)))
+    table = trad_trace_conv(spec, E_degree) if route == "conv" else canonical_trace(spec)
+    return _values(v for _, v in table.items())
 
 
 def _cli(*argv):
@@ -54,6 +71,10 @@ RUNS = {
     "hyper-cross": lambda: [harness.check_hyper_cross()],
     "det-hcan": lambda: [harness.check_det_hcan()],
     "gauss-suite exhaustive": lambda: [harness.check_gauss_suite(sample=10 ** 9)],
+    "hyper conv (2, 7, 29) E=1": lambda: _hyper("conv"),
+    "hyper conv (2, 7, 29) E=2": lambda: _hyper("conv", 2),
+    "hyper naive (2, 7, 29)": lambda: _hyper("naive"),
+    "hyper canonical (2, 7, 29)": lambda: _hyper("canonical"),
     "cli dwork trace (4, 17, 103)": lambda: _cli("dwork", "trace", "--n", "4", "--N", "17", "--q", "103",
                                                  "--t", "all", "--json"),
 }
