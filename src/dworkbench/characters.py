@@ -185,22 +185,16 @@ def grossen_value(field: FqField, N: int, chi_res: int, rho_res: int) -> CycloEl
     return (-jacobi_sum(chi, ratio)).coerce(N)
 
 
-def phi_inverse(
-    field: FqField,
-    N: int,
-    s_chi: Iterable[int],
-    s_rho: Iterable[int],
-    psi: AddChar | None = None,
-) -> CycloElem:
+def phi_inverse(field: FqField, N: int, s_chi: Iterable[int], s_rho: Iterable[int]) -> CycloElem:
     """Exact inverse of phi, the Frobenius value of the rank-1 normalization
     by which the pulled-back traditional sheaf differs from the canonical
     one: the product of the negated Gauss sums over both multisets, to the
-    degree power.
+    degree power, with psi = psi_1.
 
     Each nontrivial factor -g(psi, chi) inverts to -g(psibar, chibar) / q,
     avoiding division; trivial factors are already 1.
     """
-    psi = psi or AddChar(field, 1)
+    psi = AddChar(field)
     s_chi, s_rho = list(s_chi), list(s_rho)
     if len(s_chi) != len(s_rho):
         raise SizeMismatch("character multisets of unequal size")

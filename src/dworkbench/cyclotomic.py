@@ -116,7 +116,7 @@ class CycloCtx:
     def __init__(self, M: int):
         phi = euler_phi(M)
         if M * phi > _CTX_BUDGET:
-            raise TooLarge(f"Q(zeta_{M}) needs {M} x {phi} table entries, over {_CTX_BUDGET}")
+            raise TooLarge(f"Q(zeta_{M}) charges M phi = {M} x {phi} to the context budget {_CTX_BUDGET}")
         self.M = M
         self.poly = cyclotomic_poly(M)
         self.phi = phi

@@ -503,16 +503,12 @@ def check_canonical_paths(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), 
     return CheckResult("canonical-paths", {"n": n, "N": N, "qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
 
 
-def _random_disjoint_spec(field, rng: random.Random, k: int = 2, force_equal_sums: bool | None = None):
-    q = field.q
-    N = q - 1
+def _random_disjoint_spec(field, rng: random.Random, k: int, force_equal_sums: bool):
+    N = field.q - 1
     for _ in range(10000):
         chis = [rng.randrange(N) for _ in range(k)]
         rhos = [rng.randrange(N) for _ in range(k)]
-        if set(chis) & set(rhos):
-            continue
-        eq = sum(chis) % N == sum(rhos) % N
-        if force_equal_sums is not None and eq != force_equal_sums:
+        if set(chis) & set(rhos) or (sum(chis) % N == sum(rhos) % N) != force_equal_sums:
             continue
         return HyperSpec(field, N, chis, rhos)
     raise Infeasible("could not sample a disjoint spec")

@@ -6,13 +6,16 @@ route through products of Gauss sums.  Trace values are carried as exact
 root-of-unity count vectors over zeta_{pN} (flattened exponent a*N + b*p),
 so cross-algorithm equality checks are integer comparisons.
 
-A rank-1 table is never stored whole.  Its rows over u = g^d are one base
+The data are Katz's (Exponential Sums and Differential Equations, ch. 8):
+the additive character psi_1 and disjoint multisets of characters.  A
+rank-1 table is never stored whole.  Its rows over u = g^d are one base
 row, a literal count over the units of the field, shifted by p s[d] (the
-substitution w = y(u-1)), plus the u = 1 row.  Every convolution route then
-runs on the exact kernels of `cyclotomic`: a histogram of summed shifts
-over (Z/q-1) x (Z/N) folded from one-hot tables (`shift_sums`), cyclic
-convolution of base rows over Z/pN (`cconv`), and the histogram applied to
-the convolved base as shifts by multiples of p (`hist_conv`).
+substitution w = y(u-1)); its u = 1 row is zero, as chi != rho.  Every
+convolution route then runs on the exact kernels of `cyclotomic`: a
+histogram of summed shifts over (Z/q-1) x (Z/N) folded from one-hot tables
+(`shift_sums`), cyclic convolution of base rows over Z/pN (`cconv`), and
+the histogram applied to the convolved base as shifts by multiples of p
+(`hist_conv`).
 
 The Mellin route shares no code with the rank-1 tables.  Each factor's
 Mellin coefficient is a product of two Gauss sums, whose terms
@@ -29,7 +32,6 @@ and `det_trad` and `det_via_newton` are the elements of the same counts.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -59,36 +61,31 @@ _KERNEL_BUDGET = 10 ** 9
 
 
 class HyperSpec:
-    """Field, additive character, and paired multisets of order-N residues."""
+    """Field and paired multisets of order-N residues, disjoint: the data of
+    Katz's H(psi_1; chi's; rho's)."""
 
-    __slots__ = ("field", "N", "s_chi", "s_rho", "psi_c")
+    __slots__ = ("field", "N", "s_chi", "s_rho")
 
-    def __init__(
-        self,
-        field: FqField,
-        N: int,
-        s_chi: Iterable[int],
-        s_rho: Iterable[int],
-        psi_c: int = 1,
-    ):
+    def __init__(self, field: FqField, N: int, s_chi: Iterable[int], s_rho: Iterable[int]):
         if (field.q - 1) % N != 0:
             raise BadN(f"N = {N} does not divide q - 1 = {field.q - 1}")
         sc = tuple(a % N for a in s_chi)
         sr = tuple(b % N for b in s_rho)
         if len(sc) != len(sr) or not sc:
             raise SizeMismatch("character multisets must be nonempty and equal-sized")
+        if set(sc) & set(sr):
+            raise BadParams(f"character multisets must be disjoint: {sorted(set(sc) & set(sr))} in both")
         self.field = field
         self.N = N
         self.s_chi = sc
         self.s_rho = sr
-        self.psi_c = psi_c % field.p
 
     @property
     def k(self) -> int:
         return len(self.s_chi)
 
     def psi(self) -> AddChar:
-        return AddChar(self.field, self.psi_c)
+        return AddChar(self.field)
 
     def extension(self, m: int) -> tuple[FqField, int]:
         """The degree-m extension and the dlog shift of norm composition.
@@ -104,9 +101,9 @@ class HyperSpec:
         return E, int(f.DLOG[ncode])
 
     @staticmethod
-    def from_label(field: FqField, v: "WeightVector | Sequence[int]", N: int | None = None) -> "HyperSpec":
+    def from_label(field: FqField, v: WeightVector) -> "HyperSpec":
         """Trace data with the characters cancelled out of a weight label."""
-        sc, sr = hyper_data(v, N)
+        sc, sr = hyper_data(v)
         return HyperSpec(field, sc.N, tuple(sc), tuple(sr))
 
     def __repr__(self) -> str:
@@ -146,29 +143,25 @@ class TraceTable:
 # -- rank-1 tables: one base row and its shifts -----------------------------
 
 
-def _rank1_trad(E: FqField, N: int, a: int, b: int, c_code: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rank-1 traditional trace over E^x as (base, s, row0).
+def _rank1_trad(E: FqField, N: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-1 traditional trace over E^x as (base, s).
 
     Row d = dlog u of the table holds the exponent counts (over zeta_{pN},
     flattened) of -chi(u) sum_y psi(y(u-1)) (chi rhobar)(y).  Substituting
     w = y(u-1), row d >= 1 is -roll(base, p s[d]): base counts w in E^x at
-    tr(c w) N + ((a-b) dlog w mod N) p, and s[d] = a d - (a-b) dlog(g^d - 1)
-    mod N.  row0 is the u = 1 row: -(q-1) at column 0 when chi = rho, else
-    zero.  s[0] is unused.
+    tr(w) N + ((a-b) dlog w mod N) p, and s[d] = a d - (a-b) dlog(g^d - 1)
+    mod N.  The u = 1 row sums the nontrivial chi rhobar, so is zero; s[0]
+    is unused.
     """
     p, R, L = E.p, E.q - 1, E.p * N
     diff = (a - b) % N
     w = np.arange(R)
-    tr = (c_code * E.trace_abs_table()[E.EXP[w]]) % p
-    base = np.bincount((tr * N + (diff * w % N) * p) % L, minlength=L)
+    base = np.bincount((E.trace_abs_table()[E.EXP[w]] * N + (diff * w % N) * p) % L, minlength=L)
     d = np.arange(1, R)
     um1 = E.add_codes(E.EXP[d], np.full(R - 1, E.neg_code(1), dtype=np.int64))
     s = np.zeros(R, dtype=np.int64)
     s[1:] = (a * d - diff * E.DLOG[um1]) % N
-    row0 = np.zeros(L, dtype=np.int64)
-    if diff == 0:
-        row0[0] = -R
-    return base, s, row0
+    return base, s
 
 
 def _rank1_canon_shifts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
@@ -184,19 +177,13 @@ def _rank1_canon_shifts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
 # -- rank-1 products: one-hot shift tables over (Z/R) x (Z/N), base rows over Z/L
 
 
-def _kernel_cost(R: int, N: int, L: int, nrows: int, terms: Sequence[int]) -> int:
-    """Cells and multiply-adds of _trace_rows at nrows output rows, where
-    factor i is one one-hot term plus a unit term when terms[i] = 2.  A
-    product of one term per factor with j one-hot terms costs the one-hot
-    table, j - 2 full folds and one fold at the output rows, k - 1 base-row
-    convolutions, and N L per output row to apply the histogram."""
-    k = len(terms)
-    cost = 0
-    for units in itertools.product(*[range(t) for t in terms]):
-        j = k - sum(units)
-        folds = max(j - 2, 0) * R + (nrows if j >= 2 else 0)
-        cost += (1 + folds) * R * N + (k - 1) * L * L + nrows * N * L
-    return cost
+def _kernel_cost(R: int, N: int, L: int, nrows: int, k: int) -> int:
+    """Cells and multiply-adds of _trace_rows over k factors at nrows output
+    rows: the one-hot table, k - 2 full folds and one fold at the output
+    rows, k - 1 base-row convolutions, and N L per output row to apply the
+    histogram."""
+    folds = max(k - 2, 0) * R + (nrows if k >= 2 else 0)
+    return (1 + folds) * R * N + (k - 1) * L * L + nrows * N * L
 
 
 def _require_budget(cost: int, L: int, k: int) -> None:
@@ -210,16 +197,12 @@ def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = 
 
     Factor i has a single 1 at (d, shifts[i][d]) in every row d != 0, so
     out[x, j] counts the tuples (d_1..d_k) of nonzero rows with sum d_i = x
-    and sum shifts[i][d_i] = j.  No factors give the unit, 1 at (0, 0).  The
-    counts are nonnegative and sum to (R-1)^k, which bounds every partial
-    sum of the folds.
+    and sum shifts[i][d_i] = j.  The counts are nonnegative and sum to
+    (R-1)^k, which bounds every partial sum of the folds.
     """
     H = np.zeros((R, N), dtype=exact_dtype((R - 1) ** len(shifts)))
     d = np.arange(1, R)
-    if shifts:
-        H[d, shifts[0][1:]] = 1
-    else:
-        H[0, 0] = 1
+    H[d, shifts[0][1:]] = 1
     if len(shifts) < 2:
         return H if row is None else H[row : row + 1]
     for s in shifts[1:-1]:
@@ -227,28 +210,22 @@ def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = 
     return shift_sums(H, (d, shifts[-1][1:]), row=row)[0]
 
 
-def _trace_rows(tables: Sequence[Sequence[tuple]], R: int, N: int, row: int | None = None) -> np.ndarray:
+def _trace_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], R: int, N: int, row: int | None = None) -> np.ndarray:
     """Exponent counts of (-1)^(k-1) T_1 * ... * T_k at every row, or at row
     alone (shape (1, L)).
 
-    T_i is a sum of terms (base, shifts), each an L-vector and an R-vector:
-    row d of a term is sum_j [shifts[d] = j] roll(base, (L/N) j) over d != 0,
-    and shifts None is the unit term, base alone at row 0.  The product of
-    one term per factor is the convolution of their bases over Z/L times the
-    histogram of their shifts (_shift_hist), applied as shifts (hist_conv).
+    T_i is a pair (base, shifts), an L-vector and an R-vector: row d != 0 of
+    T_i is roll(base, (L/N) shifts[d]), and row 0 is zero.  The product is
+    the convolution of the bases over Z/L times the histogram of the shifts
+    (_shift_hist), applied as shifts (hist_conv).
     """
-    acc, bound = None, 0
-    for terms in itertools.product(*tables):
-        P = functools.reduce(cconv, [base for base, _ in terms])
-        H = _shift_hist([s for _, s in terms if s is not None], R, N, row)
-        # every entry and partial sum of a part is at most max|P| times a row
-        # sum of H (H counts, so nonnegative), each taken as at least 1, and
-        # of the running total at most the sum of those bounds so far
-        bound += max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max()))
-        dt = exact_dtype(bound)
-        part = hist_conv(P.astype(dt), H.astype(dt))
-        acc = part if acc is None else acc.astype(dt) + part
-    return acc if len(tables) % 2 else -acc
+    P = functools.reduce(cconv, [base for base, _ in factors])
+    H = _shift_hist([s for _, s in factors], R, N, row)
+    # every entry and partial sum is at most max|P| times a row sum of H
+    # (H counts, so nonnegative), each taken as at least 1
+    dt = exact_dtype(max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max())))
+    out = hist_conv(P.astype(dt), H.astype(dt))
+    return out if len(factors) % 2 else -out
 
 
 # -- trace algorithms -------------------------------------------------------
@@ -282,7 +259,6 @@ def trad_trace_naive(spec: HyperSpec, ts: Sequence, E_degree: int = 1) -> list[C
     nt = len(t_codes)
     aN = [(a * s) % N for a in spec.s_chi]
     bN = [(b * s) % N for b in spec.s_rho]
-    c = spec.psi_c
     nfree = 2 * k - 1
     total = R ** nfree
     counts = np.zeros(nt * L, dtype=np.int64)
@@ -309,23 +285,17 @@ def trad_trace_naive(spec: HyperSpec, ts: Sequence, E_degree: int = 1) -> list[C
             cexp -= b_j * dd
         # the solved last y, one row per t
         dy_last = (sum(dx) - sum(dy) - dt) % R
-        tr = (c * TR[E.add_codes(z, NEG_EXP[dy_last])]) % p
+        tr = TR[E.add_codes(z, NEG_EXP[dy_last])]
         e = (tr * N + ((cexp - bN[-1] * dy_last) % N) * p) % L
         counts += np.bincount((e + row0).ravel(), minlength=nt * L)
     return [-to_cyclo(row.tolist(), L) for row in counts.reshape(nt, L)]
-
-
-def _terms(spec: HyperSpec) -> list[int]:
-    """Terms per factor of the traditional tables: a pair with chi = rho
-    adds the u = 1 row as a unit term."""
-    return [2 if (a - b) % spec.N == 0 else 1 for a, b in zip(spec.s_chi, spec.s_rho)]
 
 
 def _trad_budget(spec: HyperSpec, m: int, nrows: int) -> int:
     """Refuse the kernel cost of _trad_rows over F_{q^m} at nrows rows, before
     anything is built; returns L = pN."""
     L = spec.field.p * spec.N
-    _require_budget(_kernel_cost(spec.field.q ** m - 1, spec.N, L, nrows, _terms(spec)), L, spec.k)
+    _require_budget(_kernel_cost(spec.field.q ** m - 1, spec.N, L, nrows, spec.k), L, spec.k)
     return L
 
 
@@ -338,11 +308,11 @@ def _trad_rows(spec: HyperSpec, m: int, t_code: int | None = None) -> tuple[FqFi
     R = spec.field.q ** m - 1
     _trad_budget(spec, m, R if t_code is None else 1)
     E, sh = spec.extension(m)
-    tables = []
+    factors = []
     for a, b in zip(spec.s_chi, spec.s_rho):
-        base, s, row0 = _rank1_trad(E, N, (a * sh) % N, (b * sh) % N, spec.psi_c)
-        tables.append([(-base, s), (row0, None)] if row0.any() else [(-base, s)])
-    return E, _trace_rows(tables, R, N, None if t_code is None else int(E.DLOG[t_code]))
+        base, s = _rank1_trad(E, N, (a * sh) % N, (b * sh) % N)
+        factors.append((-base, s))
+    return E, _trace_rows(factors, R, N, None if t_code is None else int(E.DLOG[t_code]))
 
 
 def trad_trace_conv(spec: HyperSpec, E_degree: int = 1) -> TraceTable:
@@ -420,11 +390,10 @@ def canonical_trace(spec: HyperSpec) -> TraceTable:
     """
     field, N = spec.field, spec.N
     R = field.q - 1
-    _require_budget(_kernel_cost(R, N, N, R, [1] * spec.k), N, spec.k)
+    _require_budget(_kernel_cost(R, N, N, R, spec.k), N, spec.k)
     unit = np.zeros(N, dtype=np.int64)
     unit[0] = 1
-    tables = [[(unit, _rank1_canon_shifts(field, N, a, b))] for a, b in zip(spec.s_chi, spec.s_rho)]
-    C = _trace_rows(tables, R, N)
+    C = _trace_rows([(unit, _rank1_canon_shifts(field, N, a, b)) for a, b in zip(spec.s_chi, spec.s_rho)], R, N)
     lam = CycloElem.one(N)
     for a, b in zip(spec.s_chi, spec.s_rho):
         lam = lam * grossen_value(field, N, a, b)
@@ -443,7 +412,7 @@ def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
     M = spec.field.p * spec.N
     t1 = canonical_trace(spec)
     trad = trad_trace_conv(spec)
-    pin = phi_inverse(spec.field, spec.N, spec.s_chi, spec.s_rho, spec.psi())
+    pin = phi_inverse(spec.field, spec.N, spec.s_chi, spec.s_rho)
     sign = 0
     for code, v1 in t1.items():
         v2 = trad.value_at(code) * pin
@@ -530,7 +499,7 @@ def _newton_budget(spec: HyperSpec) -> int:
     if k > 3:
         raise Infeasible("newton reconstruction supported for k <= 3")
     L = f.p * N
-    cost = sum(_kernel_cost(f.q ** m - 1, N, L, 1, _terms(spec)) for m in range(1, k + 1))
+    cost = sum(_kernel_cost(f.q ** m - 1, N, L, 1, k) for m in range(1, k + 1))
     _require_budget(cost + k * (k - 1) // 2 * L * L, L, k)
     return L
 
@@ -625,7 +594,7 @@ def verify_det_hcan(n: int, N: int, q: int) -> dict:
     field = build_field(q)
     spec = HyperSpec.from_label(field, build_v(n, N))
     M = field.p * N
-    pin = phi_inverse(field, N, spec.s_chi, spec.s_rho, spec.psi())
+    pin = phi_inverse(field, N, spec.s_chi, spec.s_rho)
     t0, t1 = field.el(2), field.el(3)
     lhs = det_trad(spec, t0) * pin ** n
     lhs_other = det_trad(spec, t1) * pin ** n

@@ -122,11 +122,11 @@ def test_grossen_value_abs2(f29):
     assert abs(v.abs2() - 29) < 1e-9
 
 
-def phi_value(field, N, s_chi, s_rho, psi=None):
+def phi_value(field, N, s_chi, s_rho):
     """The reference phi_inverse inverts: the product of -g(psi, t^a) over
-    s_chi and -g(psibar, t^-b) over s_rho in Q(zeta_pN), t the order-N
-    character, to the degree power."""
-    psi = psi or AddChar(field, 1)
+    s_chi and -g(psibar, t^-b) over s_rho in Q(zeta_pN), psi = psi_1 and t
+    the order-N character, to the degree power."""
+    psi = AddChar(field)
     M, t = field.p * N, teich_char(field, N)
     out = CycloElem.one(M)
     for a in s_chi:
@@ -137,9 +137,8 @@ def phi_value(field, N, s_chi, s_rho, psi=None):
 
 
 def test_phi_value_inverse_cancel(f29):
-    psi = AddChar(f29)
-    val = phi_value(f29, 7, (1, 6), (0, 0), psi)
-    inv = phi_inverse(f29, 7, (1, 6), (0, 0), psi)
+    val = phi_value(f29, 7, (1, 6), (0, 0))
+    inv = phi_inverse(f29, 7, (1, 6), (0, 0))
     prod = val * inv
     assert prod == CycloElem.one(prod.M)
 
