@@ -31,6 +31,10 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_digests.json"
 # katz families: the benchmark's four, then larger and smaller primes
 KATZ = ((4, 9, 73), (6, 11, 67), (2, 17, 103), (4, 17, 103), (2, 7, 29), (2, 7, 43), (4, 17, 239),
         (4, 9, 19), (2, 7, 71), (4, 17, 137), (6, 11, 89))
+# labels whose character data the weights CLI prints
+LABELS = ((2, 7), (4, 9), (6, 11), (4, 17), (8, 13))
+# signs moduli: l = 1 and l = 3 mod 4 both occur
+SIGN_LS = (7, 11, 17, 29, 37)
 
 
 def _campaign(seed):
@@ -77,6 +81,15 @@ RUNS = {
     "hyper canonical (2, 7, 29)": lambda: _hyper("canonical"),
     "cli dwork trace (4, 17, 103)": lambda: _cli("dwork", "trace", "--n", "4", "--N", "17", "--q", "103",
                                                  "--t", "all", "--json"),
+    **{f"cli weights hyper-data {l}": (lambda n=l[0], N=l[1]: _cli("weights", "hyper-data", "--n", str(n),
+                                                                  "--N", str(N), "--json"))
+       for l in LABELS},
+    **{f"cli weights build-v {l}": (lambda n=l[0], N=l[1]: _cli("weights", "build-v", "--n", str(n), "--N", str(N)))
+       for l in LABELS},
+    "cli char gauss q=29 order=7": lambda: _cli("char", "gauss", "--q", "29", "--chi-order", "7", "--json"),
+    "cli hyper trace conv (2, 7, 29)": lambda: _cli("hyper", "trace", "--q", "29", "--n", "2", "--N", "7",
+                                                    "--method", "conv", "--json"),
+    **{f"signs {SIGN_LS} seed={s}": (lambda s=s: [harness.check_signs(ls=SIGN_LS, seed=s)]) for s in (0, 1)},
 }
 
 
