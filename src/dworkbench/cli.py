@@ -54,8 +54,8 @@ def _cmd_weights(args) -> int:
     chis, rhos = hyper_data(v)
     out = {
         "v": list(v.entries),
-        "s_chi": list(chis.residues),
-        "s_rho": list(rhos.residues),
+        "s_chi": list(chis),
+        "s_rho": list(rhos),
         "rank": len(chis),
     }
     if args.action == "build-v" and not args.json:

@@ -18,6 +18,9 @@ omega(M)) steps, without the power basis.  An identity between products of
 such sums is then one vanishing test on the outer sums of their exponents.
 Both trace engines combine such vectors with the exact kernels `cconv`,
 `shift_sums` and `hist_conv`, and `exact_dtype` is the one width rule.
+
+Complex embeddings (`embed`, `abs2`) serve printed output only; each call
+forms its roots of unity afresh, and no context keeps them.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class CycloCtx:
     reduce any coefficient vector over Z/M (see _reduce).
     """
 
-    __slots__ = ("M", "phi", "poly", "powers", "pmax", "_emb")
+    __slots__ = ("M", "phi", "poly", "powers", "pmax")
 
     def __init__(self, M: int):
         phi = euler_phi(M)
@@ -144,14 +147,6 @@ class CycloCtx:
             pw[e - phi] = row
         self.powers = pw
         self.pmax = pmax
-        self._emb: dict[int, list[complex]] = {}
-
-    def embedding_basis(self, e: int) -> list[complex]:
-        basis = self._emb.get(e)
-        if basis is None:
-            basis = [cmath.exp(2j * cmath.pi * e * i / self.M) for i in range(self.phi)]
-            self._emb[e] = basis
-        return basis
 
 
 @lru_cache(maxsize=None)
@@ -373,11 +368,12 @@ class CycloElem:
         """Complex value under z -> exp(2 pi i e / M), gcd(e, M) = 1."""
         if math.gcd(e, self.M) != 1:
             raise ValueError("embedding exponent not coprime to modulus")
-        basis = ctx_for(self.M).embedding_basis(e % self.M)
+        M = self.M
+        e %= M
         acc = 0 + 0j
-        for c, b in zip(self._num, basis):
+        for i, c in enumerate(self._num):
             if c:
-                acc += c * b
+                acc += c * cmath.exp(2j * cmath.pi * e * i / M)
         return acc / self._den
 
     def abs2(self, e: int = 1) -> float:

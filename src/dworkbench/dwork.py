@@ -43,7 +43,7 @@ import numpy as np
 from .cyclotomic import CycloElem, exact_dtype, hist_conv, shared_json, shift_sums, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible
 from .finitefield import FqField, build_field
-from .weights import WeightVector
+from .weights import WeightVector, rank_of
 
 _COUNT_BUDGET = 10 ** 10
 # charged q (q-1) N, it bounds the direct shift sum's work: a step gathers
@@ -517,8 +517,6 @@ def _nonnegative_everywhere(x: CycloElem) -> bool:
 def weil_check(trace: EigenTrace) -> bool:
     """Purity bound |T|^2 <= rank^2 q^{N-2} at every embedding, decided
     exactly on the totally real rank^2 q^{N-2} - T conj(T)."""
-    from .weights import rank_of
-
     N = trace.fiber.N
     q = trace.fiber.field.q
     r = rank_of(trace.entries, N)

@@ -362,9 +362,9 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
         raise MissingLambda("run the ratio comparison first to extract the constant")
     field = build_field(q)
     v = build_v(n, N)
-    chi_set, _rho = hyper_data(v)
+    chis, _rhos = hyper_data(v)
     prod = CycloElem.one(1)
-    for a in sorted(chi_set.counts().elements()):
+    for a in chis:
         prod = operator.mul(*common(prod, lambda_can(field, N, a, n) ** 2))
     phi = operator.mul(*common(lam, prod))
     psi2 = phi ** n * (q ** (n * (n - 1) // 2))

@@ -104,7 +104,7 @@ class HyperSpec:
     def from_label(field: FqField, v: WeightVector) -> "HyperSpec":
         """Trace data with the characters cancelled out of a weight label."""
         sc, sr = hyper_data(v)
-        return HyperSpec(field, sc.N, tuple(sc), tuple(sr))
+        return HyperSpec(field, v.N, sc, sr)
 
     def __repr__(self) -> str:
         return f"HyperSpec(q={self.field.q}, N={self.N}, chi={list(self.s_chi)}, rho={list(self.s_rho)})"

@@ -161,30 +161,21 @@ def convert_pairing(rep: PairedRep, c, chi_c: int) -> PairedRep:
     return PairedRep(l, mat_mul(rep.pairing, c, l), rep.gens, rep.chi, flavor="CJ", jc=jc)
 
 
-def sqrt_mod(a: int, l: int) -> int | None:
-    a %= l
-    if a == 0:
-        return 0
-    if pow(a, (l - 1) // 2, l) != 1:
+def sqrt_minus_one(l: int) -> int | None:
+    """A square root of -1 mod the odd prime l, or None when l = 3 mod 4.
+
+    For l = 1 mod 4 and z the first non-residue, z^((l-1)/2) = -1, so
+    w = z^((l-1)/4) squares to -1.  The root returned is (-1)^((q+1)/2) w,
+    q the odd part of l - 1, as Tonelli-Shanks gives it: the sign picks the
+    involution of the orthogonal examples, whose draws the tests pin.
+    """
+    if l % 4 != 1:
         return None
-    # Tonelli-Shanks
-    if l % 4 == 3:
-        return pow(a, (l + 1) // 4, l)
-    s, q = 0, l - 1
+    q = l - 1
     while q % 2 == 0:
-        s += 1
         q //= 2
     z = next(z for z in range(2, l) if pow(z, (l - 1) // 2, l) == l - 1)
-    m, cc, t, r = s, pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = (t2 * t2) % l
-            i += 1
-        b = pow(cc, 1 << (m - i - 1), l)
-        m, cc = i, (b * b) % l
-        t, r = (t * cc) % l, (r * b) % l
-    return r
+    return pow(-1, (q + 1) // 2, l) * pow(z, (l - 1) // 4, l) % l
 
 
 # -- randomized admissible examples -----------------------------------------
@@ -229,7 +220,7 @@ def random_sd_example(l: int, rng: random.Random, kind: str | None = None) -> tu
         gens0 = [swap, flip, ((s, 0), (0, s))]
         chi = [1, 1, (s * s) % l]
         cands = [(swap, 1), (flip, 1), (mat([[-1, 0], [0, -1]], l), 1)]
-        r = sqrt_mod(-1, l)
+        r = sqrt_minus_one(l)
         if r is not None:
             cands.append((mat([[0, r], [-r, 0]], l), l - 1))
     else:

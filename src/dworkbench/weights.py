@@ -1,62 +1,22 @@
 """Eigenspace label combinatorics.
 
-Weight vectors are length-N residue tuples mod N summing to zero, considered
-up to adding a constant to every slot.  Multisets of residues stand for
-characters of the order-N subgroup, written additively.  The cancellation of
-common entries between two multisets is what turns a weight vector into
-hypergeometric character data.
+A weight vector is a length-N tuple of residues mod N summing to zero.  Its
+hypergeometric character data are residues of Z/N, each standing for a
+character of the order-N subgroup written additively: cancel the residues
+of -v against one copy of every residue, and what is left on each side,
+sorted, is the pair (chis, rhos).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BadParams
 
 
-class CharMultiset:
-    """Multiset of residues mod N, each residue a character written additively."""
-
-    __slots__ = ("N", "_counts")
-
-    def __init__(self, N: int, residues: Iterable[int]):
-        self.N = N
-        self._counts = Counter(r % N for r in residues)
-
-    @property
-    def residues(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for r in sorted(self._counts):
-            out.extend([r] * self._counts[r])
-        return tuple(out)
-
-    def counts(self) -> Counter:
-        return Counter(self._counts)
-
-    def __iter__(self):
-        return iter(self.residues)
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def __contains__(self, r: int) -> bool:
-        return self._counts[r % self.N] > 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CharMultiset):
-            return self.N == other.N and self._counts == other._counts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.N, tuple(sorted(self._counts.items()))))
-
-    def __repr__(self) -> str:
-        return f"CharMultiset(N={self.N}, {list(self.residues)})"
-
-
 class WeightVector:
-    """Length-N eigenspace label with zero residue sum, taken mod translation."""
+    """Length-N eigenspace label with zero residue sum."""
 
     __slots__ = ("N", "entries")
 
@@ -68,23 +28,6 @@ class WeightVector:
             raise BadParams("entries must sum to 0 mod N")
         self.N = N
         self.entries = ent
-
-    def translate(self, c: int) -> "WeightVector":
-        return WeightVector(self.N, [(e + c) % self.N for e in self.entries])
-
-    def __eq__(self, other: object) -> bool:
-        # labels live mod adding a constant to all entries
-        if isinstance(other, WeightVector):
-            if self.N != other.N:
-                return False
-            return any(
-                tuple((e + c) % self.N for e in self.entries) == other.entries
-                for c in range(self.N)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.N, min(tuple((e + c) % self.N for e in self.entries) for c in range(self.N))))
 
     def __repr__(self) -> str:
         return f"WeightVector(N={self.N}, {list(self.entries)})"
@@ -109,36 +52,12 @@ def build_v(n: int, N: int) -> WeightVector:
     return WeightVector(N, entries)
 
 
-def cancel(A: CharMultiset, B: CharMultiset) -> tuple[CharMultiset, CharMultiset]:
-    """Strip the common part of two multisets, leaving disjoint remainders."""
-    if A.N != B.N:
-        raise BadParams("multisets over different moduli")
-    ca, cb = A.counts(), B.counts()
-    outa, outb = [], []
-    for r in range(A.N):
-        d = ca[r] - cb[r]
-        if d > 0:
-            outa.extend([r] * d)
-        elif d < 0:
-            outb.extend([r] * (-d))
-    return CharMultiset(A.N, outa), CharMultiset(A.N, outb)
-
-
-def hyper_data(v: "WeightVector | Sequence[int]", N: int | None = None) -> tuple[CharMultiset, CharMultiset]:
-    """Character data of the label: cancel all residues against those of -v.
-
-    Accepts a raw entry sequence with explicit N so that deliberately broken
-    labels can flow through the same pipeline.
-    """
-    if isinstance(v, WeightVector):
-        N, entries = v.N, v.entries
-    else:
-        if N is None:
-            raise BadParams("raw entries need an explicit modulus")
-        entries = tuple(e % N for e in v)
-    full = CharMultiset(N, range(N))
-    neg = CharMultiset(N, [(-e) % N for e in entries])
-    return cancel(full, neg)
+def hyper_data(v: WeightVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Character data (chis, rhos) of the label, each sorted: the residues
+    of Z/N not cancelled by those of -v, and those of -v left over."""
+    full = Counter(range(v.N))
+    neg = Counter((-e) % v.N for e in v.entries)
+    return tuple(sorted((full - neg).elements())), tuple(sorted((neg - full).elements()))
 
 
 def rank_of(v: "WeightVector | Sequence[int]", N: int | None = None) -> int:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworkbench.errors import BadParams, NotSignDefinite
+from dworkbench.finitefield import is_prime
 from dworkbench.pairings import (
     PairedRep,
     cj_sign,
@@ -16,7 +17,7 @@ from dworkbench.pairings import (
     mat_mul,
     random_sd_example,
     sd_sign,
-    sqrt_mod,
+    sqrt_minus_one,
 )
 
 
@@ -80,14 +81,13 @@ def test_examples_refuse_a_modulus_that_is_not_an_odd_prime():
 
 
 def test_sqrt_mod_exhaustive():
-    for l in (5, 13, 17):
-        squares = {(x * x) % l for x in range(l)}
-        for a in range(l):
-            r = sqrt_mod(a, l)
-            if a in squares:
-                assert r is not None and (r * r) % l == a
-            else:
-                assert r is None
+    # -1 is a square mod l exactly when l = 1 mod 4
+    for l in filter(is_prime, range(3, 100)):
+        r = sqrt_minus_one(l)
+        if l % 4 == 1:
+            assert r is not None and (r * r) % l == l - 1
+        else:
+            assert r is None and all((x * x) % l != l - 1 for x in range(l))
 
 
 def test_example_generator_equivariance():
@@ -138,7 +138,7 @@ def test_det_kind_pairing_det_is_square():
     rng = random.Random(2)
     for _ in range(10):
         rep, _, _ = random_sd_example(5, rng, kind="det")
-        assert sqrt_mod(mat_det(rep.pairing, 5), 5) is not None
+        assert pow(mat_det(rep.pairing, 5), 2, 5) == 1  # Euler's criterion
 
 
 def test_rep_validation_rejects_bad_input():
