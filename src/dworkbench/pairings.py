@@ -166,8 +166,8 @@ def sqrt_minus_one(l: int) -> int | None:
 
     For l = 1 mod 4 and z the first non-residue, z^((l-1)/2) = -1, so
     w = z^((l-1)/4) squares to -1.  The root returned is (-1)^((q+1)/2) w,
-    q the odd part of l - 1, as Tonelli-Shanks gives it: the sign picks the
-    involution of the orthogonal examples, whose draws the tests pin.
+    q the odd part of l - 1: the sign picks the involution of the
+    orthogonal examples, whose draws the tests pin.
     """
     if l % 4 != 1:
         return None
