@@ -2,14 +2,17 @@
 
 Multiplicative characters are powers of a fixed dlog identification
 x -> zeta_{q-1}^{dlog x}; additive characters are shifts of
-x -> zeta_p^{abs trace x}.  Every term of a Gauss or Jacobi sum is a root of
-unity zeta_M^e, and `gauss_exponents` / `jacobi_exponents` build the
-exponents e of all terms at once, over Z/M for any common multiple M of the
-orders involved.  `gauss_sum` and `jacobi_sum` are the elements of their
-exponent counts; the identity checks decide on the counts directly (see
-`cyclotomic.vanishes`).  The order-N "power residue" character sends the chosen
-generator to zeta_N; that identification is a recorded convention, and no
-verified identity depends on it.
+x -> zeta_p^{abs trace x}.  A point, and the shift c of an additive
+character, is its integer code in `finitefield`, read as int(x) % q; only
+`FqField.generator` comes as an object.  Every term of a Gauss or Jacobi
+sum is a root of unity zeta_M^e, and `gauss_exponents` /
+`jacobi_exponents` build the exponents e of all terms at once, over Z/M
+for any common multiple M of the orders involved.  `gauss_sum` and
+`jacobi_sum` are the elements of their exponent counts; the identity
+checks decide on the counts directly (see `cyclotomic.vanishes`).  The
+order-N "power residue" character sends the chosen generator to zeta_N;
+that identification is a recorded convention, and no verified identity
+depends on it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycloElem, ctx_for, exponent_counts, root_of_unity, to_cyclo
 from .errors import BadN, NotAMultiple, SizeMismatch, TrivialAdditive, ZeroInput
-from .finitefield import FqElem, FqField
+from .finitefield import FqField
 
 
 class MultChar:
@@ -45,21 +48,11 @@ class MultChar:
             raise ZeroInput("character exponent of zero")
         return (self.j0 * int(self.field.DLOG[code])) % self.order
 
-    def __call__(self, x: "FqElem | int") -> CycloElem:
-        code = x.code if isinstance(x, FqElem) else self.field.el(x).code
+    def __call__(self, x: int) -> CycloElem:
+        code = int(x) % self.field.q
         if code == 0:
             return CycloElem.zero(self.order)
         return root_of_unity(self.order, self.exp_of(code))
-
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        if other.field is not self.field:
-            raise ValueError("characters of different fields")
-        return MultChar(self.field, self.j + other.j)
-
-    def __truediv__(self, other: "MultChar") -> "MultChar":
-        if other.field is not self.field:
-            raise ValueError("characters of different fields")
-        return MultChar(self.field, self.j - other.j)
 
     def __pow__(self, k: int) -> "MultChar":
         return MultChar(self.field, self.j * k)
@@ -68,26 +61,18 @@ class MultChar:
         """Complex conjugate, i.e. inverse, character."""
         return MultChar(self.field, -self.j)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultChar):
-            return self.field is other.field and self.j == other.j
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.j))
-
     def __repr__(self) -> str:
         return f"MultChar(q={self.field.q}, j={self.j})"
 
 
 class AddChar:
-    """Additive character x -> zeta_p^{abs trace(c x)}."""
+    """Additive character x -> zeta_p^{abs trace(c x)}, c a code."""
 
     __slots__ = ("field", "c")
 
-    def __init__(self, field: FqField, c: "FqElem | int" = 1):
+    def __init__(self, field: FqField, c: int = 1):
         self.field = field
-        self.c = c.code if isinstance(c, FqElem) else field.el(c).code
+        self.c = int(c) % field.q
 
     def is_trivial(self) -> bool:
         return self.c == 0
@@ -96,20 +81,11 @@ class AddChar:
         f = self.field
         return int(f.trace_abs_table()[f.mul_code(self.c, code)])
 
-    def __call__(self, x: "FqElem | int") -> CycloElem:
-        code = x.code if isinstance(x, FqElem) else self.field.el(x).code
-        return root_of_unity(self.field.p, self.exp_of(code))
+    def __call__(self, x: int) -> CycloElem:
+        return root_of_unity(self.field.p, self.exp_of(int(x) % self.field.q))
 
     def bar(self) -> "AddChar":
         return AddChar(self.field, self.field.neg_code(self.c))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AddChar):
-            return self.field is other.field and self.c == other.c
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.c, "add"))
 
     def __repr__(self) -> str:
         return f"AddChar(q={self.field.q}, c={self.c})"

@@ -39,13 +39,14 @@ def _cmd_char_gauss(args) -> int:
     j = ((q - 1) // args.chi_order) * args.chi_exp
     chi = MultChar(field, j)
     g = gauss_sum(AddChar(field), chi)
+    z = g.embed()
     if args.json:
         out = {"q": q, "chi_order": args.chi_order, "chi_exp": args.chi_exp,
-               "value": g.to_json(), "embedding": [g.embed().real, g.embed().imag]}
+               "value": g.to_json(), "embedding": [z.real, z.imag]}
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"g(psi, chi) = {g}")
-        print(f"embedding   = {g.embed():.10g}")
+        print(f"embedding   = {z:.10g}")
     return 0
 
 

@@ -67,18 +67,14 @@ class DworkFiber:
 
     __slots__ = ("field", "N", "t_code")
 
-    def __init__(self, field: FqField, N: int, t):
+    def __init__(self, field: FqField, N: int, t: int):
         if N < 3 or N % 2 == 0:
             raise BadN("family degree must be odd and at least 3")
         if field.m != 1 or (field.q - 1) % N != 0:
             raise BadN("fiber field must be prime with q = 1 mod N")
         self.field = field
         self.N = N
-        self.t_code = t.code if hasattr(t, "code") else int(t) % field.q
-
-    @property
-    def t(self):
-        return self.field.from_code(self.t_code)
+        self.t_code = int(t) % field.q
 
     def is_smooth(self) -> bool:
         if self.t_code == 0:
@@ -371,7 +367,7 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int], orbits: dic
 
 
 def _torus_row(field: FqField, N: int, t_code: int) -> int:
-    dlNt = int(field.DLOG[field.mul_code(field.el(N).code, t_code)])
+    dlNt = int(field.DLOG[field.mul_code(N % field.p, t_code)])
     return (N * dlNt) % (field.q - 1)
 
 
@@ -537,7 +533,7 @@ def count_points(fiber: DworkFiber, m: int = 1) -> int:
     powN = np.zeros(qe, dtype=np.int64)
     dl = E.DLOG
     powN[1:] = E.EXP[(N * dl[1:]) % (qe - 1)]
-    nt_code = E.mul_code(E.el(N).code, fiber.t_code)  # t is a base residue
+    nt_code = E.mul_code(N % E.p, fiber.t_code)  # t is a base residue
     total = 0
     chunk = 1 << 20
     # chart j: coords before j vanish, coord j = 1, later coords free; from
@@ -620,8 +616,8 @@ def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
         raise BadN("fiber field must be prime with q = 1 mod 3")
     E = build_field(q, 3)
     Qe = E.q - 1
-    w = field.generator ** ((q - 1) // 3)  # cube root of unity, embeds as a constant
-    dz = [int(E.DLOG[(w ** e).code]) for e in g.exps]
+    # w^e, w = g^((q-1)/3) a cube root of unity, embeds as a constant
+    dz = [int(E.DLOG[field.EXP[(q - 1) // 3 * e]]) for e in g.exps]
 
     def cubes(c: np.ndarray) -> np.ndarray:
         return np.where(c == 0, 0, E.EXP[(3 * E.DLOG[c]) % Qe])

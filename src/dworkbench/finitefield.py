@@ -2,9 +2,11 @@
 
 Elements are integer codes in 0..q-1 whose base-p digits are the coordinates
 in the power basis of a fixed irreducible modulus (for m = 1 the code is the
-residue itself).  Every multiplicative question becomes index arithmetic mod
-q-1, through the EXP and DLOG tables; addition is digitwise, with no table.
-Bulk code arrays go through numpy.
+residue itself).  Every API takes and returns a point as its code, an int
+read as int(x) % q; FqElem only carries the generator.  Every
+multiplicative question becomes index arithmetic mod q-1, through the EXP
+and DLOG tables; addition is digitwise, with no table.  Bulk code arrays go
+through numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSubfield, NotPrime, TooLarge, ZeroInput
+from .errors import BadSubfield, NotPrime, TooLarge
 
 _TABLE_BOUND = 1 << 24
 
@@ -113,71 +115,14 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
 
 
 class FqElem:
-    """Element of an FqField, held as its integer code."""
+    """A code with its field: the form of FqField.generator.  Points are
+    plain integer codes everywhere else."""
 
     __slots__ = ("field", "code")
 
     def __init__(self, field: "FqField", code: int):
         self.field = field
         self.code = code
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def dlog(self) -> int:
-        if self.code == 0:
-            raise ZeroInput("discrete log of zero")
-        return int(self.field.DLOG[self.code])
-
-    def __add__(self, other: "FqElem | int") -> "FqElem":
-        o = self.field.el(other) if isinstance(other, int) else other
-        return FqElem(self.field, self.field.add_code(self.code, o.code))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FqElem":
-        return FqElem(self.field, self.field.neg_code(self.code))
-
-    def __sub__(self, other: "FqElem | int") -> "FqElem":
-        o = self.field.el(other) if isinstance(other, int) else other
-        return self + (-o)
-
-    def __rsub__(self, other: int) -> "FqElem":
-        return self.field.el(other) - self
-
-    def __mul__(self, other: "FqElem | int") -> "FqElem":
-        o = self.field.el(other) if isinstance(other, int) else other
-        return FqElem(self.field, self.field.mul_code(self.code, o.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "FqElem | int") -> "FqElem":
-        o = self.field.el(other) if isinstance(other, int) else other
-        if o.code == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return self * o ** -1
-
-    def __pow__(self, k: int) -> "FqElem":
-        f = self.field
-        if self.code == 0:
-            if k < 0:
-                raise ZeroDivisionError("inverting zero field element")
-            return FqElem(f, 0 if k else 1)
-        d = (self.dlog() * k) % (f.q - 1)
-        return FqElem(f, int(f.EXP[d]))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FqElem):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.el(other).code
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.code))
-
-    def __repr__(self) -> str:
-        return f"Fq[{self.field.q}]({self.code})"
 
 
 class FqField:
@@ -269,32 +214,9 @@ class FqField:
             raise ArithmeticError("a unit has no discrete log")
         self.EXP, self.DLOG = exp, dlog
 
-    # -- element access ----------------------------------------------------
-
-    def el(self, value: int) -> FqElem:
-        """The image of the integer value (an F_p constant)."""
-        return FqElem(self, value % self.p)
-
-    def from_code(self, code: int) -> FqElem:
-        return FqElem(self, code % self.q)
-
     @property
     def generator(self) -> FqElem:
         return FqElem(self, self._gen_code)
-
-    def zero(self) -> FqElem:
-        return FqElem(self, 0)
-
-    def one(self) -> FqElem:
-        return FqElem(self, 1)
-
-    def elements(self) -> Iterator[FqElem]:
-        for c in range(self.q):
-            yield FqElem(self, c)
-
-    def units(self) -> Iterator[FqElem]:
-        for c in range(1, self.q):
-            yield FqElem(self, c)
 
     # -- scalar code arithmetic -------------------------------------------
 
@@ -362,15 +284,14 @@ class FqField:
                 self._trabs = acc
         return self._trabs
 
-    def norm_to_subfield(self, x: FqElem, d: int) -> FqElem:
-        """Norm from F_{p^m} down to F_{p^d}, d | m."""
+    def norm_to_subfield(self, code: int, d: int) -> int:
+        """Norm from F_{p^m} down to F_{p^d}, d | m, as a code."""
         if d < 1 or self.m % d != 0:
             raise BadSubfield(f"degree {d} does not divide {self.m}")
-        if x.code == 0:
-            return self.zero()
+        if code == 0:
+            return 0
         e = (self.q - 1) // (self.p ** d - 1)
-        return FqElem(self, int(self.EXP[(x.dlog() * e) % (self.q - 1)]))
-
+        return int(self.EXP[(int(self.DLOG[code]) * e) % (self.q - 1)])
 
 @lru_cache(maxsize=None)
 def build_field(p: int, m: int = 1) -> FqField:

@@ -97,8 +97,7 @@ class HyperSpec:
         if f.m > 1:
             raise BadParams(f"no degree-{m} extension of F_{f.q} = F_{f.p}^{f.m}: the base field must be prime")
         E = build_field(f.q, m)
-        ncode = E.norm_to_subfield(E.generator, 1).code
-        return E, int(f.DLOG[ncode])
+        return E, int(f.DLOG[E.norm_to_subfield(int(E.EXP[1]), 1)])
 
     @staticmethod
     def from_label(field: FqField, v: WeightVector) -> "HyperSpec":
@@ -124,8 +123,8 @@ class TraceTable:
         self._factor = factor
         self._values = {}
 
-    def value_at(self, t):
-        code = t.code if hasattr(t, "code") else int(t) % self.field.q
+    def value_at(self, t: int):
+        code = int(t) % self.field.q
         if code in (0, 1):
             raise BadT(f"trace undefined at t = {code}")
         if code not in self._values:
@@ -231,7 +230,7 @@ def _trace_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], R: int, N: int
 # -- trace algorithms -------------------------------------------------------
 
 
-def trad_trace_naive(spec: HyperSpec, ts: Sequence, E_degree: int = 1) -> list[CycloElem]:
+def trad_trace_naive(spec: HyperSpec, ts: Sequence[int], E_degree: int = 1) -> list[CycloElem]:
     """Literal character-sum traces over the degree-m extension, one per t.
 
     Enumerates all unit tuples (x_1..x_k, y_1..y_{k-1}) with the last y
@@ -244,7 +243,7 @@ def trad_trace_naive(spec: HyperSpec, ts: Sequence, E_degree: int = 1) -> list[C
     qE = spec.field.q ** E_degree  # refuse before building the extension
     if qE ** (2 * k - 1) > _NAIVE_BUDGET:
         raise Infeasible(f"naive cost {qE}^{2 * k - 1} exceeds budget")
-    t_codes = [t.code if hasattr(t, "code") else int(t) % spec.field.q for t in ts]
+    t_codes = [int(t) % spec.field.q for t in ts]
     if any(c in (0, 1) for c in t_codes):
         raise BadT("trace undefined at t in {0, 1}")
     if not t_codes:
@@ -447,8 +446,8 @@ def _combo(*terms: tuple[int, np.ndarray]) -> np.ndarray:
     return sum(c * v.astype(dtype) for c, v in terms)
 
 
-def _locus_code(spec: HyperSpec, t) -> int:
-    code = t.code if hasattr(t, "code") else int(t) % spec.field.q
+def _locus_code(spec: HyperSpec, t: int) -> int:
+    code = int(t) % spec.field.q
     if code in (0, 1):
         raise BadT("determinant evaluated off the open locus")
     return code
@@ -487,7 +486,7 @@ def _det_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     shift = f.m * sa * int(DLOG[f.neg_code(1)]) if k % 2 == 0 else 0
     shift += sa * int(DLOG[t_code])  # (prod chi)(t)
     if sa != sb:  # (prod rho / prod chi)(1 - t)
-        shift += (sb - sa) * int(DLOG[(f.one() - f.from_code(t_code)).code])
+        shift += (sb - sa) * int(DLOG[f.add_code(1, f.neg_code(t_code))])
     return _combo((((-1) ** k * f.q ** (k * (k - 1) // 2)) ** f.m, np.roll(D, p * (shift % N))))
 
 
@@ -518,7 +517,7 @@ def _newton_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     return _combo((1, cconv(p11, ps[0])), (-3, cconv(ps[0], ps[1])), (2, ps[2]))
 
 
-def det_trad(spec: HyperSpec, t) -> CycloElem:
+def det_trad(spec: HyperSpec, t: int) -> CycloElem:
     """Closed-form determinant of the rank-k Frobenius action at t.
 
     Constant part: product over S_chi of chi((-1)^{k-1}), times
@@ -534,7 +533,7 @@ def det_trad(spec: HyperSpec, t) -> CycloElem:
     return to_cyclo(_det_counts(spec, t_code), L)
 
 
-def det_via_newton(spec: HyperSpec, t) -> CycloElem:
+def det_via_newton(spec: HyperSpec, t: int) -> CycloElem:
     """Determinant reconstructed from traces over the first k extensions.
 
     Power sums p_m are single-point convolution traces over F_{q^m};
@@ -549,7 +548,7 @@ def det_via_newton(spec: HyperSpec, t) -> CycloElem:
     return to_cyclo(_newton_counts(spec, t_code), L, den=math.factorial(spec.k))
 
 
-def det_agrees(spec: HyperSpec, t) -> bool:
+def det_agrees(spec: HyperSpec, t: int) -> bool:
     """Whether det_trad and det_via_newton agree at t, exactly: k! det minus
     Newton's counts must vanish in Q(zeta_L).  Both costs are refused
     before either side is built, and no Q(zeta_L) context is."""
@@ -571,8 +570,7 @@ def lambda_can(field: FqField, N: int, a: int, n: int) -> CycloElem:
     tch = teich_char(field, N)
     chi = tch ** (a % N)
     M = field.p * N
-    neg1 = field.el(-1) if (n - 1) % 2 == 1 else field.one()
-    out = chi(neg1).coerce(M)
+    out = chi(field.neg_code(1) if (n - 1) % 2 == 1 else 1).coerce(M)
     out = out * (-gauss_sum(psibar, chi)).coerce(M)
     if not chi.is_trivial():
         # (-g(psi, chi))^{-1} = (-g(psibar, chibar)) / q
@@ -595,9 +593,8 @@ def verify_det_hcan(n: int, N: int, q: int) -> dict:
     spec = HyperSpec.from_label(field, build_v(n, N))
     M = field.p * N
     pin = phi_inverse(field, N, spec.s_chi, spec.s_rho)
-    t0, t1 = field.el(2), field.el(3)
-    lhs = det_trad(spec, t0) * pin ** n
-    lhs_other = det_trad(spec, t1) * pin ** n
+    lhs = det_trad(spec, 2) * pin ** n
+    lhs_other = det_trad(spec, 3) * pin ** n
     lam_prod = CycloElem.one(M)
     for a in spec.s_chi:
         lam_prod = lam_prod * lambda_can(field, N, a, n)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworkbench.characters import (
@@ -20,25 +20,23 @@ from dworkbench.finitefield import build_field
 
 def test_mult_char_multiplicative(f13):
     chi = MultChar(f13, 3)
-    for a in range(1, 13):
-        for b in range(1, 13):
-            x, y = f13.el(a), f13.el(b)
-            assert chi(x * y) == chi(x) * chi(y)
-    assert chi(f13.zero()).is_zero()
+    for x in range(1, 13):
+        for y in range(1, 13):
+            assert chi(f13.mul_code(x, y)) == chi(x) * chi(y)
+    assert chi(0).is_zero()
 
 
 def test_add_char_homomorphism(f13):
     psi = AddChar(f13)
-    for a in range(13):
-        for b in range(13):
-            x, y = f13.el(a), f13.el(b)
-            assert psi(x + y) == psi(x) * psi(y)
+    for x in range(13):
+        for y in range(13):
+            assert psi(f13.add_code(x, y)) == psi(x) * psi(y)
 
 
 def test_add_char_orthogonality(f13):
     psi = AddChar(f13)
     acc = CycloElem.zero(13)
-    for x in f13.elements():
+    for x in range(f13.q):
         acc = acc + psi(x)
     assert acc.is_zero()
 
@@ -46,7 +44,7 @@ def test_add_char_orthogonality(f13):
 def test_teich_char_has_exact_order(f29):
     chi = teich_char(f29, 7)
     assert chi.order == 7
-    g = f29.generator
+    g = f29.generator.code
     assert chi(g).coerce(7) == root_of_unity(7)
     with pytest.raises(BadN):
         teich_char(f29, 5)
@@ -82,7 +80,7 @@ def test_gauss_conjugate_reflection(f13):
     for j in range(1, 12):
         chi = MultChar(f13, j)
         lhs = gauss_sum(psi, chi.bar())
-        rhs = _mul(chi(f13.el(-1)), gauss_sum(psi, chi).conjugate())
+        rhs = _mul(chi(f13.neg_code(1)), gauss_sum(psi, chi).conjugate())
         a, b = common(lhs, rhs)
         assert a == b
 
@@ -157,7 +155,27 @@ FIELDS = ((5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2))
 @st.composite
 def field_psi(draw):
     f = build_field(*draw(st.sampled_from(FIELDS)))
-    return f, AddChar(f, f.from_code(draw(st.integers(1, f.q - 1))))
+    return f, AddChar(f, draw(st.integers(1, f.q - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 10 ** 6))
+@example((3, 2), 1)
+@example((5, 2), 7)
+@example((7, 2), 5)
+def test_characters_read_every_argument_as_a_code(pm, j):
+    # the shift c and every point are codes mod q, never F_p constants: over
+    # F_{p^2} psibar negates c digitwise, and chi reads a code x >= p
+    # through dlog x
+    f = build_field(*pm)
+    for c in range(f.q):
+        psi = AddChar(f, c)
+        bar = psi.bar()
+        assert bar.c == f.neg_code(c), c
+        assert all((psi.exp_of(x) + bar.exp_of(x)) % f.p == 0 for x in range(f.q)), c
+    chi = MultChar(f, j)
+    for x in range(f.p, f.q):
+        assert chi(x) == root_of_unity(chi.order, chi.j0 * int(f.DLOG[x])), x
 
 
 def _gauss_loop(psi, chi):
@@ -190,7 +208,7 @@ def _jacobi_loop(a, b):
 def test_gauss_sum_times_its_conjugate_character(fpsi, data):
     f, psi = fpsi
     chi = MultChar(f, data.draw(st.integers(1, f.q - 2)))
-    sign = chi(f.el(-1)).as_rational()
+    sign = chi(f.neg_code(1)).as_rational()
     assert sign in (1, -1)
     assert _mul(gauss_sum(psi, chi), gauss_sum(psi, chi.bar())) == sign * f.q
 
@@ -202,7 +220,7 @@ def test_jacobi_times_gauss_is_a_gauss_product(fpsi, data):
     a = data.draw(st.integers(1, f.q - 2))
     b = data.draw(st.integers(1, f.q - 2).filter(lambda b: (a + b) % (f.q - 1)))
     A, B = MultChar(f, a), MultChar(f, b)
-    lhs, rhs = common(_mul(jacobi_sum(A, B), gauss_sum(psi, A * B)), _mul(gauss_sum(psi, A), gauss_sum(psi, B)))
+    lhs, rhs = common(_mul(jacobi_sum(A, B), gauss_sum(psi, MultChar(f, a + b))), _mul(gauss_sum(psi, A), gauss_sum(psi, B)))
     assert lhs == rhs
 
 

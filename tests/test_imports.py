@@ -88,12 +88,11 @@ def _references(tree):
     return out
 
 
-def test_every_symbol_is_used():
-    # a top-level function or class, or a non-dunder method, that nothing in
-    # the source, the tests or the benchmark refers to outside its own body
-    root = SRC.parent.parent
-    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    trees = {path: ast.parse(path.read_text()) for path in files}
+def _unreferenced(user_dirs):
+    """Top-level functions and classes, and non-dunder methods, of the
+    program that nothing in the files of user_dirs refers to outside its
+    own body, as "module.py:name"."""
+    trees = {path: ast.parse(path.read_text()) for d in user_dirs for path in d.glob("*.py")}
     total = sum((_references(tree) for tree in trees.values()), Counter())
     defs = [
         (path.name, node)
@@ -102,13 +101,50 @@ def test_every_symbol_is_used():
         for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
-    unused = sorted(
+    return sorted(
         f"{name}:{node.name}"
         for name, node in defs
         if not (node.name.startswith("__") and node.name.endswith("__"))
         and total[node.name] <= _references(node)[node.name]
     )
+
+
+def test_every_symbol_is_used():
+    # a top-level function or class, or a non-dunder method, that nothing in
+    # the source, the tests or the benchmark refers to outside its own body
+    root = SRC.parent.parent
+    unused = _unreferenced([SRC, root / "tests", root / "perfbench"])
     assert not unused, f"defined but never referenced: {unused}"
+
+
+# program code that only tests call on purpose: the literal scan the
+# eigentrace engine is tested against, and the byte-determinism API
+_TEST_ONLY = {"dwork.py:eigentrace_scan", "harness.py:canonical_bytes"}
+
+
+def test_every_symbol_has_a_program_user():
+    # as test_every_symbol_is_used, with the tests no longer counted as users
+    unused = _unreferenced([SRC, SRC.parent.parent / "perfbench"])
+    assert set(unused) - _TEST_ONLY == set(), f"only tests refer to: {sorted(set(unused) - _TEST_ONLY)}"
+
+
+def test_field_points_are_codes():
+    # a field point is its integer code in every program API: only
+    # finitefield.py names FqElem, the form of FqField.generator, and no
+    # module forks on whether an argument carries a code attribute
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        hits = [] if path.name == "finitefield.py" else sorted({"FqElem"} & _references(tree).keys())
+        hits += [
+            f"hasattr at line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr"
+            and any(isinstance(arg, ast.Constant) and arg.value == "code" for arg in node.args[1:])
+        ]
+        if hits:
+            found[path.name] = hits
+    assert not found, f"field points as objects outside finitefield.py: {found}"
 
 
 def test_program_import_leaves_openssl_unloaded():
