@@ -2,10 +2,10 @@
 
 Every entry of golden_digests.json is the sha256 of one run's canonical
 report bytes: a check's `canonical_bytes()`, a campaign's reports joined by
-newlines, a CLI command's standard output, or a trace table's exact values
-as JSON.  A change that claims
-identical bytes changes no entry; one that changes bytes on purpose
-regenerates the entries it changes with
+newlines, a CLI command's standard output or the report file it writes
+(without its runtime_ms line), or a trace table's exact values as JSON.
+A change that claims identical bytes changes no entry; one that changes
+bytes on purpose regenerates the entries it changes with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -17,6 +17,8 @@ import hashlib
 import io
 import json
 import pathlib
+import re
+import tempfile
 
 import pytest
 
@@ -62,6 +64,18 @@ def _cli(*argv):
     return out.getvalue().encode()
 
 
+def _cli_report(*argv):
+    """The bytes of the report file that a verify command writes with
+    --json, its runtime_ms line removed."""
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "report.json"
+        _cli(*argv, "--json", str(path))
+        data = path.read_bytes()
+    stripped, count = re.subn(rb'\n "runtime_ms": [0-9]+,', b"", data)
+    assert count == 1
+    return stripped
+
+
 RUNS = {
     **{f"campaign+psi2 seed={s}": (lambda s=s: _campaign(s)) for s in range(4)},
     **{f"katz{f} seed={s}": (lambda f=f, s=s: [harness.katz_check(*f, seed=s).to_result()])
@@ -89,6 +103,11 @@ RUNS = {
     "cli char gauss q=29 order=7": lambda: _cli("char", "gauss", "--q", "29", "--chi-order", "7", "--json"),
     "cli hyper trace conv (2, 7, 29)": lambda: _cli("hyper", "trace", "--q", "29", "--n", "2", "--N", "7",
                                                     "--method", "conv", "--json"),
+    "cli verify katz (4, 17, 103)": lambda: _cli("verify", "katz", "--n", "4", "--N", "17", "--q", "103"),
+    "cli verify katz (4, 17, 103) --json": lambda: _cli_report("verify", "katz", "--n", "4", "--N", "17", "--q", "103"),
+    "cli verify n3 q=13": lambda: _cli("verify", "n3", "--q", "13"),
+    "cli verify n3 q=13 --json": lambda: _cli_report("verify", "n3", "--q", "13"),
+    "cli verify det-hcan (2, 7, 29)": lambda: _cli("verify", "det-hcan", "--q", "29", "--n", "2", "--N", "7"),
     **{f"signs {SIGN_LS} seed={s}": (lambda s=s: [harness.check_signs(ls=SIGN_LS, seed=s)]) for s in (0, 1)},
 }
 
