@@ -126,20 +126,17 @@ def _cmd_signs(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.action == "katz":
-        rep = katz_check(args.n, args.N, args.q)
-        res = rep.to_result()
+        res = katz_check(args.n, args.N, args.q)
         if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(res.to_json(), fh, indent=1, sort_keys=True)
-        lam = f" lambda={rep.lam}" if rep.lam is not None else ""
+            res.write(args.json)
+        lam = f" lambda={res.lam}" if res.lam is not None else ""
         print(f"katz n={args.n} N={args.N} q={args.q}: "
-              f"{'PASS' if res.ok else 'FAIL'} orientation={rep.orientation}{lam}")
+              f"{'PASS' if res.ok else 'FAIL'} orientation={res.orientation}{lam}")
         return 0 if res.ok else 1
     if args.action == "n3":
         res = validate_n3(args.q)
         if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(res.to_json(), fh, indent=1, sort_keys=True)
+            res.write(args.json)
         print(f"n3 q={args.q}: {'PASS' if res.ok else 'FAIL'}")
         return 0 if res.ok else 1
     if args.action == "det-trad":

@@ -9,19 +9,20 @@ bytes are identical across runs and processes.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .characters import AddChar, MultChar, gauss_exponents, jacobi_exponents
-from .cyclotomic import CycloElem, common, ctx_for, exponent_counts, root_of_unity, shared_json, to_cyclo, vanishes
+from .cyclotomic import CycloElem, common, exponent_counts, root_of_unity, shared_json, vanishes
 from .dwork import (
     DworkFiber,
     GroupElement,
@@ -34,12 +35,12 @@ from .errors import AllRatiosUndefined, BadParams, ConfigError, Infeasible, Miss
 from .finitefield import build_field, is_prime
 from .hypergeometric import (
     HyperSpec,
-    _trad_rows,
     canonical_paths_compare,
     canonical_trace,
     det_agrees,
     lambda_can,
     mellin_agrees,
+    trad_trace_conv,
     trad_trace_naive,
     verify_det_hcan,
 )
@@ -56,8 +57,8 @@ class CheckResult:
     ok: bool
     adjudications: dict
     rows: list
-    runtime_ms: int
     seed: int
+    runtime_ms: int = 0  # stamped by _timed
 
     def to_json(self) -> dict:
         return {
@@ -74,6 +75,23 @@ class CheckResult:
         d = self.to_json()
         d.pop("runtime_ms")
         return json.dumps(d, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+
+    def write(self, path: str) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
+
+
+def _timed(run):
+    """Stamp the wall time of each call of a check runner on its report."""
+
+    @functools.wraps(run)
+    def timed(*args, **kwargs):
+        t0 = time.monotonic()
+        res = run(*args, **kwargs)
+        res.runtime_ms = int((time.monotonic() - t0) * 1000)
+        return res
+
+    return timed
 
 
 def _digest(parts: Iterable[bytes]) -> str:
@@ -93,55 +111,19 @@ def _adj(orientation: str | None = None, det_hcan: str | None = None) -> dict:
 # -- eigentrace vs pulled-back canonical trace ------------------------------
 
 
-@dataclass
-class KatzReport:
-    n: int
-    N: int
-    q: int
-    orientation: str | None
-    ratios: dict
+@dataclass(kw_only=True)
+class KatzReport(CheckResult):
+    """A katz report, with the values its callers read besides the params."""
+
     lam: CycloElem | None
+    orientation: str | None
     constant: bool
     weight_ok: bool
-    lam_integral: bool
-    skipped: dict
-    rows: list
-    control_constant: bool | None = None
-    both_constant: bool = False
-    image_points: int = 0
-    runtime_ms: int = 0
-    seed: int = 0
-    # each distinct value's JSON, shared by the rows and lambda (see shared_json)
-    memo: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    control_constant: bool | None
 
     def to_result(self) -> CheckResult:
-        params = {
-            "n": self.n,
-            "N": self.N,
-            "q": self.q,
-            "lambda": shared_json(self.lam, self.memo) if self.lam is not None else None,
-            "constant": self.constant,
-            "weight_ok": self.weight_ok,
-            "lambda_integral": self.lam_integral,
-            "skipped": {str(t): why for t, why in sorted(self.skipped.items())},
-            "perturbed_control_constant": self.control_constant,
-            "both_orientations_constant": self.both_constant,
-            "image_points": self.image_points,
-        }
-        ok = (
-            self.constant
-            and self.weight_ok
-            and (self.control_constant is not True)
-        )
-        return CheckResult(
-            check="katz",
-            params=params,
-            ok=ok,
-            adjudications=_adj(orientation=self.orientation),
-            rows=self.rows,
-            runtime_ms=self.runtime_ms,
-            seed=self.seed,
-        )
+        # the report itself; perfbench/run.py and tests/test_acceptance.py call it
+        return self
 
 
 def _ratio_table(ev_values: dict, can_table, N: int, q: int) -> tuple[dict, dict]:
@@ -169,13 +151,8 @@ def _constant(keys: Iterable[tuple[CycloElem, int]], can: dict) -> bool:
     return all(a * can[tn0] == a0 * can[tn] for a, tn in distinct)
 
 
-def katz_check(
-    n: int,
-    N: int,
-    q: int,
-    seed: int = 0,
-    with_control: bool = True,
-) -> KatzReport:
+@_timed
+def katz_check(n: int, N: int, q: int, seed: int = 0) -> KatzReport:
     """Ratio test: eigentrace over canonical trace at t^N is one constant.
 
     Both orientations of the canonical table are tried by cross-products
@@ -188,14 +165,11 @@ def katz_check(
     two coordinates where they differ last, and the control's torus resumes
     from the label's after their N - 2 shared steps.
     """
-    t0 = time.monotonic()
     v = build_v(n, N)
     field = build_field(q)
-    label = v.entries
-    if with_control:
-        control = _control_label(label, N)
-        order = sorted(range(N), key=lambda i: label[i] != control[i])
-        label, control = (tuple(x[i] for i in order) for x in (label, control))
+    control = _control_label(v.entries, N)
+    order = sorted(range(N), key=lambda i: v.entries[i] != control[i])
+    label, control = (tuple(x[i] for i in order) for x in (v.entries, control))
     orbits: dict = {}
     ev = eigentrace_all_t(field, N, label, orbits)
     if not ev:
@@ -211,59 +185,62 @@ def katz_check(
     chosen = [o for o in oriented if _constant(keys.values(), oriented[o])]
     # self-dual labels can leave both orientations constant: prefer direct
     orientation = chosen[0] if chosen else None
-    both_constant = len(chosen) == 2
     if orientation is None:
         # ambiguous or failed: report the direct side's quotients, not constant
-        quotient = {key: key[0] / direct[key[1]] for key in set(keys.values())}
-        ratios = {t: quotient[key] for t, key in keys.items()}
-        constant = False
         lam = None
+        ratio = {key: key[0] / direct[key[1]] for key in set(keys.values())}
         weight_ok = False
-        integral = False
     else:
         a0, tn0 = next(iter(keys.values()))
         lam = a0 / oriented[orientation][tn0]
-        ratios = dict.fromkeys(keys, lam)
-        constant = True
+        ratio = dict.fromkeys(keys.values(), lam)
         weight_ok = lam * lam.conjugate() == q ** (N - n - 1)
-        integral = lam.denominator() == 1
 
+    # each distinct value's JSON, shared by the rows and lambda (see shared_json)
     memo: dict[CycloElem, dict] = {}
     rows = []
     for t in sorted(ev):
         row = {"t": t, "T_v": shared_json(ev[t].value, memo), "T_can_at_tN": shared_json(can_table.value_at(pow(t, N, q)), memo)}
-        if t in ratios:
-            row["ratio"] = shared_json(ratios[t], memo)
+        if t in keys:
+            row["ratio"] = shared_json(ratio[keys[t]], memo)
         else:
             row["skip"] = skipped[t]
         rows.append(row)
 
     control_constant = None
     image_points = len({pow(t, N, q) for t in ev})
-    if with_control and image_points > 1:
+    if image_points > 1:
         # a single image point makes every ratio table trivially constant,
         # so the control is only meaningful with at least two
         keys_p, _ = _ratio_table(eigentrace_all_t(field, N, control, orbits), can_table, N, q)
         control_constant = bool(keys_p) and _constant(keys_p.values(), oriented[orientation or "direct"])
 
+    constant = orientation is not None
+    params = {
+        "n": n,
+        "N": N,
+        "q": q,
+        "lambda": shared_json(lam, memo) if constant else None,
+        "constant": constant,
+        "weight_ok": weight_ok,
+        "lambda_integral": constant and lam.denominator() == 1,
+        "skipped": {str(t): why for t, why in sorted(skipped.items())},
+        "perturbed_control_constant": control_constant,
+        "both_orientations_constant": len(chosen) == 2,
+        "image_points": image_points,
+    }
     return KatzReport(
-        n=n,
-        N=N,
-        q=q,
-        orientation=orientation,
-        ratios=ratios,
+        check="katz",
+        params=params,
+        ok=constant and weight_ok and control_constant is not True,
+        adjudications=_adj(orientation=orientation),
+        rows=rows,
+        seed=seed,
         lam=lam,
+        orientation=orientation,
         constant=constant,
         weight_ok=weight_ok,
-        lam_integral=integral,
-        skipped=skipped,
-        rows=rows,
         control_constant=control_constant,
-        both_constant=both_constant,
-        image_points=image_points,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-        seed=seed,
-        memo=memo,
     )
 
 
@@ -293,6 +270,7 @@ def _control_label(entries: tuple[int, ...], N: int) -> tuple[int, ...]:
 _N3_LABELS = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
 
 
+@_timed
 def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
     """Charsum versus brute-force equivariant fixed points, all smooth t.
 
@@ -302,7 +280,6 @@ def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
     curve's invariant classes 1 + q.  The corrupt flag injects a wrong
     stratum value to prove the oracle can fail.
     """
-    t0 = time.monotonic()
     field = build_field(q)
     gs = [GroupElement(3, e) for e in _N3_LABELS]
     smooth = [t for t in range(1, q) if DworkFiber(field, 3, t).is_smooth()]
@@ -336,7 +313,6 @@ def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
         ok=ok,
         adjudications=_adj(),
         rows=rows,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
         seed=seed,
     )
 
@@ -344,6 +320,7 @@ def validate_n3(q: int, corrupt: bool = False, seed: int = 0) -> CheckResult:
 # -- determinant weight note ------------------------------------------------
 
 
+@_timed
 def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResult:
     """Weight consistency of the predicted determinant character.
 
@@ -357,7 +334,6 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
     companion wedge character's triviality is recorded as an external
     assertion, untested.
     """
-    t0 = time.monotonic()
     if lam is None:
         raise MissingLambda("run the ratio comparison first to extract the constant")
     field = build_field(q)
@@ -380,7 +356,6 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
         ok=weight_ok,
         adjudications=_adj(),
         rows=rows,
-        runtime_ms=int((time.monotonic() - t0) * 1000),
         seed=0,
     )
 
@@ -388,8 +363,8 @@ def psi2_weight_note(n: int, N: int, q: int, lam: CycloElem | None) -> CheckResu
 # -- criterion runners ------------------------------------------------------
 
 
+@_timed
 def check_build_v(seed: int = 0) -> CheckResult:
-    t0 = time.monotonic()
     rows = []
     ok = True
     want49 = (0, 0, 0, 0, 0, 2, 3, 5, 8)
@@ -401,7 +376,7 @@ def check_build_v(seed: int = 0) -> CheckResult:
         sd = is_self_dual(v)
         rows.append({"case": f"rank/self-dual ({n},{N})", "rank": r, "self_dual": sd, "ok": r == n and sd == (n == 2)})
     ok = all(r["ok"] for r in rows)
-    return CheckResult("build-v", {}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("build-v", {}, ok, _adj(), rows, seed)
 
 
 # characters or Jacobi pairs per vectorised step of the gauss suite: at
@@ -427,6 +402,7 @@ def _jacobi_counts(J: np.ndarray, G: np.ndarray, a: np.ndarray, b: np.ndarray, M
     return lhs - exponent_counts(G[a][:, :, None] + G[b][:, None, :], M)
 
 
+@_timed
 def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: int = 150) -> CheckResult:
     """g(psi,1) = -1; g conj(g) = q for nontrivial chi; Jacobi factorization.
 
@@ -434,7 +410,6 @@ def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: in
     of sums is the outer sum of their exponents, and each identity holds iff
     the count vector of its two sides' difference vanishes in Q(zeta_M).
     """
-    t0 = time.monotonic()
     B = _SUITE_BLOCK
     rows = []
     for q in qs:
@@ -459,9 +434,10 @@ def check_gauss_suite(qs: Sequence[int] = (7, 13, 29), seed: int = 0, sample: in
         )
         rows.append({"q": q, "trivial_is_minus_one": triv_ok, "modulus": bool(mod_ok), "jacobi_pairs": len(pairs), "jacobi": bool(jac_ok)})
     ok = all(r["trivial_is_minus_one"] and r["modulus"] and r["jacobi"] for r in rows)
-    return CheckResult("gauss-suite", {"qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("gauss-suite", {"qs": list(qs)}, ok, _adj(), rows, seed)
 
 
+@_timed
 def check_hyper_cross(n: int = 2, N: int = 7, q: int = 29, seed: int = 0) -> CheckResult:
     """Convolution, naive, and Gauss-sum Mellin traces agree on the canonical data.
 
@@ -469,30 +445,24 @@ def check_hyper_cross(n: int = 2, N: int = 7, q: int = 29, seed: int = 0) -> Che
     elements of Q(zeta_pN), and mellin_ok decides on count vectors over
     Z/p(q-1) (see mellin_agrees).
     """
-    t0 = time.monotonic()
     field = build_field(q)
     spec = HyperSpec.from_label(field, build_v(n, N))
-    ctx_for(field.p * N)  # the rows become elements of Q(zeta_pN)
-    _, C = _trad_rows(spec, 1)
-    mellin_ok = mellin_agrees(spec, C)
+    table = trad_trace_conv(spec)
+    mellin_ok = mellin_agrees(spec, table.counts)
     ts = range(2, q)
     rows = []
     values = []
     for t, naive in zip(ts, trad_trace_naive(spec, ts)):
-        d = int(field.DLOG[t])
-        cv = to_cyclo(C[d], field.p * N)
+        cv = table.value_at(t)
         values.append(cv)
-        rows.append({"t": t, "conv_eq_naive": cv == naive, "mellin_ok": bool(mellin_ok[d])})
+        rows.append({"t": t, "conv_eq_naive": cv == naive, "mellin_ok": bool(mellin_ok[field.DLOG[t]])})
     digest = _digest(json.dumps(v.to_json(), sort_keys=True).encode() for v in values)
     ok = all(r["conv_eq_naive"] and r["mellin_ok"] for r in rows)
-    return CheckResult(
-        "hyper-cross", {"n": n, "N": N, "q": q, "values_sha256": digest}, ok, _adj(), rows,
-        int((time.monotonic() - t0) * 1000), seed,
-    )
+    return CheckResult("hyper-cross", {"n": n, "N": N, "q": q, "values_sha256": digest}, ok, _adj(), rows, seed)
 
 
+@_timed
 def check_canonical_paths(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), seed: int = 0) -> CheckResult:
-    t0 = time.monotonic()
     rows = []
     for q in qs:
         field = build_field(q)
@@ -500,7 +470,7 @@ def check_canonical_paths(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), 
         agree, sign = canonical_paths_compare(spec)
         rows.append({"q": q, "agree": agree, "global_sign": sign})
     ok = all(r["agree"] for r in rows) and len({r["global_sign"] for r in rows}) == 1
-    return CheckResult("canonical-paths", {"n": n, "N": N, "qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("canonical-paths", {"n": n, "N": N, "qs": list(qs)}, ok, _adj(), rows, seed)
 
 
 def _random_disjoint_spec(field, rng: random.Random, k: int, force_equal_sums: bool):
@@ -514,6 +484,7 @@ def _random_disjoint_spec(field, rng: random.Random, k: int, force_equal_sums: b
     raise Infeasible("could not sample a disjoint spec")
 
 
+@_timed
 def check_det_oracle(q: int = 29, k: int = 2, count: int = 6, seed: int = 0) -> CheckResult:
     """det by closed formula equals det from power-sum traces, both cases,
     decided on count vectors (see det_agrees)."""
@@ -523,7 +494,6 @@ def check_det_oracle(q: int = 29, k: int = 2, count: int = 6, seed: int = 0) -> 
         raise BadParams(f"det-oracle needs k in (2, 3), not {k}")
     if q < 5:
         raise BadParams(f"det-oracle needs q >= 5, not {q}")
-    t0 = time.monotonic()
     field = build_field(q)
     rng = random.Random(seed * 104729 + q)
     rows = []
@@ -537,11 +507,11 @@ def check_det_oracle(q: int = 29, k: int = 2, count: int = 6, seed: int = 0) -> 
             "ok": det_agrees(spec, t),
         })
     ok = all(r["ok"] for r in rows) and {r["kummer_case"] for r in rows} == {"absent", "present"}
-    return CheckResult("det-oracle", {"q": q, "k": k, "count": count}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("det-oracle", {"q": q, "k": k, "count": count}, ok, _adj(), rows, seed)
 
 
+@_timed
 def check_det_hcan(seed: int = 0) -> CheckResult:
-    t0 = time.monotonic()
     rows = []
     for n, N, q in ((2, 7, 29), (2, 7, 43), (4, 9, 19)):
         r = verify_det_hcan(n, N, q)
@@ -549,16 +519,16 @@ def check_det_hcan(seed: int = 0) -> CheckResult:
     exps = {r["exponent"] for r in rows}
     ok = all(r["exponent"] in ("half", "full") for r in rows) and len(exps) == 1 and all(r["point_independent"] for r in rows)
     det_exp = rows[0]["exponent"] if len(exps) == 1 else None
-    return CheckResult("det-hcan", {}, ok, _adj(det_hcan=det_exp), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("det-hcan", {}, ok, _adj(det_hcan=det_exp), rows, seed)
 
 
+@_timed
 def check_weil_duality(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), seed: int = 0) -> CheckResult:
     """Purity bound at every computed point; translate and duality laws.
 
     T_v(t) depends only on t^N, so the exact purity test runs once per
     distinct value.
     """
-    t0 = time.monotonic()
     rows = []
     for q in qs:
         field = build_field(q)
@@ -573,9 +543,10 @@ def check_weil_duality(n: int = 2, N: int = 7, qs: Sequence[int] = (29, 43), see
         dual_ok = all(tab_n[t].value == tab[t].value.conjugate() for t in tab)
         rows.append({"q": q, "weil": weil_ok, "translate": translate_ok, "duality": dual_ok, "points": len(tab)})
     ok = all(r["weil"] and r["translate"] and r["duality"] for r in rows)
-    return CheckResult("weil-duality", {"n": n, "N": N, "qs": list(qs)}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("weil-duality", {"n": n, "N": N, "qs": list(qs)}, ok, _adj(), rows, seed)
 
 
+@_timed
 def check_signs(ls: Sequence[int] = (5, 13), count: int = 100, seed: int = 0) -> CheckResult:
     """Sign product law on randomized examples; det pairing always -1.
 
@@ -589,7 +560,6 @@ def check_signs(ls: Sequence[int] = (5, 13), count: int = 100, seed: int = 0) ->
         require_odd_prime(l)
     if count < 1:
         raise BadParams(f"count = {count} must be at least 1")
-    t0 = time.monotonic()
     rows = []
     for l in ls:
         rng = random.Random(seed * 31337 + l)
@@ -607,7 +577,7 @@ def check_signs(ls: Sequence[int] = (5, 13), count: int = 100, seed: int = 0) ->
                 det_ok = False
         rows.append({"l": l, "count": count, "sign_law": law_ok, "det_pairing_minus_one": det_ok})
     ok = all(r["sign_law"] and r["det_pairing_minus_one"] for r in rows)
-    return CheckResult("signs", {"ls": list(ls), "count": count}, ok, _adj(), rows, int((time.monotonic() - t0) * 1000), seed)
+    return CheckResult("signs", {"ls": list(ls), "count": count}, ok, _adj(), rows, seed)
 
 
 # -- campaign orchestration -------------------------------------------------
@@ -705,8 +675,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
     def add(r: CheckResult) -> None:
         """Keep a report, written to outdir at once so that a later refusal leaves it."""
         if cfg.outdir:
-            with open(os.path.join(cfg.outdir, f"{len(results):02d}-{r.check}.json"), "w") as fh:
-                json.dump(r.to_json(), fh, indent=1, sort_keys=True)
+            r.write(os.path.join(cfg.outdir, f"{len(results):02d}-{r.check}.json"))
         results.append(r)
 
     for name in cfg.checks:
@@ -730,7 +699,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
                 rep = katz_check(cfg.n, cfg.N, q, seed=cfg.seed)
                 if rep.lam is not None:
                     lam_by_q[q] = rep.lam
-                add(rep.to_result())
+                add(rep)
         elif name == "weil-duality":
             add(check_weil_duality(cfg.n, cfg.N, qs=cfg.qs, seed=cfg.seed))
         elif name == "signs":
@@ -739,7 +708,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[CheckResult]]:
             for q in cfg.qs:
                 lam = lam_by_q.get(q)
                 if lam is None:
-                    lam = katz_check(cfg.n, cfg.N, q, seed=cfg.seed, with_control=False).lam
+                    lam = katz_check(cfg.n, cfg.N, q, seed=cfg.seed).lam
                 add(psi2_weight_note(cfg.n, cfg.N, q, lam))
 
     ok = all(r.ok for r in results)

@@ -114,12 +114,12 @@ class TraceTable:
     exponent counts over Z/M in row dlog t of counts (times factor, if one
     is given), is made on its first read and kept."""
 
-    __slots__ = ("field", "M", "_counts", "_factor", "_values")
+    __slots__ = ("field", "M", "counts", "_factor", "_values")
 
     def __init__(self, field: FqField, M: int, counts: np.ndarray, factor: CycloElem | None = None):
         self.field = field
         self.M = M
-        self._counts = counts
+        self.counts = counts
         self._factor = factor
         self._values = {}
 
@@ -128,7 +128,7 @@ class TraceTable:
         if code in (0, 1):
             raise BadT(f"trace undefined at t = {code}")
         if code not in self._values:
-            value = to_cyclo(self._counts[self.field.DLOG[code]].tolist(), self.M)
+            value = to_cyclo(self.counts[self.field.DLOG[code]].tolist(), self.M)
             self._values[code] = value if self._factor is None else value * self._factor
         return self._values[code]
 

@@ -1,7 +1,11 @@
+import inspect
+import itertools
 import json
 import operator
 import random
 import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from dworkbench.weights import build_v
 
 
 def test_check_result_round_trip():
-    res = CheckResult("demo", {"q": 7}, True, {"orientation": None, "conv_sign": "-1", "det_hcan_exponent": None}, [{"x": 1}], 42, 0)
+    res = CheckResult("demo", {"q": 7}, True, {"orientation": None, "conv_sign": "-1", "det_hcan_exponent": None}, [{"x": 1}], 0, 42)
     obj = res.to_json()
     assert obj["check"] == "demo"
     assert obj["pass"] is True
@@ -40,8 +44,8 @@ def test_check_result_round_trip():
 
 
 def test_canonical_bytes_exclude_timing():
-    a = CheckResult("demo", {"q": 7}, True, {}, [], 10, 0)
-    b = CheckResult("demo", {"q": 7}, True, {}, [], 9999, 0)
+    a = CheckResult("demo", {"q": 7}, True, {}, [], 0, 10)
+    b = CheckResult("demo", {"q": 7}, True, {}, [], 0, 9999)
     assert a.canonical_bytes() == b.canonical_bytes()
     # canonical form is valid compact json
     parsed = json.loads(a.canonical_bytes())
@@ -101,7 +105,7 @@ def test_psi2_needs_lambda():
 
 
 def test_psi2_weight_closes(f29):
-    rep = katz_check(2, 7, 29, with_control=False)
+    rep = katz_check(2, 7, 29)
     note = psi2_weight_note(2, 7, 29, rep.lam)
     assert note.ok
     assert [r["abs2_is_target"] for r in note.rows if "abs2_is_target" in r] == [True]
@@ -180,9 +184,9 @@ def test_config_rejections_name_the_offending_line(text):
 
 
 def test_hyper_cross_mellin_fails_at_exactly_the_corrupted_t(monkeypatch):
-    from dworkbench import harness
+    from dworkbench import hypergeometric
 
-    real = harness._trad_rows
+    real = hypergeometric._trad_rows
 
     def corrupted(spec, m):
         E, C = real(spec, m)
@@ -190,7 +194,7 @@ def test_hyper_cross_mellin_fails_at_exactly_the_corrupted_t(monkeypatch):
         C[int(E.DLOG[11]), 5] += 1
         return E, C
 
-    monkeypatch.setattr(harness, "_trad_rows", corrupted)
+    monkeypatch.setattr(hypergeometric, "_trad_rows", corrupted)
     res = check_hyper_cross(2, 7, 29)
     assert not res.ok
     assert [r["t"] for r in res.rows if not r["mellin_ok"]] == [11]
@@ -282,6 +286,26 @@ def test_campaign_small_run(tmp_path):
     assert payload["pass"] is True
 
 
+def test_every_report_is_a_check_result_timed_and_written_in_one_place(monkeypatch, tmp_path):
+    # katz's report is a CheckResult that a campaign writes as it is, and
+    # every runner's runtime_ms comes from the one timer, read twice a call
+    from dworkbench import harness
+
+    assert isinstance(katz_check(2, 7, 29), CheckResult)
+    assert "with_control" not in inspect.signature(katz_check).parameters
+    ticks = itertools.count()
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(monotonic=lambda: Fraction(7 * next(ticks), 1000)))
+    monkeypatch.setattr(harness.KatzReport, "to_result", lambda self: pytest.fail("to_result called"))
+    code, results = run_campaign(CampaignConfig(checks=(*harness._DEFAULT_CHECKS, "psi2"), outdir=str(tmp_path)))
+    assert code == 0
+    assert [r.check for r in results].count("katz") == 2
+    assert [r.runtime_ms for r in results] == [7] * len(results)
+    written = sorted(tmp_path.iterdir())
+    assert [p.name for p in written] == [f"{i:02d}-{r.check}.json" for i, r in enumerate(results)]
+    for path, r in zip(written, results):
+        assert json.loads(path.read_text()) == json.loads(json.dumps(r.to_json()))
+
+
 def test_det_hcan_suite_consistency():
     res = check_det_hcan()
     assert res.ok
@@ -315,7 +339,7 @@ def test_katz_control_label_zero_sum_and_inequivalent(n, N):
 def test_katz_control_breaks_constancy(n, N, q):
     # (4, 17, 239) takes the engine past int64
     rep = katz_check(n, N, q)
-    assert rep.image_points > 1
+    assert rep.params["image_points"] > 1
     assert rep.control_constant is False
     assert rep.to_result().ok
 
@@ -416,7 +440,7 @@ def test_katz_ratio_memo_keeps_a_changed_value(monkeypatch):
     from dworkbench import harness
 
     n, N, q = 2, 7, 29
-    assert katz_check(n, N, q, with_control=False).constant
+    assert katz_check(n, N, q).constant
     direct = harness.eigentrace_all_t
 
     def bumped(*args):
@@ -430,7 +454,7 @@ def test_katz_ratio_memo_keeps_a_changed_value(monkeypatch):
         return table
 
     monkeypatch.setattr(harness, "eigentrace_all_t", bumped)
-    rep = katz_check(n, N, q, with_control=False)
+    rep = katz_check(n, N, q)
     assert rep.constant is False and rep.orientation is None
 
 
@@ -501,7 +525,7 @@ def test_katz_inverts_each_canonical_value_once(monkeypatch):
     first = next(row["t"] for row in rep.rows if "ratio" in row)
     assert len(inverted) == 2
     assert inverted[1] is can_table.value_at(pow(first, N, q))
-    assert set(rep.ratios.values()) == {rep.lam}
+    assert {json.dumps(row["ratio"]) for row in rep.rows if "ratio" in row} == {json.dumps(rep.lam.to_json())}
 
 
 @pytest.mark.parametrize("n,N,q", [(2, 7, 29), (4, 9, 73)])
@@ -519,10 +543,10 @@ def test_katz_rows_serialize_each_distinct_value_once(n, N, q):
     want = []
     for t in sorted(ev):
         row = {"t": t, "T_v": ev[t].value.to_json(), "T_can_at_tN": can.value_at(pow(t, N, q)).to_json()}
-        if t in rep.ratios:
-            row["ratio"] = rep.ratios[t].to_json()
+        if str(t) in rep.params["skipped"]:
+            row["skip"] = rep.params["skipped"][str(t)]
         else:
-            row["skip"] = rep.skipped[t]
+            row["ratio"] = rep.lam.to_json()
         want.append(row)
     assert json.dumps(res.rows, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert res.params["lambda"] == rep.lam.to_json()

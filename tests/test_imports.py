@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import re
@@ -126,6 +127,86 @@ def test_every_symbol_has_a_program_user():
     # as test_every_symbol_is_used, with the tests no longer counted as users
     unused = _unreferenced([SRC, SRC.parent.parent / "perfbench"])
     assert set(unused) - _TEST_ONLY == set(), f"only tests refer to: {sorted(set(unused) - _TEST_ONLY)}"
+
+
+# the README's commands, the other branches of hyper trace (the naive route
+# at E = 1 only: at E = 2 and q = 29 it takes about a minute) and of dwork
+# trace, and the campaign with psi2, written to an outdir
+_RUNS = [
+    "char gauss --q 29 --chi-order 7 --chi-exp 1 --json",
+    "weights build-v --n 4 --N 9",
+    "weights hyper-data --n 2 --N 7",
+    "hyper trace --q 29 --n 2 --N 7 --method conv --t 2 --json",
+    "hyper trace --q 29 --n 2 --N 7 --method conv --t 2 --E 2 --json",
+    "hyper trace --q 29 --n 2 --N 7 --method naive --t 2 --json",
+    "dwork trace --N 7 --n 2 --q 29 --t all --json",
+    "dwork trace --N 7 --n 2 --q 29 --t 3 --json",
+    "dwork count --N 3 --q 7 --t 3 --ext 1",
+    "signs check --l 5 --seed 0 --count 100 --json",
+    "verify katz --n 2 --N 7 --q 29 --json {tmp}/out.json",
+    "verify n3 --q 7",
+    "verify det-trad --q 29 --k 2 --seed 0",
+    "verify det-hcan --q 29 --n 2 --N 7",
+    "verify all --config {tmp}/campaign.txt",
+]
+
+# runs _RUNS and katz past int64 in a fresh process, so no cache hides a
+# call; the global trace hook returns None, so only call events are seen,
+# and it is set before the import, so a decorator applied there is entered
+_RECORD = """
+import contextlib, io, json, os, sys, tempfile
+seen = set()
+sys.settrace(lambda frame, event, arg: seen.add(frame.f_code))
+from dworkbench import cli, harness
+with tempfile.TemporaryDirectory() as tmp:
+    with open(os.path.join(tmp, "campaign.txt"), "w") as fh:
+        fh.write(f"checks = {' '.join((*harness._DEFAULT_CHECKS, 'psi2'))}\\noutdir = {tmp}/reports\\n")
+    for cmd in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(cmd.format(tmp=tmp).split()) == 0, cmd
+    harness.katz_check(2, 17, 103)
+sys.settrace(None)
+src = os.path.dirname(harness.__file__)
+print(json.dumps([f"{os.path.basename(c.co_filename)}:{c.co_qualname}" for c in seen if os.path.dirname(c.co_filename) == src]))
+"""
+
+# program functions that no run enters, each with the reason it stays
+_NOT_ENTERED = {
+    "dwork.py:eigentrace_scan": "the defining scan, the literal reference the eigentrace engine is tested against",
+    "dwork.py:_torus_scan": "eigentrace_scan's torus part",
+    "dwork.py:_boundary_scan": "eigentrace_scan's boundary part",
+    "characters.py:AddChar.exp_of": "the literal reference test_characters checks gauss_exponents against",
+    "cyclotomic.py:CycloElem.coeffs": "the tests' coefficient accessor",
+    "harness.py:CheckResult.canonical_bytes": "the byte-determinism API the tests and golden digests read",
+    "harness.py:KatzReport.to_result": "called by perfbench/run.py and tests/test_acceptance.py",
+    "dwork.py:boundary_term": "a span target of perfbench/spans.py",
+    "hypergeometric.py:det_via_newton": "a span target of perfbench/spans.py",
+    "finitefield.py:FqField.generator": "read by perfbench/run.py",
+}
+
+
+def test_every_function_is_entered_by_a_program_run():
+    # a traffic guard: the name match of test_every_symbol_has_a_program_user
+    # passes a method when another name shares its spelling; here a function
+    # or non-dunder method counts as used only if a run enters it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _RECORD, json.dumps(_RUNS)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    entered = set(json.loads(out.stdout))
+    defined = {
+        f"{path.name}:{name}"
+        for path in SRC.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for name in (
+            [top.name] if isinstance(top, ast.FunctionDef)
+            else [f"{top.name}.{node.name}" for node in top.body if isinstance(node, ast.FunctionDef)]
+            if isinstance(top, ast.ClassDef) else []
+        )
+        if not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
+    }
+    never = defined - entered
+    assert sorted(never - _NOT_ENTERED.keys()) == [], "no run enters these"
+    assert sorted(_NOT_ENTERED.keys() - never) == [], "listed as never entered, but entered or gone"
 
 
 def test_field_points_are_codes():
