@@ -8,8 +8,8 @@ literal coefficient equality.  One numpy table per modulus, the power
 vectors of z^phi .. z^(M-1), serves every reduction: a product, a Galois
 action, a coercion or a sum of roots of unity becomes a coefficient vector
 over Z/M, and `_reduce` folds its entries past z^(phi-1) through the table,
-in int64 when the result is proved in range and in Python integers
-otherwise.
+in float64, int64 or Python integers as its proved bound allows (see
+_work_dtype); no float leaves it or `cconv`.
 
 Sums of roots of unity are also handled before they become elements, as
 exponent-count vectors over Z/M (entry e counts zeta_M^e): `to_cyclo` turns
@@ -40,6 +40,12 @@ Rat = Union[int, Fraction]
 
 # The int64 fast paths run only when every partial sum is proved below this.
 _INT64_LIMIT = 1 << 63
+# IEEE-754 doubles hold every integer below this exactly, so a product proved
+# below it is exact in float64, where numpy has the BLAS it lacks for integers.
+_FLOAT_EXACT = 1 << 53
+# OpenBLAS threads a float64 dot of over 10^4 terms, slower than one thread
+# at L = 12656 and stalling under load: cconv takes x in blocks of this many.
+_DOT_TERMS = 8192
 # The budget charges M * phi(M) for a context, more than the (M - phi) * phi
 # entries its table keeps: the checks also call ctx_for to refuse a modulus
 # before they build count vectors over Z/M, and charging the table alone
@@ -53,6 +59,12 @@ def exact_dtype(bound: int) -> type:
     proved at most bound in magnitude: int64 below 2^63, Python integers
     (object) otherwise."""
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _work_dtype(bound: int) -> type:
+    """The dtype to compute in, cast back to exact_dtype(bound) after: float64
+    where that is int64 and bound is below 2^53, exact_dtype(bound) otherwise."""
+    return np.float64 if bound < min(_FLOAT_EXACT, _INT64_LIMIT) else exact_dtype(bound)
 
 
 def _prime_powers(M: int) -> list[tuple[int, int]]:
@@ -162,22 +174,22 @@ def _reduce(f: np.ndarray, ctx: CycloCtx, bound: int) -> list[int]:
     magnitude.
 
     The nonzero entries past z^(phi-1) fold in through the reducing rows
-    they name, so every partial sum is at most bound (1 + rows read * pmax):
-    exact in int64 when that is below 2^63, in Python integers otherwise.
-    numpy has no BLAS for integers, and its einsum loop runs this
-    vector-matrix product faster than matmul's.
+    they name, so every partial sum is at most bound (1 + rows read * pmax),
+    and the sum is taken in _work_dtype of that.  numpy's einsum loop runs
+    this vector-matrix product faster than matmul's in int64.
     """
     phi = ctx.phi
     nz = f[phi:].nonzero()[0]
-    f = f.astype(exact_dtype(bound * (1 + len(nz) * ctx.pmax)), copy=False)
-    return (f[:phi] + np.einsum("i,ij->j", f[phi:][nz], ctx.powers[nz])).tolist()
+    total = bound * (1 + len(nz) * ctx.pmax)
+    f = f.astype(_work_dtype(total), copy=False)
+    return (f[:phi] + np.einsum("i,ij->j", f[phi:][nz], ctx.powers[nz])).astype(exact_dtype(total), copy=False).tolist()
 
 
 def _mul_num(a: Sequence[int], b: Sequence[int], ctx: CycloCtx) -> list[int]:
     """Numerator vector of a * b reduced modulo Phi_M: the linear product,
     folded modulo z^M = 1 when it is longer than M, then reduced with its
     largest |coefficient| as the bound (cconv proves it below 2^63 when
-    the fold is in int64, so abs cannot wrap)."""
+    it returns int64, so abs cannot wrap)."""
     f = cconv(np.array(a, dtype=object), np.array(b, dtype=object), min(ctx.M, 2 * ctx.phi - 1))
     return _reduce(f, ctx, int(np.abs(f).max()))
 
@@ -510,21 +522,40 @@ def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
 # -- exact count-vector kernels -----------------------------------------------
 
 
+def _abs_max_sum(v: np.ndarray) -> tuple[int, int]:
+    """max|v| and sum|v|, exactly: by numpy for an int64 vector whose sum is
+    proved in range, in Python integers otherwise."""
+    if v.dtype == np.int64:
+        top = max(int(v.max()), -int(v.min()))
+        if top * len(v) < _INT64_LIMIT:
+            return top, int(np.abs(v).sum())
+    a = list(map(abs, v.tolist()))
+    return max(a), sum(a)
+
+
 def cconv(x: np.ndarray, y: np.ndarray, L: int | None = None) -> np.ndarray:
     """Cyclic convolution over Z/L, exact; L defaults to len(x).
 
     The operands may be shorter than L, as long as their linear product,
-    of length len(x) + len(y) - 1, is at least L and at most 2 L long.
-    Every partial sum is at most sum|x| sum|y| in magnitude: when that and
-    both operands lie below 2^63, int64 np.convolve computes it exactly,
-    otherwise Python integers do.
+    of length len(x) + len(y) - 1, is at least L long; a longer operand is
+    refused.  So a folded coefficient takes at most one term x[i] y[j] per
+    i and one per j: every partial sum is at most min(max|x| sum|y|,
+    sum|x| max|y|).  np.convolve runs on blocks of x in _work_dtype of that
+    bound and the largest |entry|, and the result is in exact_dtype of it.
     """
     L = len(x) if L is None else L
-    sx, sy = (sum(map(abs, v.tolist())) for v in (x, y))
-    dt = exact_dtype(max(sx, sy, sx * sy))
-    lin = np.convolve(x.astype(dt, copy=False), y.astype(dt, copy=False))
-    out = lin[:L].copy()
-    out[: len(lin) - L] += lin[L:]
+    if max(len(x), len(y)) > L:
+        raise ValueError(f"operands of lengths {len(x)} and {len(y)} are longer than L = {L}")
+    (mx, sx), (my, sy) = _abs_max_sum(x), _abs_max_sum(y)
+    bound = max(mx, my, min(mx * sy, sx * my))
+    dt = _work_dtype(bound)
+    x, y = x.astype(dt, copy=False), y.astype(dt, copy=False)
+    lin = np.zeros(len(x) + len(y) - 1, dtype=dt)
+    for lo in range(0, len(x), _DOT_TERMS):
+        part = np.convolve(x[lo : lo + _DOT_TERMS], y)
+        lin[lo : lo + len(part)] += part
+    out = lin[:L].astype(exact_dtype(bound))
+    out[: len(lin) - L] += lin[L:].astype(out.dtype)
     return out
 
 

@@ -54,7 +54,7 @@ from .finitefield import FqField, build_field
 from .weights import WeightVector, hyper_data
 
 _NAIVE_BUDGET = 10 ** 9  # tuples per point of trad_trace_naive
-_NAIVE_CELLS = 1 << 15  # (t, tuple) cells per chunk of trad_trace_naive
+_NAIVE_CELLS = 1 << 14  # (t, tuple) cells per chunk of trad_trace_naive, or 2 L per t
 # cells gathered plus multiply-adds in one _trace_rows or mellin_rows call:
 # seconds of numpy work
 _KERNEL_BUDGET = 10 ** 9
@@ -235,9 +235,13 @@ def trad_trace_naive(spec: HyperSpec, ts: Sequence[int], E_degree: int = 1) -> l
 
     Enumerates all unit tuples (x_1..x_k, y_1..y_{k-1}) with the last y
     solved from the hypersurface relation prod x = t prod y, accumulating
-    psi(sum x - sum y) and the character exponents exactly.  Each chunk of
-    tuples is enumerated once for every t: only the solved last y depends
-    on t.  The budget is charged per point.
+    psi(sum x - sum y) and the character exponents exactly.  Only the solved
+    y = g^(S - dlog t), S = sum dlog x - sum dlog y over the free
+    coordinates, depends on t, and psi(z - y) = psi(z) psi(-y) for their sum
+    z: a tuple's exponent over Z/L is its own part plus the solved
+    coordinate's, read from a (q - 1) x (number of t) table at row S.  Each
+    chunk of tuples is enumerated once for every t.  The budget is charged
+    per point.
     """
     k = spec.k
     qE = spec.field.q ** E_degree  # refuse before building the extension
@@ -249,45 +253,37 @@ def trad_trace_naive(spec: HyperSpec, ts: Sequence[int], E_degree: int = 1) -> l
     if not t_codes:
         return []
     E, s = spec.extension(E_degree)
-    q, p = E.q, E.p
-    R, L = q - 1, p * spec.N
-    N = spec.N
+    p, N = E.p, spec.N
+    R, L = E.q - 1, p * N
     EXP, TR = E.EXP, E.trace_abs_table()
     NEG_EXP = E.neg_codes(EXP)
-    dt = E.DLOG[np.array(t_codes, dtype=np.int64)][:, None]
-    nt = len(t_codes)
     aN = [(a * s) % N for a in spec.s_chi]
     bN = [(b * s) % N for b in spec.s_rho]
-    nfree = 2 * k - 1
+    nt, nfree = len(t_codes), 2 * k - 1
+    # last[S, i]: the exponent of psi(-y) rhobar_k(y), y = g^(S - dlog t_i),
+    # placed in t_i's row of 2 L cells; a tuple's own part lies in [0, L)
+    y = (np.arange(R)[:, None] - E.DLOG[np.array(t_codes, dtype=np.int64)]) % R
+    last = (TR[NEG_EXP[y]] * N - bN[-1] * y * p) % L + 2 * L * np.arange(nt)
     total = R ** nfree
-    counts = np.zeros(nt * L, dtype=np.int64)
-    row0 = (np.arange(nt, dtype=np.int64) * L)[:, None]
-    chunk = max(1, _NAIVE_CELLS // nt)
+    counts = np.zeros(nt * 2 * L, dtype=np.int64)
+    chunk = max(_NAIVE_CELLS // nt, 2 * L)  # no fewer cells than counts has
     for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
+        rem = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
         digs = []
-        rem = idx
         for _ in range(nfree):
             digs.append(rem % R)
             rem = rem // R
-        dx = digs[:k]
-        dy = digs[k:]
+        dx, dy = digs[:k], digs[k:]
         z = EXP[dx[0]]  # sum x - sum y over the free coordinates
         for dd in dx[1:]:
             z = E.add_codes(z, EXP[dd])
         for dd in dy:
             z = E.add_codes(z, NEG_EXP[dd])
-        cexp = np.zeros_like(idx)
-        for a_i, dd in zip(aN, dx):
-            cexp += a_i * dd
-        for b_j, dd in zip(bN, dy):
-            cexp -= b_j * dd
-        # the solved last y, one row per t
-        dy_last = (sum(dx) - sum(dy) - dt) % R
-        tr = TR[E.add_codes(z, NEG_EXP[dy_last])]
-        e = (tr * N + ((cexp - bN[-1] * dy_last) % N) * p) % L
-        counts += np.bincount((e + row0).ravel(), minlength=nt * L)
-    return [-to_cyclo(row.tolist(), L) for row in counts.reshape(nt, L)]
+        cexp = sum(a_i * dd for a_i, dd in zip(aN, dx)) - sum(b_j * dd for b_j, dd in zip(bN, dy))
+        own = (TR[z] * N + cexp * p) % L
+        S = (sum(dx) - sum(dy)) % R
+        counts += np.bincount((last[S] + own[:, None]).ravel(), minlength=nt * 2 * L)
+    return [to_cyclo(row, L) for row in -counts.reshape(nt, 2, L).sum(axis=1)]
 
 
 def _trad_budget(spec: HyperSpec, m: int, nrows: int) -> int:

@@ -235,14 +235,15 @@ def test_mul_above_int64_bound_is_exact():
 
 
 def test_small_products_take_the_int64_path(monkeypatch):
-    # a product reduces in int64 exactly while the proved bound
-    # max|f| (1 + r pmax) is below 2^63, where f is the linear product
-    # folded modulo z^M = 1 and r counts its nonzero coefficients past
-    # z^(phi - 1), and in Python integers from there on; at M = 7 one row,
-    # z^6, reduces and pmax = 1, so a times z has the bound 2 max|a|
+    # a product reduces in float64 exactly while the proved bound
+    # max|f| (1 + r pmax) is below 2^53, in int64 while it is below 2^63,
+    # where f is the linear product folded modulo z^M = 1 and r counts its
+    # nonzero coefficients past z^(phi - 1), and in Python integers from
+    # there on; at M = 7 one row, z^6, reduces and pmax = 1, so a times z
+    # has the bound 2 max|a|
     assert euler_phi(7) == 6 and ctx_for(7).pmax == 1
     a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8]
-    bigs = [[top, -top, 5, 0, 1, -top] for top in (2 ** 62 - 1, 2 ** 62)]
+    bigs = [[top, -top, 5, 0, 1, -top] for top in (2 ** 52 - 1, 2 ** 52, 2 ** 62 - 1, 2 ** 62)]
     x, y, z = to_cyclo(a, 7), to_cyclo(b, 7), root_of_unity(7)
     big = [to_cyclo(v, 7) for v in bigs]
     seen = []
@@ -253,9 +254,9 @@ def test_small_products_take_the_int64_path(monkeypatch):
         return einsum(spec, f, rows)
 
     monkeypatch.setattr(cyclotomic.np, "einsum", spy)
-    products = [x * y, big[0] * z, big[1] * z]
+    products = [x * y] + [v * z for v in big]
     monkeypatch.undo()
-    assert seen == [np.dtype(np.int64), np.dtype(np.int64), np.dtype(object)]
+    assert seen == [np.dtype(t) for t in (np.float64, np.float64, np.int64, np.int64, object)]
     assert list(products[0].coeffs) == _literal_mul(7, a, b)
     for v, p in zip(bigs, products[1:]):
         assert list(p.coeffs) == _literal_mul(7, v, [0, 1, 0, 0, 0, 0])

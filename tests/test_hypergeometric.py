@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dworkbench.characters import gauss_sum, phi_inverse, teich_char
 from dworkbench.cyclotomic import CycloElem, cconv, common, to_cyclo, vanishes
-from dworkbench import hypergeometric
+from dworkbench import cyclotomic, hypergeometric
 from dworkbench.errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field, is_prime
 from dworkbench.hypergeometric import (
@@ -424,11 +424,11 @@ def test_rank1_row_identity(p, m, N, pairs):
             assert (ref[d] == -np.roll(base, p * int(s[d]))).all(), (a, b, d)
 
 
-def _conv_reference(x, y):
-    L = len(x)
+def _conv_reference(x, y, L=None):
+    L = len(x) if L is None else L
     out = [0] * L
-    for i in range(L):
-        for j in range(L):
+    for i in range(len(x)):
+        for j in range(len(y)):
             for e in range(L):
                 if (i + j - e) % L == 0:
                     out[e] += int(x[i]) * int(y[j])
@@ -447,6 +447,96 @@ def test_cconv_matches_triple_loop(xy, small):
     assert got.tolist() == _conv_reference(x, y)
     if small:
         assert cconv(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)).tolist() == _conv_reference(x, y)
+
+
+@st.composite
+def _tiered_operands(draw):
+    # operands no longer than L whose linear product covers Z/L, with entries
+    # of 2^20 to 2^40 in size: the bound min(max|x| sum|y|, sum|x| max|y|)
+    # then falls on both sides of 2^53 and of 2^63
+    L = draw(st.integers(min_value=1, max_value=7))
+    lx = draw(st.integers(min_value=(L + 1) // 2, max_value=L))
+    ly = draw(st.integers(min_value=max(1, L + 1 - lx), max_value=L))
+    x, y = (
+        draw(st.lists(st.integers(-(1 << b), 1 << b), min_size=n, max_size=n))
+        for b, n in ((draw(st.integers(20, 40)), lx), (draw(st.integers(20, 40)), ly))
+    )
+    return x, y, L
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tiered_operands())
+@example(([1, 1], [(1 << 53) - 2, 1], 2))  # bound 2^53 - 1: float64
+@example(([1, 1], [(1 << 53) - 1, 2], 2))  # bound 2^53 + 1: int64, where float64 would round
+@example(([1 << 31, -(1 << 31)], [(1 << 32) - 1, 1 << 32], 2))  # bound 2^64 - 2^31: Python integers
+def test_cconv_matches_the_literal_loop_in_every_tier(xyL):
+    x, y, L = xyL
+    want = _conv_reference(x, y, L)
+    assert cconv(np.array(x, dtype=object), np.array(y, dtype=object), L).tolist() == want
+    assert cconv(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), L).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [((1 << 53) - 1, np.float64), (1 << 53, np.int64), ((1 << 63) - 1, np.int64), (1 << 63, object)],
+)
+def test_cconv_computes_in_the_tier_of_its_bound(monkeypatch, top, dtype):
+    # x = (1, 1) and y = (top, 0) bound every coefficient by min(1 top, 2 top)
+    # = top, half of sum|x| sum|y|, whether the operands come as Python or
+    # as int64 integers; the result leaves in int64 or Python integers,
+    # never in float64
+    seen = []
+    convolve = np.convolve
+
+    def spy(a, b):
+        seen.append((a.dtype, b.dtype))
+        return convolve(a, b)
+
+    monkeypatch.setattr(cyclotomic.np, "convolve", spy)
+    for operand in (object, np.int64) if top < 1 << 63 else (object,):
+        got = cconv(np.array([1, 1], dtype=operand), np.array([top, 0], dtype=operand))
+        assert seen.pop() == (np.dtype(dtype), np.dtype(dtype))
+        assert got.dtype == np.dtype(np.int64 if top < 1 << 63 else object)
+        assert got.tolist() == [top, top]
+
+
+def test_cconv_refuses_operands_longer_than_L():
+    with pytest.raises(ValueError, match="longer than L = 3"):
+        cconv(np.ones(4, dtype=np.int64), np.ones(3, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="longer than L = 3"):
+        cconv(np.ones(3, dtype=np.int64), np.ones(4, dtype=np.int64))
+
+
+def test_cconv_pinned_pair_rounds_in_float64(monkeypatch):
+    # every operand and product is below 2^53, but the coefficient
+    # 2 + (2^53 - 1) = 2^53 + 1 is not a double: the bound 2^53 + 1 keeps
+    # this pair in int64, and a float64 tier raised past it rounds
+    x, y = np.array([1, 1], dtype=np.int64), np.array([(1 << 53) - 1, 2], dtype=np.int64)
+    want = [(1 << 53) + 1] * 2
+    assert cconv(x, y).tolist() == want
+    monkeypatch.setattr(cyclotomic, "_FLOAT_EXACT", 1 << 54)
+    assert cconv(x, y).tolist() != want
+
+
+def test_cconv_blocks_no_dot_past_the_blas_threading_length(monkeypatch):
+    # np.convolve sees blocks of x of at most _DOT_TERMS entries, so no dot
+    # product it hands BLAS is longer; the blocks add up to the same sums
+    monkeypatch.setattr(cyclotomic, "_DOT_TERMS", 3)
+    seen = []
+    convolve = np.convolve
+
+    def spy(a, b):
+        seen.append(min(len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(cyclotomic.np, "convolve", spy)
+    rng = random.Random(5)
+    for L, top in [(8, 1 << 10), (10, 1 << 28), (7, 1 << 62)]:  # float64, int64, Python integers
+        x = [rng.randrange(-top, top) for _ in range(L)]
+        y = [rng.randrange(-top, top) for _ in range(L - 1)]
+        got = cconv(np.array(x, dtype=object), np.array(y, dtype=object), L)
+        assert got.tolist() == _conv_reference(x, y, L)
+    assert seen and max(seen) <= 3
 
 
 def test_cconv_exact_past_int64():
@@ -644,7 +734,7 @@ def test_naive_refuses_points_off_the_locus(spec29):
 
 @pytest.mark.parametrize("q", [29, 43])
 def test_naive_all_points_peak_memory(q):
-    # one chunk holds at most 2^15 (t, tuple) cells, whatever the number of t
+    # one chunk holds 2^14 (t, tuple) cells, or 2 L per t when that is more
     spec = HyperSpec.from_label(build_field(q), build_v(2, 7))
     tracemalloc.start()
     try:
@@ -653,3 +743,19 @@ def test_naive_all_points_peak_memory(q):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_naive_extension_peak_memory():
+    # over F_{13^2} the tables of the solved coordinate take (number of t)
+    # x (q - 1) cells: nothing of size q^2 or q (q - 1) N is built
+    spec = HyperSpec(build_field(13), 3, (1, 2), (0, 0))
+    ts = (2, 5, 11)
+    tracemalloc.start()
+    try:
+        got = trad_trace_naive(spec, ts, E_degree=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    table = trad_trace_conv(spec, E_degree=2)
+    assert got == [table.value_at(t) for t in ts]

@@ -32,7 +32,8 @@ def test_every_import_is_used(path):
 
 @pytest.mark.parametrize("name", ["harness.py", "dwork.py", "hypergeometric.py"])
 def test_verdict_modules_use_no_float_embeddings(name):
-    # every verdict is exact: floats from embeddings or transforms stay in printed output
+    # every verdict is exact: floats from embeddings or transforms stay in
+    # printed output, and float64 products stay inside cyclotomic's kernels
     tree = ast.parse((SRC / name).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -43,19 +44,19 @@ def test_verdict_modules_use_no_float_embeddings(name):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {part for alias in node.names for part in alias.name.split(".")}
             names |= set((getattr(node, "module", None) or "").split("."))
-    found = sorted(names & {"embed", "abs2", "fft"})
+    found = sorted(names & {"embed", "abs2", "fft", "float64", "float32"})
     assert not found, f"{name} references {found}"
 
 
 def test_exact_kernels_live_in_cyclotomic():
-    # the convolutions of count vectors and the int64-or-Python-integers rule
-    # have one home: every other module calls cyclotomic's kernels and
-    # exact_dtype, and a batched step cannot fork a second circulant kernel
-    # through einsum
+    # the convolutions of count vectors and the float64-int64-or-Python-
+    # integers rule have one home: every other module calls cyclotomic's
+    # kernels and exact_dtype, and a batched step cannot fork a second
+    # circulant kernel through einsum
     found = {}
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     for name, tree in trees.items():
-        hits = sorted({"convolve", "as_strided", "einsum", "_INT64_LIMIT"} & _references(tree).keys())
+        hits = sorted({"convolve", "as_strided", "einsum", "_INT64_LIMIT", "_FLOAT_EXACT"} & _references(tree).keys())
         if hits and name != "cyclotomic.py":
             found[name] = hits
     assert not found, f"kernel internals outside cyclotomic.py: {found}"
