@@ -127,7 +127,7 @@ def jacobi_exponents(field: FqField, a: Sequence[MultChar], b: Sequence[MultChar
     if any(c.field is not field for c in (*a, *b)):
         raise ValueError("characters of different fields")
     x = np.arange(2, field.q, dtype=np.int64)
-    comp = field.add_codes(np.ones_like(x), field.neg_codes(x))  # 1 - x, digitwise
+    comp = field.add_codes(1, field.neg_codes(x))  # 1 - x, digitwise
     dlog = field.DLOG
     return (_char_exponents(a, dlog[x], M) + _char_exponents(b, dlog[comp], M)) % M
 

@@ -35,6 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotAMultiple, TooLarge
+from .finitefield import prime_factors
 
 Rat = Union[int, Fraction]
 
@@ -64,23 +65,14 @@ def exact_dtype(bound: int) -> type:
 def _work_dtype(bound: int) -> type:
     """The dtype to compute in, cast back to exact_dtype(bound) after: float64
     where that is int64 and bound is below 2^53, exact_dtype(bound) otherwise."""
-    return np.float64 if bound < min(_FLOAT_EXACT, _INT64_LIMIT) else exact_dtype(bound)
+    dt = exact_dtype(bound)
+    return np.float64 if dt is np.int64 and bound < _FLOAT_EXACT else dt
 
 
 def _prime_powers(M: int) -> list[tuple[int, int]]:
     """(l, l^k) for every prime power l^k exactly dividing M, l increasing."""
-    out, rem, f = [], M, 2
-    while f * f <= rem:
-        if rem % f == 0:
-            pk = 1
-            while rem % f == 0:
-                rem //= f
-                pk *= f
-            out.append((f, pk))
-        f += 1
-    if rem > 1:
-        out.append((rem, rem))
-    return out
+    # l^k <= M < 2^bitlen <= l^bitlen, so the gcd is the whole l-part of M
+    return [(l, math.gcd(M, l ** M.bit_length())) for l in prime_factors(M)]
 
 
 def euler_phi(M: int) -> int:
@@ -322,9 +314,6 @@ class CycloElem:
                 raise ZeroDivisionError("cyclotomic division by zero")
             return _make(self.M, [v * fr.denominator for v in self._num], self._den * fr.numerator)
         return self * o.invert()
-
-    def __rtruediv__(self, other: Rat) -> "CycloElem":
-        return self.invert() * other
 
     def __pow__(self, k: int) -> "CycloElem":
         if k < 0:

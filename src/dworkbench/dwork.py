@@ -70,7 +70,7 @@ class DworkFiber:
     def __init__(self, field: FqField, N: int, t: int):
         if N < 3 or N % 2 == 0:
             raise BadN("family degree must be odd and at least 3")
-        if field.m != 1 or (field.q - 1) % N != 0:
+        if field.q != field.p or (field.q - 1) % N != 0:
             raise BadN("fiber field must be prime with q = 1 mod N")
         self.field = field
         self.N = N
@@ -191,7 +191,7 @@ def _normalize(S: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _zech(field: FqField) -> np.ndarray:
     """Zech logarithms z[j] = dlog(1 + g^j) of a prime field, -1 at j = (q-1)/2."""
-    z = field.DLOG[(field.EXP + 1) % field.q]
+    z = field.DLOG[field.add_codes(field.EXP, 1)]
     z.setflags(write=False)
     return z
 
@@ -214,7 +214,8 @@ def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int
         T1'[d, e] = T0[d, e] + sum_{k != 0} T1[d - k - m j_k, e - w k - V j_k]
         T0'[d, e] = sum_k T1[d - k - m (k + h), e - w k - V (k + h)]
 
-    The d axis has length q - 1, or 1 where the dlog sum is not tracked.
+    Only the torus calls this, with a d axis of length q - 1; the boundary
+    strata step as one batch through _line_step.
     """
     Qm1 = len(zech)
     k = np.arange(Qm1)
@@ -376,8 +377,7 @@ def _torus_row(field: FqField, N: int, t_code: int) -> int:
 
 def _torus_scan(field: FqField, N: int, entries: Sequence[int], t_code: int) -> CycloElem:
     """The defining torus sum by nested enumeration, last coordinate scanned."""
-    q = field.q
-    Qm1 = q - 1
+    Qm1 = field.q - 1
     total = Qm1 ** (N - 1)
     if total > 10 ** 9:
         raise Infeasible(f"torus scan cost {total} too large")
@@ -394,10 +394,10 @@ def _torus_scan(field: FqField, N: int, entries: Sequence[int], t_code: int) -> 
         for i in range(N - 1):
             di = rem % Qm1
             rem = rem // Qm1
-            sigma = (sigma + EXP[di]) % q
+            sigma = field.add_codes(sigma, EXP[di])
             dsum += di
             e += (entries[i] % N) * di
-        s = (sigma + 1) % q
+        s = field.add_codes(sigma, 1)
         ok = s != 0
         r = (N * dl[np.where(ok, s, 1)] - dsum) % Qm1
         ok &= r == r_t
@@ -409,8 +409,7 @@ def _boundary_scan(field: FqField, N: int, entries: Sequence[int], Z: Sequence[i
     Z = tuple(sorted(Z))
     comp = [i for i in range(N) if i not in Z]
     a = entries[comp[0]] % N
-    q = field.q
-    Qm1 = q - 1
+    Qm1 = field.q - 1
     free = Z[1:]
     total = Qm1 ** len(free)
     EXP = field.EXP
@@ -424,7 +423,7 @@ def _boundary_scan(field: FqField, N: int, entries: Sequence[int], Z: Sequence[i
         for i in free:
             di = rem % Qm1
             rem = rem // Qm1
-            sigma = (sigma + EXP[di]) % q
+            sigma = field.add_codes(sigma, EXP[di])
             e += ((entries[i] - a) % N) * di
         ok = sigma == 0
         counts += np.bincount((e % N)[ok], minlength=N)
@@ -528,7 +527,7 @@ def count_points(fiber: DworkFiber, m: int = 1) -> int:
     q = fiber.field.q
     if q ** (m * (N - 1)) > _COUNT_BUDGET:
         raise Infeasible(f"point enumeration cost q^{m * (N - 1)} over budget")
-    E = fiber.field if m == 1 else build_field(q, m)
+    E = build_field(q, m)
     qe = E.q
     powN = np.zeros(qe, dtype=np.int64)
     dl = E.DLOG
@@ -553,8 +552,7 @@ def _chart_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo: int
     qe = E.q
     idx = np.arange(lo, hi, dtype=np.int64)
     rem = idx
-    flat = E.m == 1  # prime field: defer the modulus to one pass at the end
-    acc = np.full_like(idx, 1)
+    acc = 1
     prod_dl = np.zeros_like(idx)
     any_zero = np.zeros(idx.shape, dtype=bool)
     dl = E.DLOG
@@ -563,11 +561,9 @@ def _chart_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo: int
     for _ in range(nfree):
         xi = rem % qe
         rem //= qe
-        acc = acc + powN[xi] if flat else E.add_codes(acc, powN[xi])
+        acc = E.add_codes(acc, powN[xi])
         any_zero |= xi == 0
         prod_dl += dls[xi]
-    if flat:
-        acc %= qe
     if nt_code == 0:
         rhs = np.zeros_like(idx)
     else:
@@ -576,11 +572,6 @@ def _chart_chunk(E: FqField, powN: np.ndarray, nt_code: int, nfree: int, lo: int
 
 
 # -- N = 3 brute-force equivariant fixed points -----------------------------
-
-
-def _one_plus(E: FqField, codes: np.ndarray) -> np.ndarray:
-    """Codes of 1 + x: only the constant digit changes, and it does not carry."""
-    return codes + 1 - E.p * (codes % E.p == E.p - 1)
 
 
 def _fixed_values(E: FqField, c: int) -> np.ndarray:
@@ -612,7 +603,7 @@ def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
     if g.N != 3:
         raise BadParams("group element degree mismatch")
     q = field.q
-    if field.m != 1 or (q - 1) % 3 != 0:
+    if q != field.p or (q - 1) % 3 != 0:
         raise BadN("fiber field must be prime with q = 1 mod 3")
     E = build_field(q, 3)
     Qe = E.q - 1
@@ -623,10 +614,10 @@ def fix_count_bruteforce(field: FqField, g: GroupElement) -> np.ndarray:
         return np.where(c == 0, 0, E.EXP[(3 * E.DLOG[c]) % Qe])
 
     ys, zs = _fixed_values(E, dz[0] - dz[1]), _fixed_values(E, dz[0] - dz[2])
-    lhs = E.add_codes(_one_plus(E, cubes(ys))[:, None], cubes(zs)[None, :])
+    lhs = E.add_codes(E.add_codes(1, cubes(ys))[:, None], cubes(zs)[None, :])
     yz = E.mul_codes(ys[:, None], zs[None, :])
     c3t = E.mul_codes(lhs, E.EXP[-E.DLOG[yz] % Qe])  # lhs / yz where yz != 0
     one = (yz != 0) & (c3t < q)  # the F_q constants are the codes below q
     counts = np.bincount(c3t[one] * pow(3, -1, q) % q, minlength=q)
-    at_infinity = _one_plus(E, cubes(_fixed_values(E, dz[1] - dz[2]))) == 0  # (0 : 1 : z): 1 + z^3 = 0
+    at_infinity = E.add_codes(1, cubes(_fixed_values(E, dz[1] - dz[2]))) == 0  # (0 : 1 : z): 1 + z^3 = 0
     return counts + np.count_nonzero((yz == 0) & (lhs == 0)) + np.count_nonzero(at_infinity)

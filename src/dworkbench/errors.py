@@ -21,10 +21,6 @@ class NotPrime(WorkbenchError):
     pass
 
 
-class BadSubfield(WorkbenchError):
-    """Requested subfield degree does not divide the field degree."""
-
-
 class ZeroInput(WorkbenchError):
     """Multiplicative-character machinery applied to zero."""
 

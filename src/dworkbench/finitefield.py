@@ -1,12 +1,13 @@
 """Finite fields F_q, q = p^m, backed by exponential and discrete-log tables.
 
 Elements are integer codes in 0..q-1 whose base-p digits are the coordinates
-in the power basis of a fixed irreducible modulus (for m = 1 the code is the
-residue itself).  Every API takes and returns a point as its code, an int
-read as int(x) % q; FqElem only carries the generator.  Every
-multiplicative question becomes index arithmetic mod q-1, through the EXP
-and DLOG tables; addition is digitwise, with no table.  Bulk code arrays go
-through numpy.
+in the power basis of a fixed irreducible modulus.  A prime field is the
+degree-1 case F_p[x]/(x): its code is its one digit, the residue itself, and
+every operation has one body for every degree.  Every API takes and returns
+a point as its code, an int read as int(x) % q; FqElem only carries the
+generator.  Every multiplicative question becomes index arithmetic mod q-1,
+through the EXP and DLOG tables; addition is digitwise, with no table.  The
+code ops take numpy arrays and Python ints alike.
 """
 
 from __future__ import annotations
@@ -18,23 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSubfield, NotPrime, TooLarge
+from .errors import NotPrime, TooLarge
 
 _TABLE_BOUND = 1 << 24
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, increasing, by trial division."""
     out, f = [], 2
     while f * f <= n:
         if n % f == 0:
@@ -45,6 +36,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
@@ -101,13 +96,12 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _is_irreducible(mod: list[int], p: int) -> bool:
     # x^{p^m} == x mod f, and x^{p^{m/r}} - x coprime to f for prime r | m
     m = len(mod) - 1
-    x = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
-    xq = _poly_powmod(x, p ** m, mod, p)
-    if xq != x + [0] * (m - len(x)):
+    x = _poly_mulmod([0, 1], [1], mod, p)  # x reduced to m digits
+    if _poly_powmod(x, p ** m, mod, p) != x:
         return False
     for r in prime_factors(m):
         sub = _poly_powmod(x, p ** (m // r), mod, p)
-        diff = [(s - t) % p for s, t in zip(sub, x + [0] * (m - len(x)))]
+        diff = [(s - t) % p for s, t in zip(sub, x)]
         g = _poly_gcd(list(mod), diff, p)
         if len(g) - 1 > 0:
             return False
@@ -137,7 +131,7 @@ class FqField:
         self.p, self.m, self.q = p, m, q
         self._pp = [p ** i for i in range(m + 1)]
         if m == 1:
-            self.modulus: tuple[int, ...] | None = None
+            self.modulus: tuple[int, ...] = (0, 1)
         else:
             rng = random.Random(p * 1009 + m)
             while True:
@@ -158,8 +152,6 @@ class FqField:
         return sum((d % self.p) * self._pp[i] for i, d in enumerate(digits))
 
     def _mul_code_slow(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
         prod = _poly_mulmod(self._code_digits(a), self._code_digits(b), self.modulus, self.p)
         return self._digits_code(prod)
 
@@ -221,16 +213,10 @@ class FqField:
     # -- scalar code arithmetic -------------------------------------------
 
     def add_code(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        return self._digits_code(
-            [(x + y) % self.p for x, y in zip(self._code_digits(a), self._code_digits(b))]
-        )
+        return int(self.add_codes(a, b))
 
     def neg_code(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        return self._digits_code([(-x) % self.p for x in self._code_digits(a)])
+        return int(self.neg_codes(a))
 
     def mul_code(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -240,20 +226,17 @@ class FqField:
     # -- vectorized code arithmetic ---------------------------------------
 
     def add_codes(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Codes of A + B, digit by digit, shaped by the broadcast of A and B."""
-        if self.m == 1:
-            return (A + B) % self.p
-        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-        for i in range(self.m):
-            out += (((A // self._pp[i]) + (B // self._pp[i])) % self.p) * self._pp[i]
+        """Codes of A + B, digit by digit, shaped by the broadcast of A and B.
+        Digit 0 is (A + B) mod p, as the higher digits add multiples of p."""
+        out = (A + B) % self.p
+        for pi in self._pp[1 : self.m]:
+            out += (((A // pi) + (B // pi)) % self.p) * pi
         return out
 
     def neg_codes(self, A: np.ndarray) -> np.ndarray:
-        if self.m == 1:
-            return (-A) % self.p
-        out = np.zeros(np.shape(A), dtype=np.int64)
-        for i in range(self.m):
-            out += ((-(A // self._pp[i])) % self.p) * self._pp[i]
+        out = (-A) % self.p
+        for pi in self._pp[1 : self.m]:
+            out += ((-(A // pi)) % self.p) * pi
         return out
 
     def mul_codes(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -268,30 +251,25 @@ class FqField:
     def trace_abs_table(self) -> np.ndarray:
         """TRABS[code] = absolute trace down to F_p, as a residue mod p."""
         if self._trabs is None:
-            q, p, m = self.q, self.p, self.m
-            if m == 1:
-                self._trabs = np.arange(q, dtype=np.int64)
-            else:
-                codes = np.arange(q, dtype=np.int64)
-                dl = self.DLOG[1:]
-                acc = codes
-                for i in range(1, m):
-                    im = np.zeros(q, dtype=np.int64)
-                    im[1:] = self.EXP[(dl * (p ** i)) % (q - 1)]
-                    acc = self.add_codes(acc, im)
-                if np.any(acc >= p):
-                    raise ArithmeticError("absolute trace left the prime field")
-                self._trabs = acc
+            q, p = self.q, self.p
+            dl = self.DLOG[1:]
+            acc = np.arange(q, dtype=np.int64)
+            for pi in self._pp[1 : self.m]:  # add the conjugates x^(p^i)
+                im = np.zeros(q, dtype=np.int64)
+                im[1:] = self.EXP[(dl * pi) % (q - 1)]
+                acc = self.add_codes(acc, im)
+            if np.any(acc >= p):
+                raise ArithmeticError("absolute trace left the prime field")
+            self._trabs = acc
         return self._trabs
 
-    def norm_to_subfield(self, code: int, d: int) -> int:
-        """Norm from F_{p^m} down to F_{p^d}, d | m, as a code."""
-        if d < 1 or self.m % d != 0:
-            raise BadSubfield(f"degree {d} does not divide {self.m}")
+    def norm(self, code: int) -> int:
+        """Norm from F_{p^m} down to F_p, as a code."""
         if code == 0:
             return 0
-        e = (self.q - 1) // (self.p ** d - 1)
+        e = (self.q - 1) // (self.p - 1)
         return int(self.EXP[(int(self.DLOG[code]) * e) % (self.q - 1)])
+
 
 @lru_cache(maxsize=None)
 def build_field(p: int, m: int = 1) -> FqField:

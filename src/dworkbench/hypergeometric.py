@@ -51,7 +51,7 @@ from .characters import (
 from .cyclotomic import _BLOCK_CELLS, CycloElem, cconv, ctx_for, exact_dtype, exponent_counts, hist_conv, shift_sums, to_cyclo, vanishes
 from .errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
-from .weights import WeightVector, hyper_data
+from .weights import WeightVector, build_v, hyper_data
 
 _NAIVE_BUDGET = 10 ** 9  # tuples per point of trad_trace_naive
 _NAIVE_CELLS = 1 << 14  # (t, tuple) cells per chunk of trad_trace_naive, or 2 L per t
@@ -97,7 +97,7 @@ class HyperSpec:
         if f.m > 1:
             raise BadParams(f"no degree-{m} extension of F_{f.q} = F_{f.p}^{f.m}: the base field must be prime")
         E = build_field(f.q, m)
-        return E, int(f.DLOG[E.norm_to_subfield(int(E.EXP[1]), 1)])
+        return E, int(f.DLOG[E.norm(int(E.EXP[1]))])
 
     @staticmethod
     def from_label(field: FqField, v: WeightVector) -> "HyperSpec":
@@ -157,7 +157,7 @@ def _rank1_trad(E: FqField, N: int, a: int, b: int) -> tuple[np.ndarray, np.ndar
     w = np.arange(R)
     base = np.bincount((E.trace_abs_table()[E.EXP[w]] * N + (diff * w % N) * p) % L, minlength=L)
     d = np.arange(1, R)
-    um1 = E.add_codes(E.EXP[d], np.full(R - 1, E.neg_code(1), dtype=np.int64))
+    um1 = E.add_codes(E.EXP[d], E.neg_code(1))
     s = np.zeros(R, dtype=np.int64)
     s[1:] = (a * d - diff * E.DLOG[um1]) % N
     return base, s
@@ -167,7 +167,7 @@ def _rank1_canon_shifts(field: FqField, N: int, a: int, b: int) -> np.ndarray:
     """s[d] with chi(u) (rho/chi)(1-u) = zeta_N^s[d] at u = g^d, d >= 1."""
     R = field.q - 1
     d = np.arange(1, R)
-    om = field.add_codes(np.ones(R - 1, dtype=np.int64), field.neg_codes(field.EXP[d]))  # 1 - u
+    om = field.add_codes(1, field.neg_codes(field.EXP[d]))  # 1 - u
     s = np.zeros(R, dtype=np.int64)
     s[1:] = (a * d + (b - a) % N * field.DLOG[om]) % N
     return s
@@ -583,8 +583,6 @@ def verify_det_hcan(n: int, N: int, q: int) -> dict:
     constants to the n-th power times q^e, for e in {n(n-1)/2, n(n-1)}.
     Returns exact match flags for both exponents plus consistency data.
     """
-    from .weights import build_v
-
     field = build_field(q)
     spec = HyperSpec.from_label(field, build_v(n, N))
     M = field.p * N

@@ -12,7 +12,6 @@ from dworkbench.cyclotomic import CycloElem, root_of_unity, to_cyclo
 from dworkbench.dwork import (
     _COUNT_BUDGET,
     _STATE_BUDGET,
-    _one_plus,
     DworkFiber,
     EigenTrace,
     GroupElement,
@@ -370,10 +369,10 @@ def _cubic_grid(E):
     Qe = E.q - 1
     EXP, DLOG = E.EXP, E.DLOG
     sub = Qe // (E.p - 1)  # dlogs of F_p^x inside E^x are the multiples of this
-    zech = DLOG[_one_plus(E, EXP)]  # -1 where 1 + g^n = 0
+    zech = DLOG[E.add_codes(1, EXP)]  # -1 where 1 + g^n = 0
     d = np.arange(Qe, dtype=np.int64)
     cube = (3 * d) % Qe
-    dlu = DLOG[_one_plus(E, EXP[cube])]  # dlog(1 + y^3), -1 where it vanishes
+    dlu = DLOG[E.add_codes(1, EXP[cube])]  # dlog(1 + y^3), -1 where it vanishes
     ys, zs, keys = [], [], []
     rows = max(1, (1 << 19) // Qe)
     for lo in range(0, Qe, rows):

@@ -225,6 +225,42 @@ def test_field_points_are_codes():
     assert not found, f"field points as objects outside finitefield.py: {found}"
 
 
+def _scoped(node, scope=""):
+    """(qualified name of the enclosing function or class, node) for every
+    node below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+# the places that may ask a field its degree, each with the reason it stays
+_DEGREE_SITES = {
+    "finitefield.py:FqField.__init__": "chooses the modulus: x for a prime field, a seeded irreducible search above",
+    "hypergeometric.py:HyperSpec.extension": "degree 1 is the base field itself, and only a prime base field is extended",
+}
+
+
+def test_only_two_places_compare_a_degree():
+    # a prime field is the degree-1 case F_p[x]/(x): every field operation
+    # has one body for every degree, and no caller forks on the degree, so
+    # a degree (m or .m) is compared with 1 or 2 only at the listed sites
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            degree = any(getattr(o, "id", getattr(o, "attr", None)) == "m" for o in operands)
+            small = any(isinstance(o, ast.Constant) and o.value in (1, 2) and type(o.value) is int for o in operands)
+            if degree and small:
+                found.setdefault(f"{path.name}:{scope}", []).append(node.lineno)
+    assert sorted(found.keys() - _DEGREE_SITES.keys()) == [], f"degree forks: {found}"
+    assert sorted(_DEGREE_SITES.keys() - found.keys()) == [], "listed as comparing a degree, but no longer does"
+
+
 def test_program_import_leaves_openssl_unloaded():
     # hashlib loads OpenSSL's libcrypto (about 3.7 MiB resident); only the
     # digest of hyper-cross needs it, and it imports hashlib itself
