@@ -10,9 +10,9 @@ sum is a root of unity zeta_M^e, and `gauss_exponents` /
 for any common multiple M of the orders involved.  `gauss_sum` and
 `jacobi_sum` are the elements of their exponent counts; the identity
 checks decide on the counts directly (see `cyclotomic.vanishes`).  The
-order-N "power residue" character sends the chosen generator to zeta_N;
-that identification is a recorded convention, and no verified identity
-depends on it.
+order-N "power residue" character sends the field's generator to zeta_N:
+x mod the least primitive modulus (see `finitefield`), the least primitive
+root g for a prime field.  No verified identity depends on that choice.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """Finite fields F_q, q = p^m, backed by exponential and discrete-log tables.
 
 Elements are integer codes in 0..q-1 whose base-p digits are the coordinates
-in the power basis of a fixed irreducible modulus.  A prime field is the
-degree-1 case F_p[x]/(x): its code is its one digit, the residue itself, and
-every operation has one body for every degree.  Every API takes and returns
-a point as its code, an int read as int(x) % q; FqElem only carries the
-generator.  Every multiplicative question becomes index arithmetic mod q-1,
-through the EXP and DLOG tables; addition is digitwise, with no table.  The
-code ops take numpy arrays and Python ints alike.
+in the power basis of the modulus f, the least primitive polynomial of
+degree m in Conway's order, so the generator is x mod f.  A prime field is
+the degree-1 case F_p[x]/(x - g), g the least primitive root: its code is
+its one digit, the residue itself, and every operation has one body for
+every degree.  Every API takes and returns a point as its code, an int read
+as int(x) % q; FqElem only carries the generator.  Every multiplicative
+question becomes index arithmetic mod q-1, through the EXP and DLOG tables;
+addition is digitwise, with no table.  The code ops take numpy arrays and
+Python ints alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,41 +72,23 @@ def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    def norm(v: list[int]) -> list[int]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = norm(list(a)), norm(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % p
-            off = len(r) - len(b)
-            for j, bj in enumerate(b):
-                r[off + j] = (r[off + j] - c * bj) % p
-            r = norm(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    # x^{p^m} == x mod f, and x^{p^{m/r}} - x coprime to f for prime r | m
-    m = len(mod) - 1
-    x = _poly_mulmod([0, 1], [1], mod, p)  # x reduced to m digits
-    if _poly_powmod(x, p ** m, mod, p) != x:
-        return False
-    for r in prime_factors(m):
-        sub = _poly_powmod(x, p ** (m // r), mod, p)
-        diff = [(s - t) % p for s, t in zip(sub, x)]
-        g = _poly_gcd(list(mod), diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+def _least_primitive(p: int, m: int) -> tuple[int, ...]:
+    """Coefficients, constant first, of the least primitive polynomial of
+    degree m over F_p in Conway's order: f = x^m - a_1 x^(m-1) + a_2 x^(m-2)
+    - ... + (-1)^m a_m, least in (a_1, ..., a_m) with a_m != 0, such that x
+    has order p^m - 1 mod f.  Such an f is irreducible, as a reducible f of
+    degree m leaves fewer than p^m - 1 units; at m = 1 it is x - g for the
+    least primitive root g."""
+    n = p ** m - 1
+    one = [1] + [0] * (m - 1)
+    checks = [n // r for r in prime_factors(n)]
+    for a in itertools.product(range(p), repeat=m):
+        if not a[-1]:
+            continue
+        f = [(-1) ** (m - i) * a[m - 1 - i] % p for i in range(m)] + [1]
+        if all(_poly_powmod([0, 1], c, f, p) != one for c in checks) and _poly_powmod([0, 1], n, f, p) == one:
+            return tuple(f)
+    raise ArithmeticError("no primitive polynomial found")  # unreachable: every F_{p^m} has one
 
 
 class FqElem:
@@ -130,16 +113,8 @@ class FqField:
             raise TooLarge(f"q = {q} exceeds the table bound 2^24")
         self.p, self.m, self.q = p, m, q
         self._pp = [p ** i for i in range(m + 1)]
-        if m == 1:
-            self.modulus: tuple[int, ...] = (0, 1)
-        else:
-            rng = random.Random(p * 1009 + m)
-            while True:
-                cand = [rng.randrange(p) for _ in range(m)] + [1]
-                if cand[0] != 0 and _is_irreducible(cand, p):
-                    self.modulus = tuple(cand)
-                    break
-        self._gen_code = self._find_generator()
+        self.modulus = _least_primitive(p, m)
+        self._gen_code = self._digits_code(_poly_powmod([0, 1], 1, self.modulus, p))  # x mod f
         self._build_log_tables()
         self._trabs: np.ndarray | None = None
 
@@ -154,24 +129,6 @@ class FqField:
     def _mul_code_slow(self, a: int, b: int) -> int:
         prod = _poly_mulmod(self._code_digits(a), self._code_digits(b), self.modulus, self.p)
         return self._digits_code(prod)
-
-    def _pow_code_slow(self, a: int, e: int) -> int:
-        out, cur = 1, a
-        while e:
-            if e & 1:
-                out = self._mul_code_slow(out, cur)
-            cur = self._mul_code_slow(cur, cur)
-            e >>= 1
-        return out
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        checks = [n // r for r in prime_factors(n)]
-        # 1 passes only when there is nothing to check: it generates F_2^x
-        for cand in range(1, self.q):
-            if all(self._pow_code_slow(cand, c) != 1 for c in checks):
-                return cand
-        raise ArithmeticError("no generator found")  # unreachable for a field
 
     def _build_log_tables(self) -> None:
         """EXP[k] = g^k and its inverse DLOG, B ~ sqrt(q - 1) powers at a time.
@@ -271,7 +228,12 @@ class FqField:
         return int(self.EXP[(int(self.DLOG[code]) * e) % (self.q - 1)])
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict[tuple[int, int], FqField] = {}
+
+
 def build_field(p: int, m: int = 1) -> FqField:
-    """Construct (and cache) F_{p^m} with verified modulus and generator."""
-    return FqField(p, m)
+    """Construct (and cache) F_{p^m} with verified modulus and generator:
+    one object per (p, m), however m is passed."""
+    if (p, m) not in _FIELDS:
+        _FIELDS[p, m] = FqField(p, m)
+    return _FIELDS[p, m]

@@ -196,17 +196,19 @@ def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = 
 
     Factor i has a single 1 at (d, shifts[i][d]) in every row d != 0, so
     out[x, j] counts the tuples (d_1..d_k) of nonzero rows with sum d_i = x
-    and sum shifts[i][d_i] = j.  The counts are nonnegative and sum to
-    (R-1)^k, which bounds every partial sum of the folds.
+    and sum shifts[i][d_i] = j.  After the fold of factor i the counts are
+    nonnegative and sum to (R-1)^i, which bounds every partial sum of that
+    fold, so each fold widens only as far as its own bound.
     """
-    H = np.zeros((R, N), dtype=exact_dtype((R - 1) ** len(shifts)))
+    H = np.zeros((R, N), dtype=np.int64)
     d = np.arange(1, R)
     H[d, shifts[0][1:]] = 1
-    if len(shifts) < 2:
+    k = len(shifts)
+    if k < 2:
         return H if row is None else H[row : row + 1]
-    for s in shifts[1:-1]:
-        H = shift_sums(H, (d, s[1:]))[0]
-    return shift_sums(H, (d, shifts[-1][1:]), row=row)[0]
+    for i, s in enumerate(shifts[1:], start=2):
+        H = shift_sums(H.astype(exact_dtype((R - 1) ** i), copy=False), (d, s[1:]), row=row if i == k else None)[0]
+    return H
 
 
 def _trace_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], R: int, N: int, row: int | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -65,8 +66,11 @@ def test_extension_field_arithmetic():
     E = build_field(7, 2)
     assert E.q == 49
     g = E.generator.code
-    assert E._pow_code_slow(g, 48) == 1
-    assert all(E._pow_code_slow(g, k) != 1 for k in range(1, 48))
+    powers = [1]  # g^0 .. g^48 by slow products, not through the tables
+    for _ in range(48):
+        powers.append(E._mul_code_slow(powers[-1], g))
+    assert powers[48] == 1 and 1 not in powers[1:48]
+    assert powers[:48] == E.EXP.tolist() and int(E.DLOG[g]) == 1
     # frobenius x -> x^7 fixes exactly the prime subfield
     fixed = [c for c in range(E.q) if _power(E, c, 7) == c]
     assert len(fixed) == 7
@@ -124,7 +128,8 @@ def test_vector_code_ops_match_scalar_extension():
 
 
 def test_field_cache_identity():
-    assert build_field(29) is build_field(29)
+    # one object per (p, m), however the degree is passed
+    assert build_field(29) is build_field(29) is build_field(29, 1) is build_field(29, m=1)
 
 
 def test_table_bound_refuses_before_allocating(refused_peak):
@@ -162,19 +167,19 @@ def test_vector_codes_match_digit_addition_and_field_axioms(pm, data):
     assert np.all(mul(units, inv) == 1)
 
 
-# sha256 of EXP and DLOG bytes as earlier builders made them; (7, 2) to
+# sha256 of EXP and DLOG bytes with the least primitive modulus; (7, 2) to
 # (29, 2) are the extension fields the golden runs read, so a moved modulus
 # (which relabels hyper trace --E 2 rows) fails here as well as there
 _TABLE_DIGESTS = {
-    (2, 7): "23f5b6f187922c7afe55319d5e75726a7e53c71214aa818f0cb54a79998efa0f",
-    (3, 5): "64b74d0b7f80e66481bdebff913f0bb38a5cb358d28f4ed3f722f513c35a1e1e",
-    (13, 3): "536fba6a4a731d95c478d63d7a85554df319a25800b1cb0565e18519afaad1e9",
-    (43, 2): "7cb4675da517996a5613ca8fc2502008bbb31610d421bb618d48584407fe775d",
+    (2, 7): "702fea0f1ba1037ddfc0218675a44ee692dcf2866d18aaafa0b43a6e9d1b3dc7",
+    (3, 5): "d332ecc0eb6de04854099d1c8e145d2313c4a9bf507a8ab12d87f411fa6313dd",
+    (13, 3): "3c04b1f8557c559308866ae76cf66b1a20ec5fd0f7f4536ed49ae68ddc98c0fc",
+    (43, 2): "75ffcf5a47911de2b08119937a1608072473afa2f244f066d4a3e6df93f71c25",
     (29, 1): "ac929ce5b25ca62e42ed341cf95f4b1e8c0d2f75fb909ec59f560d975bd19e67",
-    (7, 2): "60e5a42c4e13759e82c2a1fe163ea02bf9e5bcfd4dd4c467f1f612ecb0fb927f",
-    (7, 3): "116e5306bf54e5d7b3e76a9ec02afe3da5e015aff50f4960a158a8237f3d1d14",
-    (19, 3): "23c65c39e9840186cc5dfd8f7bc137c5c7ee992df4a183c69f98ffe0c1eb393c",
-    (29, 2): "0f08d80c1f0cd5637ba1dabce6262886e1d9a21b5d80cfd087eedca85685c82f",
+    (7, 2): "20762616ecacc91779b6da1746959485b46b139f1bf47964afa08d2558ce4a7f",
+    (7, 3): "41fac469da5508266e40990f453b81143c3f03ce2e97d83078a208fbf82bbd49",
+    (19, 3): "f6c383cf462538d0be0833564ea0876865b8f3def82087f6052662216673c0ac",
+    (29, 2): "5a9486beecd7562cf7d24c4aa6f29ccf4feaf0c72df82fb433ce8dc028a9b9a0",
 }
 
 
@@ -195,8 +200,43 @@ def test_log_tables_step_by_the_generator(p, m):
 
 @pytest.mark.parametrize("gen, match", [(7, "no discrete log"), (0, "order check")])
 def test_log_tables_refuse_a_non_generator(monkeypatch, gen, match):
-    # 7 has order 7 in F_29, so 7^28 = 1 and only the unit check sees that
-    # its powers miss 24 units; the non-unit 0 fails the order check
-    monkeypatch.setattr(finitefield.FqField, "_find_generator", lambda self: gen)
+    # the modulus x - gen makes x = gen: (22, 1) and (0, 1) in F_29.  7 has
+    # order 7, so 7^28 = 1 and only the unit check sees that its powers miss
+    # 24 units; the non-unit 0 fails the order check
+    monkeypatch.setattr(finitefield, "_least_primitive", lambda p, m: (-gen % p, 1))
     with pytest.raises(ArithmeticError, match=match):
         finitefield.FqField(29, 1)
+
+
+def _order_of_x(f, p):
+    """The order of x mod the monic f (constant first) over F_p, by repeated
+    multiplication by x; 0 if x has not returned to 1 after p^m - 1 steps."""
+    m = len(f) - 1
+    one = [1] + [0] * (m - 1)
+    cur = finitefield._poly_mulmod([0, 1], one, f, p)
+    for k in range(1, p ** m):
+        if cur == one:
+            return k
+        cur = finitefield._poly_mulmod(cur, [0, 1], f, p)
+    return 0
+
+
+@pytest.mark.parametrize("p, m", [*((2, m) for m in range(2, 8)), (3, 5), (7, 2), (7, 3), (13, 3)])
+def test_modulus_is_the_least_primitive_in_conways_order(p, m):
+    # f = x^m - a_1 x^(m-1) + ... + (-1)^m a_m for (a_1, ..., a_m) in
+    # lexicographic order: the modulus is the first f in which x has order
+    # p^m - 1, and x is the generator, code p
+    for a in itertools.product(range(p), repeat=m):
+        f = [(-1) ** (m - i) * a[m - 1 - i] % p for i in range(m)] + [1]
+        if a[-1] and _order_of_x(f, p) == p ** m - 1:
+            break
+    E = build_field(p, m)
+    assert E.modulus == tuple(f)
+    assert E.generator.code == p and E.EXP[1] == p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23, 29, 41, 43, 71, 191, 911])
+def test_prime_field_generator_is_the_least_primitive_root(p):
+    least = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    E = build_field(p)
+    assert E.generator.code == least and E.modulus == (-least % p, 1)

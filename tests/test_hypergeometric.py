@@ -573,6 +573,27 @@ def test_shift_hist_matches_loop(case):
     assert _shift_hist(shifts, R, N, row).tolist() == (want if row is None else [want[row]])
 
 
+@pytest.mark.parametrize("row", [None, 3])
+def test_shift_hist_widens_fold_by_fold(monkeypatch, row):
+    # with exact_dtype's limit between (R-1)^3 = 64 and (R-1)^4 = 256, the
+    # folds to 2 and 3 factors stay int64 and only the last runs in Python
+    # integers; the histogram is the loop's either way
+    R, N = 5, 3
+    shifts = [np.array([0, 1, 2, 0, 1]), np.array([0, 2, 2, 1, 0]), np.array([0, 0, 1, 2, 1]), np.array([0, 1, 1, 0, 2])]
+    seen = []
+    fold = hypergeometric.shift_sums
+
+    def spy(T, *sets, row=None):
+        seen.append(T.dtype)
+        return fold(T, *sets, row=row)
+
+    monkeypatch.setattr(hypergeometric, "shift_sums", spy)
+    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 100)
+    want = _hist_reference(shifts, R, N)
+    assert _shift_hist(shifts, R, N, row).tolist() == (want if row is None else [want[row]])
+    assert seen == [np.int64, np.int64, object]
+
+
 def _dense(factor, R, N, L):
     base, s = factor
     T = [[0] * L for _ in range(R)]

@@ -238,15 +238,15 @@ def _scoped(node, scope=""):
 
 # the places that may ask a field its degree, each with the reason it stays
 _DEGREE_SITES = {
-    "finitefield.py:FqField.__init__": "chooses the modulus: x for a prime field, a seeded irreducible search above",
     "hypergeometric.py:HyperSpec.extension": "degree 1 is the base field itself, and only a prime base field is extended",
 }
 
 
-def test_only_two_places_compare_a_degree():
-    # a prime field is the degree-1 case F_p[x]/(x): every field operation
-    # has one body for every degree, and no caller forks on the degree, so
-    # a degree (m or .m) is compared with 1 or 2 only at the listed sites
+def test_only_the_extension_compares_a_degree():
+    # a prime field is the degree-1 case F_p[x]/(x - g) in construction and
+    # in arithmetic: every field operation has one body for every degree,
+    # and no caller forks on the degree, so a degree (m or .m) is compared
+    # with 1 or 2 only at the listed sites
     found = {}
     for path in sorted(SRC.glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text())):
@@ -259,6 +259,25 @@ def test_only_two_places_compare_a_degree():
                 found.setdefault(f"{path.name}:{scope}", []).append(node.lineno)
     assert sorted(found.keys() - _DEGREE_SITES.keys()) == [], f"degree forks: {found}"
     assert sorted(_DEGREE_SITES.keys() - found.keys()) == [], "listed as comparing a degree, but no longer does"
+
+
+# the modules whose draws take a caller's seed
+_SEEDED = {"harness.py", "pairings.py"}
+
+
+def test_only_seeded_draws_import_random():
+    # a field, a table or a verdict is built by a fixed rule: only the
+    # campaign's and the signs check's draws, whose seed the caller passes,
+    # import random
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "random" for alias in node.names):
+                found.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.add(path.name)
+    assert sorted(found - _SEEDED) == [], "modules that draw without a caller's seed"
+    assert sorted(_SEEDED - found) == [], "listed as seeded, but no longer import random"
 
 
 def test_program_import_leaves_openssl_unloaded():
