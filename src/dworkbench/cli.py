@@ -13,7 +13,7 @@ import sys
 
 from .characters import AddChar, MultChar, gauss_sum
 from .dwork import DworkFiber, count_points, eigentrace_all_t, eigentrace_charsum
-from .errors import ConfigError, WorkbenchError
+from .errors import BadT, ConfigError, WorkbenchError
 from .finitefield import build_field
 from .harness import (
     CampaignConfig,
@@ -34,8 +34,8 @@ def _cyclo_row(t: int, value) -> dict:
 def _cmd_char_gauss(args) -> int:
     q = args.q
     field = build_field(q)
-    if (q - 1) % args.chi_order != 0:
-        raise ConfigError(f"chi-order must divide q - 1 = {q - 1}")
+    if args.chi_order < 1 or (q - 1) % args.chi_order != 0:
+        raise ConfigError(f"chi-order must be a positive divisor of q - 1 = {q - 1}")
     j = ((q - 1) // args.chi_order) * args.chi_exp
     chi = MultChar(field, j)
     g = gauss_sum(AddChar(field), chi)
@@ -95,7 +95,10 @@ def _cmd_dwork_trace(args) -> int:
         memo: dict = {}  # the fibers share their label's strata
         rows = [table[t].to_json(memo) for t in sorted(table)]
     else:
-        fiber = DworkFiber(field, args.N, int(args.t))
+        try:
+            fiber = DworkFiber(field, args.N, int(args.t))
+        except ValueError:
+            raise BadT(f"t must be an integer or 'all', not {args.t!r}") from None
         rows = [eigentrace_charsum(v, fiber).to_json()]
     if args.json:
         print(json.dumps(rows, sort_keys=True))

@@ -17,7 +17,9 @@ one into an element, and `vanishes` decides whether one is zero in O(M
 omega(M)) steps, without the power basis.  An identity between products of
 such sums is then one vanishing test on the outer sums of their exponents.
 Both trace engines combine such vectors with the exact kernels `cconv`,
-`shift_sums` and `hist_conv`, and `exact_dtype` is the one width rule.
+`shift_sums`, `window_sums`, `hist_conv` and `combo`.  Each bounds its own
+operands and returns its result in `exact_dtype` of that bound, the one
+width rule, so no caller chooses a dtype.
 
 Complex embeddings (`embed`, `abs2`) serve printed output only; each call
 forms its roots of unity afresh, and no context keeps them.
@@ -499,7 +501,7 @@ def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
         return np.ones(lead, dtype=bool)
     perm, shape = _crt_layout(M)
     steps = len(shape) // 2
-    dt = exact_dtype(max(int(c.max()), -int(c.min())) << (steps + 1))
+    dt = exact_dtype(_abs_max(c) << (steps + 1))
     x = c.astype(dt)[..., perm].reshape(lead + shape)
     for ax in range(len(lead), x.ndim, 2):
         top = x.shape[ax] - 1
@@ -508,18 +510,23 @@ def vanishes(counts: np.ndarray, M: int) -> np.ndarray:
     return np.all(x.reshape(lead + (-1,)) == 0, axis=-1)
 
 
-# -- exact count-vector kernels -----------------------------------------------
+# -- exact count-vector kernels: each casts an operand only to a dtype that holds it
+
+
+def _abs_max(v: np.ndarray) -> int:
+    """max|v|, exactly; 0 for an empty v."""
+    return max(int(v.max()), -int(v.min())) if v.size else 0
 
 
 def _abs_max_sum(v: np.ndarray) -> tuple[int, int]:
-    """max|v| and sum|v|, exactly: by numpy for an int64 vector whose sum is
-    proved in range, in Python integers otherwise."""
+    """max|v| and the largest sum of |v| along the last axis, exactly: by numpy
+    for an int64 v whose sums are proved in range, else in Python integers."""
     if v.dtype == np.int64:
-        top = max(int(v.max()), -int(v.min()))
-        if top * len(v) < _INT64_LIMIT:
-            return top, int(np.abs(v).sum())
-    a = list(map(abs, v.tolist()))
-    return max(a), sum(a)
+        top = _abs_max(v)
+        if top * v.shape[-1] < _INT64_LIMIT:
+            return top, int(np.abs(v).sum(axis=-1).max())
+    rows = [list(map(abs, r)) for r in v.reshape(-1, v.shape[-1]).tolist()]
+    return max(map(max, rows)), max(map(sum, rows))
 
 
 def cconv(x: np.ndarray, y: np.ndarray, L: int | None = None) -> np.ndarray:
@@ -553,14 +560,16 @@ def shift_sums(T: np.ndarray, *shift_sets: tuple[np.ndarray, np.ndarray], row: i
     (D, N) table T, cyclic in both axes, at every row d or at d = row alone;
     shape (len(shift_sets), D or 1, N).
 
-    At one row, each shift gathers one row of T itself: the doubled table
-    would hold 4 D N cells.  At every row, each shift names one (D, N)
+    A sum has a term per shift: the result is in exact_dtype of max|T| times
+    the longest set's length (at least 1, so T fits; an empty set sums to
+    0).  At one row, each shift gathers one row of T itself: the doubled
+    table would hold 4 D N cells.  At every row, each shift names one (D, N)
     window of the doubled table, and a set's sum adds its windows, repeats
     included, gathered a block of at most _BLOCK_CELLS cells (and at least
-    one window) at a time.  The sums are taken in T's dtype: the caller
-    proves them in range (see exact_dtype) or passes Python integers.
+    one window) at a time.
     """
     D, N = T.shape
+    T = T.astype(exact_dtype(_abs_max(T) * max([1, *(len(a) for a, _ in shift_sets)])), copy=False)
     if row is not None:
         e = np.arange(N)
         return np.stack([T[(row - a[:, None]) % D, (e - b[:, None]) % N].sum(axis=0) for a, b in shift_sets])[:, None]
@@ -574,6 +583,15 @@ def shift_sums(T: np.ndarray, *shift_sets: tuple[np.ndarray, np.ndarray], row: i
     return out
 
 
+def window_sums(V: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """out[d, e] = sum_j V[j, (e + shifts[j, d]) mod M] for a (J, M) table V and
+    (J, D) shifts in [0, M), one window of each row of the doubled table per
+    output row: J terms, so the result is in exact_dtype of J max|V|."""
+    J, M = V.shape
+    win = sliding_window_view(np.tile(V.astype(exact_dtype(J * _abs_max(V)), copy=False), 2), M, axis=1)
+    return np.stack([win[np.arange(J), s].sum(axis=0) for s in shifts.T])
+
+
 @lru_cache(maxsize=None)
 def _circulant(N: int, L: int) -> np.ndarray:
     """idx[j, e] = (e - (L/N) j) mod L: P[idx] stacks roll(P, (L/N) j) over j."""
@@ -585,11 +603,21 @@ def _circulant(N: int, L: int) -> np.ndarray:
 def hist_conv(P: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Rows sum_j H[..., r, j] roll(P, (L/N) j) for L-vectors P and (R, N)
     histograms H, batch axes leading: P convolved over Z/L with each row of
-    H placed at the multiples of L/N, by one circulant gather.  The sums
-    are taken in the operands' dtype: the caller proves them in range (see
-    exact_dtype) or passes Python integers.
+    H placed at the multiples of L/N, by one circulant gather.  An entry
+    has one term per cell of its row of H: the result is in exact_dtype of
+    max|P| times the largest row sum of |H|, and of each of the two.
     """
-    return H @ P[..., _circulant(H.shape[-1], P.shape[-1])]
+    mp, (_, sh) = _abs_max(P), _abs_max_sum(H)
+    dt = exact_dtype(max(mp, sh, mp * sh))
+    return H.astype(dt, copy=False) @ P.astype(dt, copy=False)[..., _circulant(H.shape[-1], P.shape[-1])]
+
+
+def combo(*terms: tuple[int, np.ndarray]) -> np.ndarray:
+    """sum c v over (c, v) terms of one shape, exact: a new array in exact_dtype
+    of sum |c| max|v|, each factor at least 1.  A c of 1 adds without a multiply."""
+    dt = exact_dtype(sum(max(1, abs(c)) * max(1, _abs_max(v)) for c, v in terms))
+    first, *rest = (v.astype(dt, copy=False) if c == 1 else c * v.astype(dt, copy=False) for c, v in terms)
+    return sum(rest, first) if rest else first.copy()
 
 
 def common(a: CycloElem, b: CycloElem) -> tuple[CycloElem, CycloElem]:

@@ -19,9 +19,9 @@ S[g^j, d, e] = T1[d - m j, e - V j].  Adding a unit is one
 z_j = dlog(1 + g^j) (see _orbit_step): (q-1)^2 N cell updates, against
 q (q-1)^2 N for the full state, gathered a block of windows at a time.
 The torus stratum reads its rows off both slices, a boundary stratum reads
-the slice sigma = -1.  Cells are normalised after each step and held in
-`cyclotomic.exact_dtype` of the step's proved bound: int64, then Python
-integers once a step could leave int64 (see _widen).
+the slice sigma = -1.  Cells are normalised after each step.  The kernels
+choose their own widths (int64, or Python integers past it), so a step
+passes its tables as they are and a slice narrows again once it fits.
 
 A boundary stratum tracks no dlog sum, so its slices are rows over Z/N and
 each step is a length-N cyclic convolution of T1 with two cached shift
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycloElem, exact_dtype, hist_conv, shared_json, shift_sums, to_cyclo
+from .cyclotomic import CycloElem, combo, hist_conv, shared_json, shift_sums, to_cyclo
 from .errors import BadN, BadParams, BadT, Infeasible
 from .finitefield import FqField, build_field
 from .weights import WeightVector, rank_of
@@ -167,14 +167,6 @@ def strata_sets(entries: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _widen(bound: int, T0: np.ndarray, T1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both slices in exact_dtype(bound), the cells being nonnegative so no
-    partial sum exceeds a result; once in Python integers, they stay there
-    (a finished batch row may hold cells past int64 under a small bound)."""
-    dt = np.result_type(T0, exact_dtype(bound))
-    return T0.astype(dt, copy=False), T1.astype(dt, copy=False)
-
-
 def _normalize(S: np.ndarray) -> np.ndarray:
     """Subtract from each cell its minimum along the last (weight) axis.
 
@@ -194,11 +186,6 @@ def _zech(field: FqField) -> np.ndarray:
     z = field.DLOG[field.add_codes(field.EXP, 1)]
     z.setflags(write=False)
     return z
-
-
-def _state_max(T0: np.ndarray, T1: np.ndarray) -> int:
-    """Largest cell of the whole state: every slice sigma != 0 is a shift of T1."""
-    return max(int(T0.max()), int(T1.max()))
 
 
 def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +209,7 @@ def _orbit_step(T0: np.ndarray, T1: np.ndarray, zech: np.ndarray, m: int, V: int
     kh = (k + Qm1 // 2) % Qm1
     jk = zech[kh]  # -1 at k = 0, which the T1' sum leaves out
     to1, to0 = shift_sums(T1, ((k + m * jk)[1:], (w * k + V * jk)[1:]), (k + m * kh, w * k + V * kh))
-    return _normalize(to0), _normalize(T0 + to1)
+    return _normalize(to0), _normalize(combo((1, T0), (1, to1)))
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +241,7 @@ def _line_step(T0: np.ndarray, T1: np.ndarray, hist: np.ndarray, V: np.ndarray, 
     (V, w) rows of hist, _line_hists of the field, in one circulant gather."""
     N = T1.shape[-1]
     to = hist_conv(T1, hist[V % N, w % N])
-    return _normalize(to[:, 1]), _normalize(T0 + to[:, 0])
+    return _normalize(to[:, 1]), _normalize(combo((1, T0), (1, to[:, 0])))
 
 
 def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> list[CycloElem]:
@@ -263,8 +250,9 @@ def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> lis
     Row i counts the tuples of units with weights seqs[i] and sum -1 by
     total weight, stepped without a dlog axis on (K, N) slices in the order
     of seqs[i], one _line_step per depth over the rows still active; the
-    slice sigma = -1 = g^h is read as T1[e - V h].  The width of a step
-    follows the active rows' largest cell, as a row stepped alone would.
+    slice sigma = -1 = g^h is read as T1[e - V h].  The active rows come
+    back in the width their cells need, as a row stepped alone would; the
+    batch only widens to hold them, never narrowing a finished row.
     """
     T0 = np.eye(1, N, dtype=np.int64).repeat(len(seqs), axis=0)  # the empty tuple: sum 0, exponent 0
     T1 = np.zeros_like(T0)
@@ -272,9 +260,9 @@ def boundary_terms(field: FqField, N: int, seqs: Sequence[Sequence[int]]) -> lis
     for d in range(max(map(len, seqs), default=0)):
         act = np.array([len(seq) > d for seq in seqs])
         w = np.array([seq[d] for seq in seqs if len(seq) > d])
-        # each histogram row sums to at most q - 1
-        T0, T1 = _widen((field.q - 1) * _state_max(T0[act], T1[act]), T0, T1)
-        T0[act], T1[act] = _line_step(T0[act], T1[act], _line_hists(field, N), V[act], w)
+        t0, t1 = _line_step(T0[act], T1[act], _line_hists(field, N), V[act], w)
+        T0, T1 = T0.astype(np.result_type(T0, t0), copy=False), T1.astype(np.result_type(T1, t1), copy=False)
+        T0[act], T1[act] = t0, t1
         V[act] += w
     h = (field.q - 1) // 2  # N | h for odd N, so this shift is trivial on the family
     return [-to_cyclo(T1[r, (np.arange(N) - V[r] * h) % N].tolist(), N) for r in range(len(seqs))]
@@ -357,13 +345,11 @@ def _torus_aggregate(field: FqField, N: int, entries: Sequence[int], orbits: dic
     for i in range(N - 2 if shared in orbits else 0, N - 1):
         if i == N - 2:
             orbits[shared] = T0, T1, V
-        T0, T1 = _widen((q - 1) * _state_max(T0, T1), T0, T1)
         w = entries[i] % N
         T0, T1 = _orbit_step(T0, T1, zech, i, V, w)
         V += w
-    T0, T1 = _widen(q * _state_max(T0, T1), T0, T1)
     j = np.flatnonzero(zech >= 0)
-    G = T0 + shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]
+    G = combo((1, T0), (1, shift_sums(T1, ((N - 1) * j - N * zech[j], V * j))[0]))
     return G[-np.arange(Qm1) % Qm1]
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotPrime, TooLarge
+from .errors import BadParams, NotPrime, TooLarge
 
 _TABLE_BOUND = 1 << 24
 
@@ -108,6 +108,8 @@ class FqField:
     def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if m <= 0:
+            raise BadParams(f"a field extension has degree at least 1, not {m}")
         q = p ** m
         if q > _TABLE_BOUND:
             raise TooLarge(f"q = {q} exceeds the table bound 2^24")

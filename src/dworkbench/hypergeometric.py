@@ -17,10 +17,11 @@ histogram of summed shifts over (Z/q-1) x (Z/N) folded from one-hot tables
 the histogram applied to the convolved base as shifts by multiples of p
 (`hist_conv`).
 
-The Mellin route shares no code with the rank-1 tables.  Each factor's
-Mellin coefficient is a product of two Gauss sums, whose terms
+The Mellin route shares only `cconv` with the rank-1 tables.  Each
+factor's Mellin coefficient is a product of two Gauss sums, whose terms
 `gauss_exponents` lists; the inverse transform is a shift of count vectors
-over zeta_{p(q-1)}, and `cyclotomic.vanishes` decides the comparison.
+over zeta_{p(q-1)} (`window_sums`), and `cyclotomic.vanishes` decides the
+comparison.
 
 The determinant identity is decided the same way, over Z/pN.  The closed
 form is a product of Gauss sums taken from `gauss_exponents` alone, and
@@ -37,7 +38,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import (
     AddChar,
@@ -48,7 +48,7 @@ from .characters import (
     phi_inverse,
     teich_char,
 )
-from .cyclotomic import _BLOCK_CELLS, CycloElem, cconv, ctx_for, exact_dtype, exponent_counts, hist_conv, shift_sums, to_cyclo, vanishes
+from .cyclotomic import _BLOCK_CELLS, CycloElem, cconv, combo, ctx_for, exponent_counts, hist_conv, shift_sums, to_cyclo, vanishes, window_sums
 from .errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from .finitefield import FqField, build_field
 from .weights import WeightVector, build_v, hyper_data
@@ -196,9 +196,8 @@ def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = 
 
     Factor i has a single 1 at (d, shifts[i][d]) in every row d != 0, so
     out[x, j] counts the tuples (d_1..d_k) of nonzero rows with sum d_i = x
-    and sum shifts[i][d_i] = j.  After the fold of factor i the counts are
-    nonnegative and sum to (R-1)^i, which bounds every partial sum of that
-    fold, so each fold widens only as far as its own bound.
+    and sum shifts[i][d_i] = j; each fold is one shift_sums, in the width
+    its own counts need.
     """
     H = np.zeros((R, N), dtype=np.int64)
     d = np.arange(1, R)
@@ -207,7 +206,7 @@ def _shift_hist(shifts: Sequence[np.ndarray], R: int, N: int, row: int | None = 
     if k < 2:
         return H if row is None else H[row : row + 1]
     for i, s in enumerate(shifts[1:], start=2):
-        H = shift_sums(H.astype(exact_dtype((R - 1) ** i), copy=False), (d, s[1:]), row=row if i == k else None)[0]
+        H = shift_sums(H, (d, s[1:]), row=row if i == k else None)[0]
     return H
 
 
@@ -220,12 +219,7 @@ def _trace_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], R: int, N: int
     the convolution of the bases over Z/L times the histogram of the shifts
     (_shift_hist), applied as shifts (hist_conv).
     """
-    P = functools.reduce(cconv, [base for base, _ in factors])
-    H = _shift_hist([s for _, s in factors], R, N, row)
-    # every entry and partial sum is at most max|P| times a row sum of H
-    # (H counts, so nonnegative), each taken as at least 1
-    dt = exact_dtype(max(1, *map(abs, P.tolist())) * max(1, int(H.sum(axis=1).max())))
-    out = hist_conv(P.astype(dt), H.astype(dt))
+    out = hist_conv(functools.reduce(cconv, [base for base, _ in factors]), _shift_hist([s for _, s in factors], R, N, row))
     return out if len(factors) % 2 else -out
 
 
@@ -354,15 +348,10 @@ def mellin_rows(spec: HyperSpec) -> np.ndarray:
     V = None
     for a, b in zip(spec.s_chi, spec.s_rho):
         g, gbar = G[(j + a * R // N) % R], Gbar[(-j - b * R // N) % R]
-        F = np.concatenate([
-            exponent_counts(g[lo : lo + step, :, None] + gbar[lo : lo + step, None, :], M) for lo in range(0, R, step)
-        ])
+        F = np.concatenate([exponent_counts(g[lo : lo + step, :, None] + gbar[lo : lo + step, None, :], M) for lo in range(0, R, step)])
         V = F if V is None else np.stack([cconv(x, y) for x, y in zip(V, F)])
-    # row d sums the windows V[j, s : s + M] of V twice over, s = p (j d mod R);
-    # each V[j] has (q-1)^(2k) terms, so every cell stays below (q-1)^(2k+1)
-    win = sliding_window_view(np.concatenate([V, V], axis=1).astype(exact_dtype(R ** (2 * k + 1))), M, axis=1)
-    s = p * (np.outer(j, j) % R)
-    return -np.stack([win[j, s[:, d]].sum(axis=0) for d in range(R)])
+    # row d shifts each V[j] by p (j d mod R)
+    return -window_sums(V, p * (np.outer(j, j) % R))
 
 
 def mellin_agrees(spec: HyperSpec, C: np.ndarray) -> np.ndarray:
@@ -374,10 +363,9 @@ def mellin_agrees(spec: HyperSpec, C: np.ndarray) -> np.ndarray:
     """
     W = mellin_rows(spec)
     R, M, L = spec.field.q - 1, W.shape[1], C.shape[1]
-    # every entry of the difference is at most max|W| + R max|C|
-    lift = np.zeros(W.shape, dtype=exact_dtype(int(abs(W).max()) + R * int(abs(C).max())))
+    lift = np.zeros(W.shape, dtype=C.dtype)
     lift[:, np.arange(L) * (M // L)] = C
-    return vanishes(W - R * lift, M)
+    return vanishes(combo((1, W), (-R, lift)), M)
 
 
 def canonical_trace(spec: HyperSpec) -> TraceTable:
@@ -388,9 +376,9 @@ def canonical_trace(spec: HyperSpec) -> TraceTable:
     field, N = spec.field, spec.N
     R = field.q - 1
     _require_budget(_kernel_cost(R, N, N, R, spec.k), N, spec.k)
-    unit = np.zeros(N, dtype=np.int64)
-    unit[0] = 1
-    C = _trace_rows([(unit, _rank1_canon_shifts(field, N, a, b)) for a, b in zip(spec.s_chi, spec.s_rho)], R, N)
+    # unit bases: the _trace_rows product is the shift histogram, signed (-1)^(k-1)
+    H = _shift_hist([_rank1_canon_shifts(field, N, a, b) for a, b in zip(spec.s_chi, spec.s_rho)], R, N)
+    C = H if spec.k % 2 else -H
     lam = CycloElem.one(N)
     for a, b in zip(spec.s_chi, spec.s_rho):
         lam = lam * grossen_value(field, N, a, b)
@@ -437,13 +425,6 @@ def canonical_paths_compare(spec: HyperSpec) -> tuple[bool, int]:
 # det_agrees decides their equality with `vanishes`, building no element.
 
 
-def _combo(*terms: tuple[int, np.ndarray]) -> np.ndarray:
-    """sum c v over the (c, v) terms, exact: int64 when sum |c| max|v| lies
-    below 2^63, Python integers otherwise."""
-    dtype = exact_dtype(sum(abs(c) * max(1, int(v.max()), -int(v.min())) for c, v in terms))
-    return sum(c * v.astype(dtype) for c, v in terms)
-
-
 def _locus_code(spec: HyperSpec, t: int) -> int:
     code = int(t) % spec.field.q
     if code in (0, 1):
@@ -485,7 +466,7 @@ def _det_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
     shift += sa * int(DLOG[t_code])  # (prod chi)(t)
     if sa != sb:  # (prod rho / prod chi)(1 - t)
         shift += (sb - sa) * int(DLOG[f.add_code(1, f.neg_code(t_code))])
-    return _combo((((-1) ** k * f.q ** (k * (k - 1) // 2)) ** f.m, np.roll(D, p * (shift % N))))
+    return combo((((-1) ** k * f.q ** (k * (k - 1) // 2)) ** f.m, np.roll(D, p * (shift % N))))
 
 
 def _newton_budget(spec: HyperSpec) -> int:
@@ -511,8 +492,8 @@ def _newton_counts(spec: HyperSpec, t_code: int) -> np.ndarray:
         return ps[0]
     p11 = cconv(ps[0], ps[0])
     if spec.k == 2:
-        return _combo((1, p11), (-1, ps[1]))
-    return _combo((1, cconv(p11, ps[0])), (-3, cconv(ps[0], ps[1])), (2, ps[2]))
+        return combo((1, p11), (-1, ps[1]))
+    return combo((1, cconv(p11, ps[0])), (-3, cconv(ps[0], ps[1])), (2, ps[2]))
 
 
 def det_trad(spec: HyperSpec, t: int) -> CycloElem:
@@ -553,7 +534,7 @@ def det_agrees(spec: HyperSpec, t: int) -> bool:
     L = _det_budget(spec)
     _newton_budget(spec)
     t_code = _locus_code(spec, t)
-    diff = _combo((math.factorial(spec.k), _det_counts(spec, t_code)), (-1, _newton_counts(spec, t_code)))
+    diff = combo((math.factorial(spec.k), _det_counts(spec, t_code)), (-1, _newton_counts(spec, t_code)))
     return bool(vanishes(diff, L))
 
 

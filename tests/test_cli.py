@@ -38,9 +38,10 @@ def test_char_gauss_json_weight(capsys):
 
 
 def test_char_gauss_rejects_bad_order(capsys):
-    code, _, err = run(capsys, "char", "gauss", "--q", "29", "--chi-order", "5")
-    assert code == 2
-    assert "config error" in err
+    for order in ("5", "0", "-7"):
+        code, _, err = run(capsys, "char", "gauss", "--q", "29", "--chi-order", order)
+        assert code == 2, order
+        assert "config error" in err
 
 
 def test_hyper_trace_rows(capsys):
@@ -81,9 +82,15 @@ def test_dwork_trace_single_point(capsys):
 
 
 def test_dwork_trace_bad_t(capsys):
-    code, _, err = run(capsys, "dwork", "trace", "--N", "7", "--n", "2", "--q", "29", "--t", "0")
-    assert code == 2
-    assert "BadT" in err
+    for argv, error in [
+        (("trace", "--N", "7", "--n", "2", "--q", "29", "--t", "0"), "BadT"),
+        (("trace", "--N", "7", "--n", "2", "--q", "29", "--t", "abc"), "BadT"),
+        (("count", "--N", "3", "--q", "7", "--t", "3", "--ext", "0"), "BadParams"),
+        (("count", "--N", "3", "--q", "7", "--t", "3", "--ext", "-1"), "BadParams"),
+    ]:
+        code, _, err = run(capsys, "dwork", *argv)
+        assert code == 2, argv
+        assert error in err
 
 
 def test_dwork_count(capsys):

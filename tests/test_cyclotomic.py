@@ -15,6 +15,7 @@ from dworkbench.cyclotomic import (
     common,
     ctx_for,
     cyclotomic_poly,
+    combo,
     euler_phi,
     exponent_counts,
     hist_conv,
@@ -22,6 +23,7 @@ from dworkbench.cyclotomic import (
     shift_sums,
     to_cyclo,
     vanishes,
+    window_sums,
 )
 
 
@@ -518,7 +520,7 @@ def test_hist_conv_matches_loop(shape, vals, small):
     batch = [(P, H), (P[::-1], H[::-1])]
     got = hist_conv(np.array([p for p, _ in batch], dtype=object), np.array([h for _, h in batch], dtype=object))
     assert got.tolist() == [loop(p, h) for p, h in batch]
-    if small:  # computed in the operands' dtype
+    if small:  # the bound is below 2^63, so the sums are int64
         got = hist_conv(np.array(P, dtype=np.int64), np.array(H, dtype=np.int64))
         assert got.dtype == np.int64 and got.tolist() == want
 
@@ -552,6 +554,7 @@ def _shift_sums_case(draw):
 @given(_shift_sums_case())
 @example(case=([[1, 2], [3, 4], [5, 6]], [([1, 1, 4, -2], [0, 0, 2, 1]), ([], [])], None, 1, False))
 @example(case=([[1 << 70, -3]], [([0, 0], [1, 1])], 0, 1, True))
+@example(case=([[5, -3], [2, 0]], [([0, 1], [1, 1])], None, 1, True))  # Python integers that fit int64
 def test_shift_sums_matches_loop(case):
     T, sets, row, block, big = case
     table = np.array(T, dtype=object if big else np.int64)
@@ -560,5 +563,63 @@ def test_shift_sums_matches_loop(case):
         mp.setattr(cyclotomic, "_BLOCK_CELLS", block)
         got = shift_sums(table, *arrays, row=row)
     want = _shift_sums_reference(T, sets)
-    assert got.dtype == table.dtype
+    # the kernel's own width, from max|T| times the longest set (at least 1)
+    bound = max(abs(c) for r in T for c in r) * max([1, *(len(a) for a, _ in sets)])
+    assert got.dtype == (np.int64 if bound < 1 << 63 else object)
     assert got.tolist() == (want if row is None else [w[row : row + 1] for w in want])
+
+
+def _int64_cells(data, m, shape):
+    """An int64 array of the given shape with entries in [-m, m], often at
+    the ends."""
+    cell = st.one_of(st.sampled_from([m, -m]), st.integers(-m, m))
+    return np.array(data.draw(st.lists(cell, min_size=math.prod(shape), max_size=math.prod(shape))), dtype=np.int64).reshape(shape)
+
+
+def _compositions(n):
+    """The ordered ways to write n as a sum of positive integers."""
+    return [[n]] + [[k, *rest] for k in range(1, n) for rest in _compositions(n - k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["shift_sums", "shift_sums at a row", "hist_conv", "combo", "window_sums"]), st.integers(1, 5), st.data())
+def test_kernels_never_wrap(kernel, terms, data):
+    # int64 operands whose largest |entry| times the number of terms a result
+    # sums lies just below or just above 2^63: each kernel sizes its own
+    # result, so every value equals a loop's in Python integers
+    m = min((1 << 63) // terms + data.draw(st.integers(-2, 2)), (1 << 63) - 1)
+    dims = st.integers(1, 3)
+    if kernel.startswith("shift_sums"):
+        D, N = data.draw(dims), data.draw(dims)
+        T = _int64_cells(data, m, (D, N))
+        shift = st.integers(-5, 5)
+        sets = [data.draw(st.tuples(st.lists(shift, min_size=n, max_size=n), st.lists(shift, min_size=n, max_size=n)))
+                for n in [terms, *data.draw(st.lists(st.integers(0, terms), max_size=2))]]
+        row = data.draw(st.integers(0, D - 1)) if kernel.endswith("row") else None
+        got = shift_sums(T, *[(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in sets], row=row)
+        want = _shift_sums_reference(T.tolist(), sets)
+        want = want if row is None else [w[row : row + 1] for w in want]
+    elif kernel == "hist_conv":
+        N, c, R = data.draw(dims), data.draw(dims), data.draw(dims)
+        L = N * c
+        # nonnegative rows that sum to at most terms, the first to terms
+        rows = st.lists(st.integers(0, N - 1), max_size=terms).map(lambda js: np.bincount(js, minlength=N).tolist())
+        H = [np.bincount(data.draw(st.lists(st.integers(0, N - 1), min_size=terms, max_size=terms)), minlength=N).tolist()]
+        H += [data.draw(rows) for _ in range(R - 1)]
+        P = _int64_cells(data, m, (L,))
+        got = hist_conv(P, np.array(H, dtype=np.int64))
+        want = [[sum(H[r][j] * int(P[(e - c * j) % L]) for j in range(N)) for e in range(L)] for r in range(R)]
+    elif kernel == "combo":
+        # coefficients whose |c| sum to terms, on arrays of one shape
+        cs = [c * data.draw(st.sampled_from([1, -1])) for c in data.draw(st.sampled_from(_compositions(terms)))]
+        n = data.draw(dims)
+        vs = [_int64_cells(data, m, (n,)) for _ in cs]
+        got = combo(*zip(cs, vs))
+        want = [sum(c * int(v[i]) for c, v in zip(cs, vs)) for i in range(n)]
+    else:
+        M, D = data.draw(dims), data.draw(dims)
+        V = _int64_cells(data, m, (terms, M))
+        S = data.draw(st.lists(st.lists(st.integers(0, M - 1), min_size=D, max_size=D), min_size=terms, max_size=terms))
+        got = window_sums(V, np.array(S, dtype=np.int64))
+        want = [[sum(int(V[j, (e + S[j][d]) % M]) for j in range(terms)) for e in range(M)] for d in range(D)]
+    assert got.tolist() == want

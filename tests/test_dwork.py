@@ -479,28 +479,50 @@ def test_normalized_strata_match_scans(q, entries, t):
     assert a.torus == b.torus and a.strata == b.strata
 
 
+def _top(v):
+    return max((abs(x) for x in np.ravel(v).tolist()), default=0)
+
+
+def _row_sum(H):
+    return max(sum(map(abs, row)) for row in H.reshape(-1, H.shape[-1]).tolist())
+
+
+# each kernel the engine calls: the bound its docstring states, in Python
+# integers, and its table operands
+_KERNEL_BOUNDS = {
+    "shift_sums": lambda T, *sets, row=None: (_top(T) * max([1, *(len(a) for a, _ in sets)]), [T]),
+    "hist_conv": lambda P, H: (max(_top(P), _row_sum(H), _top(P) * _row_sum(H)), [P]),
+    "combo": lambda *terms: (sum(max(1, abs(c)) * max(1, _top(v)) for c, v in terms), [v for _, v in terms]),
+}
+
+
 def _engine_run(q, n, N, limit=None):
-    """Torus rows, boundary strata and the (bound, dtype) of every _widen
-    call of one label's engine run, with exact_dtype's limit set to limit."""
+    """Torus rows, boundary strata and, for the torus and then the boundary
+    batch, the (bound, operand dtypes, result dtype) of every kernel call of
+    one label's engine run, with exact_dtype's limit set to limit."""
     from dworkbench import cyclotomic, dwork
 
-    widths = []
-    widen = dwork._widen
+    calls = []
 
-    def spy(bound, T0, T1):
-        out = widen(bound, T0, T1)
-        widths.append((bound, out[0].dtype))
-        return out
+    def spy(name, kernel):
+        def run(*args, **kwargs):
+            bound, tables = _KERNEL_BOUNDS[name](*args, **kwargs)
+            out = kernel(*args, **kwargs)
+            calls.append((bound, {t.dtype for t in tables}, out.dtype))
+            return out
+
+        return run
 
     f, v = build_field(q), build_v(n, N)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dwork, "_widen", spy)
+        for name in _KERNEL_BOUNDS:
+            mp.setattr(dwork, name, spy(name, getattr(dwork, name)))
         if limit is not None:
             mp.setattr(cyclotomic, "_INT64_LIMIT", limit)
         H = dwork._torus_aggregate(f, N, v.entries)
-        torus = widths[:]
+        torus = calls[:]
         strata = dwork._boundary_strata(f, N, v.entries)
-    return H.tolist(), strata, torus, widths[len(torus) :]
+    return H.tolist(), strata, torus, calls[len(torus) :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,20 +533,27 @@ def _int64_run(case):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(29, 2, 7), (73, 4, 9), (103, 2, 17)]), st.data())
 def test_engine_widens_past_int64_at_every_step(case, data):
-    # with the limit of exact_dtype lowered to the bound of one step, the
-    # engine switches to Python integers there and stays in them: its torus
-    # rows and boundary values equal the int64 run's
-    H, strata, *int64_widths = _int64_run(case)
+    # with the limit of exact_dtype lowered to the bound of one kernel call,
+    # each call returns Python integers exactly when its own bound reaches
+    # the limit, whatever its operands' dtypes: a table narrows to int64
+    # again once its cells fit, and the engine's torus rows and boundary
+    # values equal the int64 run's
+    H, strata, *int64_calls = _int64_run(case)
     engine = data.draw(st.sampled_from([0, 1]))  # torus or boundary batch
-    bounds = [b for b, _ in int64_widths[engine]]
-    assert all(dt == np.int64 for _, dt in int64_widths[engine])
-    i = data.draw(st.integers(0, len(bounds) - 1))
-    got = _engine_run(*case, limit=bounds[i])
+    bounds = [b for b, _, _ in int64_calls[engine]]
+    assert all(out == np.int64 for _, _, out in int64_calls[engine])
+    limit = data.draw(st.sampled_from(sorted(set(bounds))))
+    got = _engine_run(*case, limit=limit)
     assert got[0] == H and got[1] == strata
-    widths = got[2 + engine]
-    assert [b for b, _ in widths] == bounds
-    # widen only: object from the first bound at the limit on
-    assert [dt for _, dt in widths] == [np.dtype(object) if max(bounds[: j + 1]) >= bounds[i] else np.int64 for j in range(len(bounds))]
+    calls = got[2 + engine]
+    assert [b for b, _, _ in calls] == bounds
+    assert [out for _, _, out in calls] == [np.dtype(object) if b >= limit else np.int64 for b in bounds]
+    # every call after the first wide one reads Python integers, directly
+    # or through the slices it feeds, so narrowing shows wherever a later
+    # bound lies below the limit
+    narrowed = any(np.dtype(object) in ins and out == np.int64 for _, ins, out in calls)
+    first = bounds.index(next(b for b in bounds if b >= limit))
+    assert narrowed == any(b < limit for b in bounds[first + 1 :])
 
 
 @settings(max_examples=25, deadline=None)

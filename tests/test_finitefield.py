@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dworkbench import finitefield
-from dworkbench.errors import NotPrime, TooLarge
+from dworkbench.errors import BadParams, NotPrime, TooLarge
 from dworkbench.finitefield import build_field, is_prime, prime_factors
 
 
@@ -20,6 +20,12 @@ def test_primality_helpers():
 def test_build_field_rejects_composite_characteristic():
     with pytest.raises(NotPrime):
         build_field(15)
+
+
+def test_build_field_refuses_a_degree_below_1():
+    for m in (0, -1):
+        with pytest.raises(BadParams, match="degree"):
+            build_field(7, m)
 
 
 def _power(E, code, k):

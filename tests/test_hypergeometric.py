@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from dworkbench.characters import gauss_sum, phi_inverse, teich_char
 from dworkbench.cyclotomic import CycloElem, cconv, common, to_cyclo, vanishes
-from dworkbench import cyclotomic, hypergeometric
+from dworkbench import characters, cyclotomic, dwork, finitefield, hypergeometric
 from dworkbench.errors import BadN, BadParams, BadT, Infeasible, SizeMismatch
 from dworkbench.finitefield import build_field, is_prime
 from dworkbench.hypergeometric import (
@@ -575,23 +577,25 @@ def test_shift_hist_matches_loop(case):
 
 @pytest.mark.parametrize("row", [None, 3])
 def test_shift_hist_widens_fold_by_fold(monkeypatch, row):
-    # with exact_dtype's limit between (R-1)^3 = 64 and (R-1)^4 = 256, the
-    # folds to 2 and 3 factors stay int64 and only the last runs in Python
-    # integers; the histogram is the loop's either way
+    # with exact_dtype's limit at 20, each fold's shift_sums returns Python
+    # integers exactly when its own bound, max|H| (R-1), reaches the limit:
+    # the folds to 2 and 3 factors (bounds 4 and 8) stay int64 and only the
+    # last (28) widens; the histogram is the loop's either way
     R, N = 5, 3
     shifts = [np.array([0, 1, 2, 0, 1]), np.array([0, 2, 2, 1, 0]), np.array([0, 0, 1, 2, 1]), np.array([0, 1, 1, 0, 2])]
     seen = []
     fold = hypergeometric.shift_sums
 
     def spy(T, *sets, row=None):
-        seen.append(T.dtype)
-        return fold(T, *sets, row=row)
+        out = fold(T, *sets, row=row)
+        seen.append((int(T.max()) * (R - 1), out.dtype))
+        return out
 
     monkeypatch.setattr(hypergeometric, "shift_sums", spy)
-    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 100)
+    monkeypatch.setattr(cyclotomic, "_INT64_LIMIT", 20)
     want = _hist_reference(shifts, R, N)
     assert _shift_hist(shifts, R, N, row).tolist() == (want if row is None else [want[row]])
-    assert seen == [np.int64, np.int64, object]
+    assert seen == [(4, np.int64), (8, np.int64), (28, object)]
 
 
 def _dense(factor, R, N, L):
@@ -630,8 +634,8 @@ def test_trace_rows_match_dense_convolution(case):
 
 @pytest.mark.parametrize("b, dtype", [((1 << 31) - 1, np.int64), (1 << 31, object)])
 def test_trace_rows_take_int64_exactly_when_proved_in_range(b, dtype):
-    # hist_conv sums in its operands' dtype and _trace_rows picks it: int64
-    # while max|P| times the largest row sum of H is below 2^63.  Over
+    # hist_conv picks its own width: int64 while max|P| times the largest
+    # row sum of H is below 2^63.  Over
     # R = 3, N = 1, two one-hot factors give row sums (2, 1, 1), and the
     # convolved base P is 2^31 b
     s = np.zeros(3, dtype=np.int64)
@@ -780,3 +784,54 @@ def test_naive_extension_peak_memory():
     assert peak < 4 << 20, f"peak {peak / 2 ** 20:.2f} MiB"
     table = trad_trace_conv(spec, E_degree=2)
     assert got == [table.value_at(t) for t in ts]
+
+
+def _entered(run):
+    """The program functions run enters, as "module.qualname", comprehensions
+    left out; every cache of the program is cleared first, so a cached
+    function is entered by each side that calls it."""
+    for module in (characters, cyclotomic, dwork, finitefield, hypergeometric):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    src, seen = Path(hypergeometric.__file__).parent, set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and "<" not in code.co_qualname and Path(code.co_filename).parent == src:
+            seen.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+# the count-vector kernels of cyclotomic
+_KERNELS = {"cyclotomic.cconv", "cyclotomic.shift_sums", "cyclotomic.window_sums", "cyclotomic.hist_conv", "cyclotomic.combo"}
+
+
+def test_conv_route_shares_pinned_functions_with_mellin_and_naive():
+    # the independence ledger of hyper-cross at q = 29: the program functions
+    # the convolution table shares with each route it is checked against.
+    # A set that grows is a new shared fault line, to be declared
+    spec = HyperSpec.from_label(build_field(29), build_v(2, 7))  # the field is built before tracing
+    conv = _entered(lambda: trad_trace_conv(spec).counts)
+    mellin = conv & _entered(lambda: mellin_rows(spec))
+    naive = conv & _entered(lambda: trad_trace_naive(spec, range(2, 29)))
+    assert mellin == {
+        "cyclotomic._abs_max", "cyclotomic._abs_max_sum", "cyclotomic._work_dtype", "cyclotomic.cconv",
+        "cyclotomic.exact_dtype", "finitefield.FqField.neg_code", "finitefield.FqField.neg_codes",
+        "finitefield.FqField.trace_abs_table", "hypergeometric.HyperSpec.k",
+    }
+    assert naive == {
+        "cyclotomic.CycloCtx.__init__", "cyclotomic._poly_div_exact", "cyclotomic._prime_powers",
+        "cyclotomic._work_dtype", "cyclotomic.ctx_for", "cyclotomic.cyclotomic_poly", "cyclotomic.euler_phi",
+        "cyclotomic.exact_dtype", "finitefield.FqField.add_codes", "finitefield.FqField.neg_codes",
+        "finitefield.FqField.trace_abs_table", "finitefield.prime_factors", "hypergeometric.HyperSpec.extension",
+        "hypergeometric.HyperSpec.k",
+    }
+    # the Mellin route shares no count-vector kernel but cconv, the naive one none
+    assert mellin & _KERNELS == {"cyclotomic.cconv"} and not naive & _KERNELS

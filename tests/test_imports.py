@@ -51,12 +51,14 @@ def test_verdict_modules_use_no_float_embeddings(name):
 def test_exact_kernels_live_in_cyclotomic():
     # the convolutions of count vectors and the float64-int64-or-Python-
     # integers rule have one home: every other module calls cyclotomic's
-    # kernels and exact_dtype, and a batched step cannot fork a second
-    # circulant kernel through einsum
+    # kernels, which size their own results, so no engine picks a width
+    # (exact_dtype) or gathers windows itself, and a batched step cannot
+    # fork a second circulant kernel through einsum
     found = {}
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    internals = {"convolve", "as_strided", "sliding_window_view", "einsum", "exact_dtype", "_INT64_LIMIT", "_FLOAT_EXACT"}
     for name, tree in trees.items():
-        hits = sorted({"convolve", "as_strided", "einsum", "_INT64_LIMIT", "_FLOAT_EXACT"} & _references(tree).keys())
+        hits = sorted(internals & _references(tree).keys())
         if hits and name != "cyclotomic.py":
             found[name] = hits
     assert not found, f"kernel internals outside cyclotomic.py: {found}"
